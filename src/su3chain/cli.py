@@ -58,7 +58,7 @@ _MATRIX_TOL = 1e-10
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     elif fmt == "text":
         for section in ("command", "inputs", "results", "diagnostics"):
             print(f"[{section}]")
@@ -90,9 +90,22 @@ def _payload(command: str, inputs: dict, results: dict, diagnostics: dict) -> di
 
 
 def _fail(fmt: str, payload: dict, message: str) -> int:
-    _emit(payload, fmt)
+    # named first: a non-finite value makes _emit itself raise
     print(f"verification failed: {message}", file=sys.stderr)
+    _emit(payload, fmt)
     return EXIT_VERIFY
+
+
+def _comb_usage_error(comb_terms: int, levels: int) -> str | None:
+    """Why a comb ladder of ``levels`` levels topping at ``comb_terms`` is invalid."""
+    if levels < 1:
+        return f"--levels must be at least 1, got {levels}"
+    if comb_terms < 2 ** (levels - 1):
+        return (
+            f"--comb-terms must be at least 2**(levels - 1) = {2 ** (levels - 1)} "
+            f"for {levels} levels, got {comb_terms}"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +122,7 @@ def _cmd_verify_algebra(args) -> int:
         results,
         {"worst_identity": worst, "worst_residual": float(residuals[worst])},
     )
-    if residuals[worst] > _ALGEBRA_TOL:
+    if not (residuals[worst] <= _ALGEBRA_TOL):
         return _fail(
             args.format, payload, f"identity {worst!r} residual {residuals[worst]:.3e}"
         )
@@ -164,7 +177,7 @@ def _cmd_verify_matrices(args) -> int:
         diagnostics,
     )
     for name in ("a2_max_deviation", "a3_max_deviation", "a3_zero_entries_max"):
-        if results[name] > _MATRIX_TOL:
+        if not (results[name] <= _MATRIX_TOL):
             return _fail(args.format, payload, f"{name} = {results[name]:.3e}")
     _emit(payload, args.format)
     return EXIT_OK
@@ -202,13 +215,17 @@ def _cmd_two_site(args) -> int:
         diagnostics,
     )
     worst = max(res1, res2)
-    if worst > 1e-11:
+    if not (worst <= 1e-11):
         return _fail(args.format, payload, f"difference-equation residual {worst:.3e}")
     _emit(payload, args.format)
     return EXIT_OK
 
 
 def _cmd_three_site(args) -> int:
+    usage = _comb_usage_error(args.comb_terms, args.levels)
+    if usage:
+        print(f"usage error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
     problem = threesite.ThreeSiteProblem(
         comb_terms=args.comb_terms, richardson_levels=args.levels
     )
@@ -219,11 +236,8 @@ def _cmd_three_site(args) -> int:
         "f2": solution.f2,
         "f3": solution.f3,
     }
-    diagnostics = {
-        k: v
-        for k, v in solution.diagnostics.items()
-        if k not in ("c2_per_level",)
-    }
+    diagnostics = dict(solution.diagnostics)
+    diagnostics["c2_per_level"] = [[c.real, c.imag] for c in diagnostics["c2_per_level"]]
     diagnostics["p12p23_delta_vs_reference"] = float(
         solution.p12p23 - PAPER_REFERENCE_VALUES["p12p23_thermodynamic"]
     )
@@ -233,7 +247,7 @@ def _cmd_three_site(args) -> int:
         results,
         diagnostics,
     )
-    if abs(diagnostics["p12p23_delta_vs_reference"]) > 1e-6:
+    if not (abs(diagnostics["p12p23_delta_vs_reference"]) <= 1e-6):
         return _fail(
             args.format,
             payload,
@@ -276,9 +290,9 @@ def _cmd_ed(args) -> int:
             result.observables["p12p23"] - ref[1]
         )
     payload = _payload("ed", {"L": args.L}, results, diagnostics)
-    if result.residual_norm > 1e-10:
+    if not (result.residual_norm <= 1e-10):
         return _fail(args.format, payload, f"eigenresidual {result.residual_norm:.3e}")
-    if trace_defect > 1e-12 or min_eig < -1e-12:
+    if not (trace_defect <= 1e-12 and min_eig >= -1e-12):
         return _fail(
             args.format,
             payload,
@@ -289,6 +303,11 @@ def _cmd_ed(args) -> int:
 
 
 def _cmd_report_table1(args) -> int:
+    problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
+    usage = _comb_usage_error(problem.comb_terms, problem.richardson_levels)
+    if usage:
+        print(f"usage error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     for L in (3, 6, 9):
         result = ed_mod.ground_state(ed_mod.ChainSpec(L))
@@ -306,7 +325,6 @@ def _cmd_report_table1(args) -> int:
         )
     ts = TwoSiteSolution()
     omega_inf = float(np.real(ts.omega33(0.0)))
-    problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     solution = threesite.three_site_correlator(problem)
     rows.append(
         {
@@ -381,9 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_two_site)
 
+    defaults = threesite.ThreeSiteProblem()
     p = sub.add_parser("three-site", help="<P12 P23> from the functional equations")
-    p.add_argument("--comb-terms", type=int, default=12500)
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--comb-terms", type=int, default=defaults.comb_terms,
+                   help="top level of the comb ladder")
+    p.add_argument("--levels", type=int, default=defaults.richardson_levels,
+                   help="number of ladder levels and order of the extrapolation")
     common(p)
     p.set_defaults(func=_cmd_three_site)
 
@@ -393,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ed)
 
     p = sub.add_parser("report-table1", help="finite-size comparison table")
-    p.add_argument("--comb-terms", type=int, default=12500)
+    p.add_argument("--comb-terms", type=int, default=defaults.comb_terms,
+                   help="top level of the comb ladder")
     common(p)
     p.set_defaults(func=_cmd_report_table1)
     return parser

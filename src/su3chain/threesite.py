@@ -22,9 +22,16 @@ analyticity conditions (Laurent coefficients on circles around 0 and -2
 computed by discrete Fourier transform); the system is overdetermined by one,
 and the least-squares defect is kept as a consistency diagnostic.
 
-The truncation error of the comb scales as ``1/J^2``; correlators are
-extrapolated over a geometric ladder of ``J`` values through the model
-``c + a/J^2 + b/J^3``.
+The comb is summed once, as running sums over ``j`` in fixed-size blocks,
+with a snapshot at each level ``J_i = J // 2^(n-1-i)`` of a geometric ladder
+(``J = comb_terms``, ``n = richardson_levels``; 25, 50, ..., 400 by default).
+``phi_c`` is a 3-periodic function times a power series in ``1/(lam + 3j)``,
+so the truncation error has a pure power expansion in ``1/J`` starting at
+``1/J^2``.  The snapshots are extrapolated point by point through the model
+``c + sum_{p=2..n} a_p / J^p``, which the ``n`` levels fix exactly, and the
+periodic correction is fitted once, to the extrapolated comb.  ``G1`` is
+linear in the comb, so this one extrapolated ``G1`` serves both the
+correlator and the density operator below.
 
 Physical outputs:  ``<P12 P23> = c2 / 2`` where ``c2`` is the ``lam^2``
 Taylor coefficient of ``G1`` at 0, and the boundary values ``F1 = 4 c2``,
@@ -265,18 +272,19 @@ def h_kernel(l: int, z):
 
 
 # ---------------------------------------------------------------------------
-# periodic-correction solver shared by G1 and its transverse derivative
+# numerical parameters and the convolution transform
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ThreeSiteProblem:
     """Numerical parameters of the three-site solver."""
 
-    comb_terms: int = 12500
+    #: top level J of the comb ladder J // 2^(levels-1), ..., J // 2, J
+    comb_terms: int = 400
     laurent_points: int = 256
     laurent_radius: float = 0.45
-    richardson_levels: int = 3
-    comb_chunk: int = 2500
+    #: number of ladder levels, which is also the order of the 1/J model
+    richardson_levels: int = 5
     #: vertical-contour convolution transform (solve_g)
     conv_step: float = 0.004
     conv_halfwidth: float = 300.0
@@ -284,6 +292,18 @@ class ThreeSiteProblem:
     #: Cauchy circle average recovering the homogeneous density amplitudes
     circle_radius: float = 0.35
     circle_points: int = 12
+
+    def comb_ladder(self) -> list[int]:
+        """Comb truncations ``comb_terms // 2^(levels-1-i)``, i = 0..levels-1."""
+        levels = self.richardson_levels
+        if levels < 1:
+            raise ValueError(f"richardson_levels must be >= 1, got {levels}")
+        if self.comb_terms < 2 ** (levels - 1):
+            raise ValueError(
+                f"comb_terms must be >= 2^(richardson_levels - 1) = "
+                f"{2 ** (levels - 1)}, got {self.comb_terms}"
+            )
+        return [self.comb_terms // 2 ** (levels - 1 - i) for i in range(levels)]
 
 
 def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> complex:
@@ -338,86 +358,115 @@ def solve_g_recursion_residual(
     return float(abs(g0 - w**l * g1 - phi(complex(lam))))
 
 
-def _cot_basis(max_pole_order: int):
-    """1 and powers of cot around the 0- and 1-chains up to the given order."""
+# ---------------------------------------------------------------------------
+# comb construction of G1 with pointwise Richardson extrapolation
+# ---------------------------------------------------------------------------
+
+#: comb terms per block of the running sum: phi_c never sees more than
+#: (points x _COMB_BLOCK) arguments at once, whatever comb_terms is
+_COMB_BLOCK = 128
+
+#: Laurent orders kept on the circles around the fit centers
+_KS = np.arange(-4, 7)
+_CENTERS = (0.0, -2.0)
+#: analyticity of G1 as vanishing Laurent coefficients: orders -3..1 at 0
+#: (the double zero) and -3..-1 at -2 (regularity)
+_VANISHING = np.array([(_KS >= -3) & (_KS <= 1), (_KS >= -3) & (_KS <= -1)])
+
+
+def _cot_basis():
+    """1, cot and cot^2 around the 0- and 1-chains of poles (period 3)."""
     fns = [lambda z: np.ones_like(z)]
-    for m in range(1, max_pole_order + 1):
+    for m in (1, 2):
         fns.append(lambda z, m=m: _cot(np.pi * z / 3) ** m)
         fns.append(lambda z, m=m: _cot(np.pi * (z - 1) / 3) ** m)
     return fns
 
 
-_K_MIN, _K_MAX = -4, 6
+def _comb_snapshots(z, ladder):
+    """Running sums ``sum_{j=1..J} phi_c(z + 3j)`` at each J of the ladder.
+
+    One pass over j = 1..ladder[-1] in blocks of at most ``_COMB_BLOCK``
+    terms; returns an array of shape ``(len(ladder),) + z.shape``.
+    """
+    total = np.zeros(z.shape, dtype=complex)
+    snapshots = []
+    start = 1
+    for stop in ladder:
+        for lo in range(start, stop + 1, _COMB_BLOCK):
+            jj = 3.0 * np.arange(lo, min(lo + _COMB_BLOCK, stop + 1))
+            total += phi_c(z[..., None] + jj).sum(axis=-1)
+        snapshots.append(total.copy())
+        start = stop + 1
+    return np.array(snapshots)
 
 
-class _PeriodicCorrectionSolver:
-    """Fits the 3-periodic cotangent correction from analyticity conditions.
+def _extrapolate(js, vals):
+    """Limit J -> inf of ``c + sum_{p=2..n} a_p / J^p`` through n samples.
 
-    Subclasses provide ``k_function`` (a particular solution of the step-3
-    recursion), a maximal pole order, and ``_condition_targets`` (required
-    Laurent coefficients of the corrected solution at the centers 0 and -2).
+    ``vals`` holds one sample per ladder level ``js`` along its first axis;
+    the extrapolation is pointwise over any trailing shape.  The powers are
+    taken of ``min(js) / J`` so the system stays well scaled at every order.
+    """
+    js = np.asarray(js, dtype=float)
+    vals = np.asarray(vals, dtype=complex)
+    powers = np.r_[0, np.arange(2, len(js) + 1)]
+    mat = (js.min() / js)[:, None] ** powers
+    sol = np.linalg.solve(mat, vals.reshape(len(js), -1))
+    return sol[0].reshape(vals.shape[1:])
+
+
+class G1Solver:
+    """G1 from the extrapolated comb plus its fitted 3-periodic correction.
+
+    The comb is summed once at the Laurent points around 0 and -2, with a
+    snapshot at each ladder level.  The cotangent coefficients are fitted to
+    each level (for ``c2_per_level`` and ``residual_per_level``) and, once
+    more, to the extrapolated Laurent data; that last fit defines the solver's
+    G1 everywhere, and ``consistency_residual`` is its defect.
     """
 
-    max_pole_order = 2
-
-    def __init__(self, problem: ThreeSiteProblem):
-        self.problem = problem
-        self.basis_functions = _cot_basis(self.max_pole_order)
-
-    def k_function(self, z):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _condition_targets(self):
-        """List of (center, order, target coefficient) analyticity conditions."""
-        raise NotImplementedError
-
-    def _laurent(self, f, center):
-        n = self.problem.laurent_points
-        r = self.problem.laurent_radius
+    def __init__(self, problem: ThreeSiteProblem | None = None):
+        self.problem = problem or ThreeSiteProblem()
+        self.ladder = self.problem.comb_ladder()
+        self.basis_functions = _cot_basis()
+        n, r = self.problem.laurent_points, self.problem.laurent_radius
         th = 2 * np.pi * np.arange(n) / n
-        z = center + r * np.exp(1j * th)
-        fv = f(z)
-        ks = np.arange(_K_MIN, _K_MAX + 1)
-        coef = np.array([(fv * np.exp(-1j * k * th)).mean() / r**k for k in ks])
-        return ks, coef
+        z = np.array(_CENTERS)[:, None] + r * np.exp(1j * th)
+        dft = np.exp(-1j * np.outer(th, _KS)) / (n * r**_KS)
+        # Laurent coefficients (level, center, k) of the particular solution
+        k_levels = (phi_c(z) - (z / 3) * tau(z) + _comb_snapshots(z, self.ladder)) @ dft
+        self._b_coef = np.array([b(z) for b in self.basis_functions]) @ dft
+        self._mat = self._b_coef[:, _VANISHING].T
+        fits = [self._fit(k) for k in k_levels]
+        self.c2_per_level = [self._taylor(k, x, 2) for k, (x, _) in zip(k_levels, fits)]
+        self.residual_per_level = [res for _, res in fits]
+        self._k_coef = _extrapolate(self.ladder, k_levels)
+        self.periodic_coefficients, self.consistency_residual = self._fit(self._k_coef)
 
-    def _condition_targets(self):
-        """List of (center, order, target coefficient) analyticity conditions.
+    def _fit(self, k_coef):
+        """Least-squares cotangent coefficients cancelling the forbidden Laurent data."""
+        rhs = -k_coef[_VANISHING]
+        x, *_ = np.linalg.lstsq(self._mat, rhs, rcond=None)
+        return x, float(np.abs(self._mat @ x - rhs).max())
 
-        The corrected solution must be regular at -2, and regular at 0 with
-        prescribed low-order Taylor coefficients (zero for G1's double zero;
-        the derivative solution has a prescribed slope).
-        """
-        p = self.max_pole_order
-        conds = [(0.0, k, 0.0) for k in range(-p - 1, 1)]
-        conds.append((0.0, 1, self._slope_at_zero()))
-        conds += [(-2.0, k, 0.0) for k in range(-p - 1, 0)]
-        return conds
+    def _taylor(self, k_coef, x, k: int) -> complex:
+        i = k - _KS[0]
+        return complex(k_coef[0, i] + self._b_coef[:, 0, i] @ x)
 
-    def _slope_at_zero(self) -> complex:
-        return 0.0
+    def taylor_coefficient(self, k: int) -> complex:
+        """Laurent/Taylor coefficient of G1 around 0 (k in -4..6)."""
+        return self._taylor(self._k_coef, self.periodic_coefficients, k)
 
-    def _fit_periodic(self):
-        centers = sorted({c for c, _, _ in self._condition_targets()})
-        k_coef = {c: self._laurent(self.k_function, c) for c in centers}
-        b_coef = {
-            c: [self._laurent(b, c)[1] for b in self.basis_functions]
-            for c in centers
-        }
-        idx = {c: {int(k): i for i, k in enumerate(k_coef[c][0])} for c in centers}
-        rows, rhs = [], []
-        for c, k, target in self._condition_targets():
-            i = idx[c][k]
-            rows.append([b[i] for b in b_coef[c]])
-            rhs.append(target - k_coef[c][1][i])
-        mat = np.array(rows)
-        vec = np.array(rhs)
-        x, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-        self.periodic_coefficients = x
-        self.consistency_residual = float(np.abs(mat @ x - vec).max())
-        self._k_at_0 = k_coef[0.0][1]
-        self._b_at_0 = b_coef[0.0]
-        self._idx0 = idx[0.0]
+    def comb(self, z):
+        """Extrapolated ``sum_{j>=1} phi_c(z + 3j)`` (vectorized)."""
+        z = _arr(z)
+        return _extrapolate(self.ladder, _comb_snapshots(z, self.ladder))
+
+    def k_function(self, z):
+        """Particular solution of the step-3 recursion (one-sided comb)."""
+        z = _arr(z)
+        return phi_c(z) + self.comb(z) - (z / 3) * tau(z)
 
     def periodic_part(self, z):
         z = _arr(z)
@@ -427,11 +476,14 @@ class _PeriodicCorrectionSolver:
         )
 
     def value(self, z):
-        """Corrected solution at arbitrary points (vectorized)."""
+        """G1 at arbitrary points (vectorized)."""
         scalar = np.ndim(z) == 0
         z = _arr(z)
         out = self.k_function(z) + self.periodic_part(z)
         return complex(out[0]) if scalar else out
+
+    def g1(self, z):
+        return self.value(z)
 
     def circle_average(self, center: complex) -> complex:
         """Value at a removable point as the mean over a small circle."""
@@ -440,55 +492,13 @@ class _PeriodicCorrectionSolver:
         th = 2 * np.pi * np.arange(n) / n
         return complex(self.value(center + r * np.exp(1j * th)).mean())
 
-    def taylor_coefficient(self, k: int) -> complex:
-        """Laurent/Taylor coefficient of the solution around 0 (k in -3..6)."""
-        i = self._idx0[k]
-        return complex(
-            self._k_at_0[i]
-            + sum(c * b[i] for c, b in zip(self.periodic_coefficients, self._b_at_0))
-        )
-
-
-class G1Solver(_PeriodicCorrectionSolver):
-    """Constructs G1 for a fixed comb truncation and evaluates it anywhere."""
-
-    def __init__(self, problem: ThreeSiteProblem | None = None):
-        super().__init__(problem or ThreeSiteProblem())
-        self._fit_periodic()
-
-    def comb(self, z):
-        """sum_{j=1..J} phi_c(z + 3j), evaluated in chunks."""
-        z = _arr(z)
-        out = np.zeros(z.shape, dtype=complex)
-        terms = self.problem.comb_terms
-        chunk = self.problem.comb_chunk
-        start = 1
-        while start <= terms:
-            stop = min(start + chunk, terms + 1)
-            jj = 3.0 * np.arange(start, stop)
-            out += phi_c(z[..., None] + jj).sum(axis=-1)
-            start = stop
-        return out
-
-    def k_function(self, z):
-        z = _arr(z)
-        return phi_c(z) + self.comb(z) - (z / 3) * tau(z)
-
-    # -- public aliases ----------------------------------------------------
-
-    def g1(self, z):
-        return self.value(z)
-
-    def g1_circle_average(self, center: complex) -> complex:
-        return self.circle_average(center)
-
     def one_sided_pole_data(self) -> dict[int, complex]:
         """Laurent coefficients k=-2..1 of the bare one-sided construction.
 
         Without the 3-periodic correction the particular solution violates
         the O(lam^2) normalization at 0; the returned coefficients quantify
         the violation (they all vanish for the corrected G1)."""
-        return {k: complex(self._k_at_0[self._idx0[k]]) for k in (-2, -1, 0, 1)}
+        return {k: complex(self._k_coef[0, k - _KS[0]]) for k in (-2, -1, 0, 1)}
 
     # -- derived objects ---------------------------------------------------
 
@@ -509,7 +519,7 @@ class G1Solver(_PeriodicCorrectionSolver):
 
 
 # ---------------------------------------------------------------------------
-# correlators with comb-truncation extrapolation
+# correlators
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -521,54 +531,28 @@ class ThreeSiteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _extrapolate(js, vals):
-    """Fit c + a/J^2 + b/J^3 (or fewer terms) through the sample points."""
-    js = np.asarray(js, dtype=float)
-    vals = np.asarray(vals, dtype=complex)
-    k = len(js)
-    cols = [np.ones(k), js**-2.0, js**-3.0][:k]
-    mat = np.array(cols).T.astype(complex)
-    sol = np.linalg.solve(mat, vals)
-    return sol[0]
-
-
 def three_site_correlator(problem: ThreeSiteProblem | None = None) -> ThreeSiteSolution:
-    """Solve the recursion on a ladder of comb truncations and extrapolate.
+    """<P12 P23> and the boundary values F1, F2, F3 from the extrapolated G1.
 
-    Returns <P12 P23> together with the three boundary values F1, F2, F3 of
-    the symmetric three-point function and convergence diagnostics.
+    Diagnostics: the comb ladder, ``c2`` fitted at each level, the fit
+    defects per level followed by that of the extrapolated fit (which
+    produced the returned values), ``|Im c2|`` and the shift of ``c2`` from
+    the top level to the extrapolated value.
     """
-    problem = problem or ThreeSiteProblem()
-    levels = max(1, problem.richardson_levels)
-    js = [problem.comb_terms // 2 ** (levels - 1 - i) for i in range(levels)]
-    c2s, g1s_at_1, g1s_at_2, lsq = [], [], [], []
-    for j in js:
-        sub = ThreeSiteProblem(
-            comb_terms=j,
-            laurent_points=problem.laurent_points,
-            laurent_radius=problem.laurent_radius,
-            comb_chunk=problem.comb_chunk,
-        )
-        solver = G1Solver(sub)
-        c2s.append(solver.taylor_coefficient(2))
-        g1s_at_1.append(solver.g1_circle_average(1.0))
-        g1s_at_2.append(complex(solver.g1(2.0)))
-        lsq.append(solver.consistency_residual)
-    c2 = _extrapolate(js, c2s)
-    g1_at_1 = _extrapolate(js, g1s_at_1)
-    g1_at_2 = _extrapolate(js, g1s_at_2)
+    solver = G1Solver(problem)
+    c2 = solver.taylor_coefficient(2)
     diag = {
-        "comb_terms": js,
-        "c2_per_level": [complex(c) for c in c2s],
-        "lstsq_residuals": lsq,
+        "comb_terms": solver.ladder,
+        "c2_per_level": solver.c2_per_level,
+        "lstsq_residuals": solver.residual_per_level + [solver.consistency_residual],
         "c2_imag": float(abs(c2.imag)),
-        "last_level_shift": float(abs(c2s[-1] - c2)),
+        "last_level_shift": float(abs(solver.c2_per_level[-1] - c2)),
     }
     return ThreeSiteSolution(
         p12p23=float(c2.real) / 2,
         f1=float((4 * c2).real),
-        f2=float((4 * g1_at_1).real),
-        f3=float(g1_at_2.real),
+        f2=float((4 * solver.circle_average(1.0)).real),
+        f3=float(solver.value(2.0).real),
         diagnostics=diag,
     )
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from su3chain import ed as ed_mod
 from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -142,3 +143,61 @@ def test_report_table1_json_and_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("length,omega33")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--comb-terms", "0"], "--comb-terms"),
+        (["--levels", "0"], "--levels"),
+        (["--comb-terms", "3", "--levels", "5"], "--comb-terms"),
+        (["--comb-terms", "-7", "--levels", "1"], "--comb-terms"),
+    ],
+)
+def test_three_site_rejects_invalid_ladder(capsys, argv, option):
+    # rejected before any comb work, with the option named
+    code, out, err = run(capsys, ["three-site", *argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert option in err
+
+
+def test_report_table1_rejects_short_comb(capsys):
+    code, out, err = run(capsys, ["report-table1", "--comb-terms", "8"])
+    assert code == EXIT_USAGE
+    assert "--comb-terms" in err
+
+
+def test_three_site_short_comb_fails_gate(capsys):
+    # 8 terms, no extrapolation: off by ~1e-3, so the 1e-6 gate gives exit 1
+    code, out, err = run(capsys, ["three-site", "--comb-terms", "8", "--levels", "1"])
+    assert code == EXIT_VERIFY
+    payload = json.loads(out)
+    assert payload["inputs"] == {"comb_terms": 8, "richardson_levels": 1}
+    assert "p12p23 off reference" in err
+
+
+@pytest.mark.parametrize("levels", ["4", "6"])
+def test_three_site_other_orders(capsys, levels):
+    code, out, _ = run(capsys, ["three-site", "--levels", levels])
+    assert code == EXIT_OK
+    diagnostics = json.loads(out)["diagnostics"]
+    assert len(diagnostics["comb_terms"]) == int(levels)
+    assert len(diagnostics["c2_per_level"]) == int(levels)
+    assert abs(diagnostics["p12p23_delta_vs_reference"]) <= 1e-6
+
+
+def test_ed_nan_residual_fails_closed(monkeypatch, capsys):
+    real_ground_state = ed_mod.ground_state
+
+    def nan_residual(spec):
+        result = real_ground_state(spec)
+        result.residual_norm = float("nan")
+        return result
+
+    monkeypatch.setattr(ed_mod, "ground_state", nan_residual)
+    code, out, err = run(capsys, ["ed", "--L", "3"])
+    assert code == EXIT_VERIFY
+    assert "eigenresidual" in err
+    assert "Traceback" not in err
+    assert "NaN" not in out

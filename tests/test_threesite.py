@@ -24,6 +24,7 @@ from su3chain.threesite import (
     tau,
     three_site_correlator,
     three_site_density_coefficients,
+    _extrapolate,
 )
 
 TS = TwoSiteSolution()
@@ -195,6 +196,48 @@ def test_g_transform_recursion(g1_solver):
     for l in (0, 1, -1):
         # limited by the comb truncation of the underlying G1
         assert g1_solver.g_recursion_residual(l, pts) < 1e-7
+
+
+@pytest.mark.parametrize("levels", range(1, 7))
+def test_extrapolate_recovers_limit(levels):
+    # synthetic data c + sum_{p=2..levels} a_p / J^p on the default ladder
+    # shape: the model is exact, so c comes back to rounding
+    rng = np.random.default_rng(levels)
+    js = [400 // 2 ** (levels - 1 - i) for i in range(levels)]
+    c = complex(rng.normal(), rng.normal())
+    a = rng.normal(size=levels + 1) * 10
+    vals = [c + sum(a[p] / j**p for p in range(2, levels + 1)) for j in js]
+    assert abs(_extrapolate(js, vals) - c) < 1e-14
+    # pointwise over trailing axes
+    grid = np.outer(vals, [1.0, 2.0, -3.0])
+    assert np.abs(_extrapolate(js, grid) - c * np.array([1.0, 2.0, -3.0])).max() < 1e-13
+
+
+def test_top_snapshot_equals_single_level_run():
+    ladder = three_site_correlator(ThreeSiteProblem(comb_terms=100, richardson_levels=3))
+    single = three_site_correlator(ThreeSiteProblem(comb_terms=100, richardson_levels=1))
+    assert ladder.diagnostics["comb_terms"] == [25, 50, 100]
+    assert single.diagnostics["comb_terms"] == [100]
+    top = ladder.diagnostics["c2_per_level"][-1]
+    assert abs(top.real / 2 - single.p12p23) < 1e-14
+
+
+def test_correlator_defaults():
+    solution = three_site_correlator()
+    diagnostics = solution.diagnostics
+    assert abs(solution.p12p23 - P12P23_REFERENCE) <= 1e-12
+    assert diagnostics["lstsq_residuals"][-1] <= 1e-12
+    assert len(diagnostics["c2_per_level"]) == 5
+    assert diagnostics["comb_terms"] == [25, 50, 100, 200, 400]
+
+
+@pytest.mark.parametrize(
+    "comb_terms, levels", [(0, 5), (15, 5), (3, 5), (100, 0)]
+)
+def test_invalid_comb_ladder_rejected(comb_terms, levels):
+    problem = ThreeSiteProblem(comb_terms=comb_terms, richardson_levels=levels)
+    with pytest.raises(ValueError):
+        problem.comb_ladder()
 
 
 def test_correlator_quick():
