@@ -163,9 +163,7 @@ class TwoSiteSolution:
         res2:  omega_bar33(lam-1) + (lam-1)/lam * omega33(lam+1)
                + (lam-1)(lam+2)/(lam(lam+3)) * omega_bar33(lam) - (lam-1)/lam
         """
-        lam = complex(lam)
-        if min(abs(lam), abs(lam - 1), abs(lam + 1)) < 1e-6:
-            raise PoleError("difference-equation check too close to lam in {0, +-1}")
+        lam = _off_integers(lam, "difference-equation check")
         w = complex(self.omega33(lam))
         wb = complex(self.omega_bar33(lam))
         res1 = abs(w - (lam**2 - 1) / (lam * (lam + 3)) * wb - 1 / lam)
@@ -181,7 +179,7 @@ class TwoSiteSolution:
 
     def check_three_term(self, lam: complex) -> float:
         """Residual of the three-term equation for sigma at ``lam``."""
-        lam = complex(lam)
+        lam = _off_integers(lam, "three-term check")
         lhs = (
             complex(self.sigma(lam + 1))
             + complex(self.sigma(lam))
@@ -189,6 +187,21 @@ class TwoSiteSolution:
         )
         rhs = (lam**2 + 2) / ((lam**2 - 4) * (lam**2 - 1))
         return abs(lhs - rhs)
+
+
+def _off_integers(lam, what: str) -> complex:
+    """``lam`` as a complex, or PoleError if it is within 1e-6 of an integer.
+
+    The residual checks evaluate the two-site functions at ``lam`` and
+    ``lam +- 1`` and divide by rational factors: the three-term check is
+    singular at every integer, the difference-equation check at every
+    integer but -1.
+    """
+    lam = complex(lam)
+    nearest = round(lam.real)
+    if abs(lam - nearest) < 1e-6:
+        raise PoleError(f"{what} at {lam} is within 1e-6 of the pole at {nearest:g}")
+    return lam
 
 
 def _maybe_scalar(arr):

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
 import json
+import warnings
 
 import pytest
 
@@ -112,19 +113,26 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     assert "config error" in err
 
 
-def test_threads_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("SU3CHAIN_THREADS", "2")
-    code1, out1, _ = run(capsys, ["verify-algebra", "--seed", "7"])
-    monkeypatch.setenv("SU3CHAIN_THREADS", "1")
-    code2, out2, _ = run(capsys, ["verify-algebra", "--seed", "7"])
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2  # results do not depend on the thread count
+@pytest.mark.parametrize("lam", ["-3", "3", "-2", "2"])
+def test_two_site_fails_closed_at_poles(capsys, lam):
+    # each is a pole of omega33 or of the residual formulas at lam
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        code, out, err = run(capsys, ["two-site", "--lambda", lam])
+    assert code in (EXIT_VERIFY, EXIT_USAGE)
+    assert "Traceback" not in err
+    assert "pole" in err
+    if out:
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
 
 
-def test_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("SU3CHAIN_THREADS", "zero")
-    code, _, err = run(capsys, ["verify-algebra"])
-    assert code == EXIT_USAGE
+def test_two_site_overflow_fails_without_traceback(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["two-site", "--lambda", "1e300j"])
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_report_table1_json_and_csv(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from su3chain.basis import GRAM_3
 from su3chain.twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution
+from su3chain import threesite
 from su3chain.threesite import (
     G1Solver,
     ThreeSiteProblem,
@@ -16,8 +17,6 @@ from su3chain.threesite import (
     partial_trace_last_site,
     phi,
     phi_c,
-    psi,
-    psi_finite_difference,
     r_inhom,
     solve_g,
     solve_g_recursion_residual,
@@ -93,13 +92,6 @@ def test_phi_c_decays_without_cancellation():
     assert np.abs(phi_c(big)).max() < 1e-7
 
 
-def test_psi_matches_finite_difference():
-    for lam in (0.8 + 0.5j, -1.7 + 0.9j, 2.6 - 0.4j, 40.0 + 0.2j):
-        closed = psi(lam)
-        stencil = psi_finite_difference(lam)
-        assert abs(closed - stencil) < 1e-7 * max(1.0, abs(closed))
-
-
 # ---------------------------------------------------------------------------
 # transform kernels and the convolution solution
 # ---------------------------------------------------------------------------
@@ -160,6 +152,48 @@ def test_solve_g_grid_self_convergence():
     coarse = solve_g(0, lam, ThreeSiteProblem(conv_step=0.008))
     fine = solve_g(0, lam, ThreeSiteProblem(conv_step=0.004))
     assert abs(coarse - fine) < 1e-8
+
+
+def _solve_g_full_grid(l, lam):
+    """solve_g's integral over every node of [-half, half], with its tail fit."""
+    problem = ThreeSiteProblem()
+    c = lam.real - problem.conv_offset
+    half, step = problem.conv_halfwidth, problem.conv_step
+    nu = np.arange(-half, half + step / 2, step)
+    mu = c + 1j * nu
+    pv = phi(mu)
+    out = np.trapezoid(h_kernel(l, -1j * (lam - mu)) * pv, nu) / (2 * np.pi)
+    if l == 0:
+        outer = nu >= half / 2
+        powers = np.arange(2, 6)
+        design = nu[outer][:, None] ** (-powers[None, :])
+        coef, *_ = np.linalg.lstsq(design, pv[outer], rcond=None)
+        out += 1j * np.sum(coef * half ** (1.0 - powers) / (powers - 1))
+    return complex(out)
+
+
+@pytest.mark.parametrize("lam", [1.6 + 0.1j, 2.3 + 0.45j])
+@pytest.mark.parametrize("l", [0, 1, -1])
+def test_solve_g_window_matches_full_grid(l, lam):
+    # the skipped nodes carry kernel weight below e^-50 of its peak
+    assert abs(solve_g(l, lam) - _solve_g_full_grid(l, lam)) < 1e-13
+
+
+@pytest.mark.parametrize("l", [0, 1, -1])
+def test_solve_g_evaluates_phi_once_per_window_node(monkeypatch, l):
+    seen = []
+
+    def counting_phi(lam):
+        seen.append(np.array(lam, ndmin=1))
+        return phi(lam)
+
+    monkeypatch.setattr(threesite, "phi", counting_phi)
+    solve_g(l, 1.9 + 0.2j)
+    points = np.concatenate(seen)
+    grid = 150_001  # nodes of [-300, 300] at the default step
+    assert len(points) == len(np.unique(points)) <= grid
+    if l != 0:
+        assert len(points) <= grid // 10
 
 
 def test_convolution_agrees_with_comb_up_to_zero_mode(g1_solver):
