@@ -16,20 +16,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-# Bernoulli numbers B_2, B_4, ..., B_16
-_BERNOULLI = [
-    1 / 6,
-    -1 / 30,
-    1 / 42,
-    -1 / 30,
-    5 / 66,
-    -691 / 2730,
-    7 / 6,
-    -3617 / 510,
-]
+#: Bernoulli numbers B_2, B_4, ..., B_16, exact
+BERNOULLI_EVEN = (
+    Fraction(1, 6),
+    Fraction(-1, 30),
+    Fraction(1, 42),
+    Fraction(-1, 30),
+    Fraction(5, 66),
+    Fraction(-691, 2730),
+    Fraction(7, 6),
+    Fraction(-3617, 510),
+)
+_BERNOULLI = [float(b) for b in BERNOULLI_EVEN]
 
 _ASYMPTOTIC_RADIUS = 10.0
 POLE_TOLERANCE = 1e-8
@@ -103,8 +105,10 @@ def trigamma_array(z) -> np.ndarray:
         out += b * term
         term /= z2
     out = out + acc
-    # psi_1(1 - z) = -psi_1(z) + pi^2 / sin^2(pi z)
-    out = np.where(reflect, -out + np.pi**2 / np.sin(np.pi * z) ** 2, out)
+    # psi_1(1 - z) = -psi_1(z) + pi^2 / sin^2(pi z), with the reflection term
+    # written as pi^2 (1 + cot^2): sin overflows for |Im z| > ~113, cot -> -+i
+    cot = 1 / np.tan(np.pi * z)
+    out = np.where(reflect, -out + np.pi**2 * (1 + cot**2), out)
     return out
 
 
@@ -127,12 +131,10 @@ def tetragamma_array(z) -> np.ndarray:
         out -= (2 * k + 1) * b * term
         term /= z2
     out = out + acc
-    # psi_2(z) = psi_2(1 - z) - 2 pi^3 cos(pi z)/sin^3(pi z)
-    out = np.where(
-        reflect,
-        out - 2 * np.pi**3 * np.cos(np.pi * z) / np.sin(np.pi * z) ** 3,
-        out,
-    )
+    # psi_2(z) = psi_2(1 - z) - 2 pi^3 cos(pi z)/sin^3(pi z), in the
+    # overflow-free form 2 pi^3 cot (1 + cot^2)
+    cot = 1 / np.tan(np.pi * z)
+    out = np.where(reflect, out - 2 * np.pi**3 * cot * (1 + cot**2), out)
     return out
 
 

@@ -25,11 +25,14 @@ and the least-squares defect is kept as a consistency diagnostic.
 The comb is summed once, as running sums over ``j`` in fixed-size blocks,
 with a snapshot at each level ``J_i = J // 2^(n-1-i)`` of a geometric ladder
 (``J = comb_terms``, ``n = richardson_levels``; 25, 50, ..., 400 by default).
-``phi_c`` is a 3-periodic function times a power series in ``1/(lam + 3j)``,
-so the truncation error has a pure power expansion in ``1/J`` starting at
-``1/J^2``.  The snapshots are extrapolated point by point through the model
-``c + sum_{p=2..n} a_p / J^p``, which the ``n`` levels fix exactly, and the
-periodic correction is fitted once, to the extrapolated comb.  ``G1`` is
+``phi_c`` is a 3-periodic function times a power series in ``1/(lam + 3j)``
+whose leading term is ``1/lam^2`` (``lam^2 phi_c(lam)`` tends to 7.247 on
+``Re lam = 0.45 mod 3``), so the truncation error starts with a 3-periodic
+``1/J`` term.  The snapshots are extrapolated point by point through the
+model ``c + sum_{p=2..n} a_p / J^p``, which the ``n`` levels fix exactly; it
+leaves out that ``1/J`` term, so the extrapolated comb is off by a
+3-periodic function (about 1e-3 at 0.45), which the periodic correction,
+fitted once to the extrapolated comb, absorbs (fit defect 3e-15).  ``G1`` is
 linear in the comb, so this one extrapolated ``G1`` serves both the
 correlator and the density operator below.
 
@@ -43,10 +46,15 @@ integrating ``phi`` against the closed-form kernels ``h_l`` along a vertical
 line half a unit to the left of the evaluation point (the kernels pair a
 shift by +1 with multiplication by ``w^l e^k`` only under this rotated
 contour; on horizontal lines the integral does not even converge because
-``phi`` keeps an O(1) oscillating part there).  The kernels decay
-exponentially away from the evaluation point (``h_0`` only downwards), so the
-trapezoid rule visits only the nodes where the kernel is above rounding, and
-the ``l = 0`` upper tail is fitted to ``phi`` samples it has already taken.
+``phi`` keeps an O(1) oscillating part there).  The trapezoid nodes are
+uniform in a sum of two ``asinh`` coordinates: dense near the real axis,
+where ``phi`` has its poles, and near the evaluation point, where the
+kernels have theirs, and sparse far up and down the line.  The kernels decay exponentially
+away from the evaluation point (``h_0`` only downwards), so the rule visits
+only the nodes where the kernel is above rounding.  ``h_0`` tends to a
+constant upwards; there the ``l = 0`` integral stops at ``nu = 50`` and the
+rest is summed exactly from the asymptotic series of ``phi`` in ``1/mu``,
+whose coefficients follow from the Bernoulli polynomials.
 The transform fixes the additive constant of the ``l = 0`` zero mode
 differently from the normalization ``G1 -> 2`` at imaginary infinity; the
 constant offset between the two constructions is itself a strong
@@ -68,12 +76,15 @@ is imposed - and serve as end-to-end validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
+from math import comb
 
 import numpy as np
 
 from .basis import GRAM_2, GRAM_3, _solve_exact_rational, reduce_to_physical
 from .twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution
-from .specfun import digamma_array
+from .specfun import BERNOULLI_EVEN, digamma_array
 
 _TS = TwoSiteSolution()
 
@@ -204,9 +215,9 @@ class ThreeSiteProblem:
     laurent_radius: float = 0.45
     #: number of ladder levels, which is also the order of the 1/J model
     richardson_levels: int = 5
-    #: vertical-contour convolution transform (solve_g)
+    #: solve_g: trapezoid step in its asinh coordinate u along the vertical
+    #: contour, which runs conv_offset to the left of the evaluation point
     conv_step: float = 0.004
-    conv_halfwidth: float = 300.0
     conv_offset: float = 0.5
     #: Cauchy circle average recovering the homogeneous density amplitudes
     circle_radius: float = 0.35
@@ -225,10 +236,78 @@ class ThreeSiteProblem:
         return [self.comb_terms // 2 ** (levels - 1 - i) for i in range(levels)]
 
 
+def _phi_series() -> np.ndarray:
+    """Coefficients ``a_0..a_16`` of ``phi(mu) ~ sum_k a_k mu^-k`` off the real axis.
+
+    With ``psi(z + a) ~ ln z + sum_n (-1)^(n+1) B_n(a) / (n z^n)`` the
+    logarithms of ``psi(1 +- mu/3) - psi(4/3 +- mu/3)`` cancel and so do the
+    odd orders, leaving the digamma part of sigma as
+    ``-(2/3) sum_{even n} 3^n (B_n(1) - B_n(4/3)) / (n mu^n)``.  The rest of
+    ``phi`` is rational in ``mu``; everything is expanded in ``x = 1/mu`` in
+    exact fractions, the ``OMEGA33_HOMOGENEOUS`` term apart.  The order, 16,
+    is that of the last Bernoulli number specfun holds.
+    """
+    order = 2 * len(BERNOULLI_EVEN)
+    n = order + 1
+
+    def mul(p, q):
+        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(n)]
+
+    def shift(p, m):
+        return ([0] * m + list(p) + [0] * n)[:n]
+
+    def lin(*terms):
+        return [sum(c * p[k] for c, p in terms) for k in range(n)]
+
+    bern = [Fraction(1), Fraction(-1, 2)] + [0] * (order - 1)
+    bern[2::2] = BERNOULLI_EVEN
+
+    def bernoulli_poly(m, t):
+        return sum(comb(m, j) * bern[j] * t ** (m - j) for j in range(m + 1))
+
+    digamma_part = [0] * n
+    digamma_prime = [0] * (n + 1)
+    for m in range(2, n, 2):
+        c = -Fraction(2, 3) * 3**m * (bern[m] - bernoulli_poly(m, Fraction(4, 3))) / m
+        digamma_part[m] = c
+        digamma_prime[m + 1] = -m * c
+    geo = [1 - k % 2 for k in range(n)]  # 1 / (1 - x^2)
+    geo2 = mul(geo, geo)
+    inv = shift(geo, 2)  # 1 / (mu^2 - 1)
+    mu_inv2 = shift(geo2, 3)  # mu / (mu^2 - 1)^2
+    s = lin((1, digamma_part), (-1, inv))
+    sp = lin((1, digamma_prime), (2, mu_inv2))
+    rational = lin(
+        (-12, s),
+        (-4, mul(mu_inv2, s)),
+        (-2, mul(inv, sp)),
+        (2, mul(shift((4, 6, -1, -6, -1), 2), geo2)),
+    )
+    return np.array(rational, dtype=float) + 4 * OMEGA33_HOMOGENEOUS * np.array(
+        mu_inv2, dtype=float
+    )
+
+
+#: phi's asymptotic series through mu^-16; a_16 50^-16 = 1.5e-19 at |mu| = 50
+_PHI_SERIES = _phi_series()
+
 #: solve_g skips the nodes where |h_l| has decayed below e^(-_KERNEL_CUTOFF)
-#: of its peak.  e^-50 = 2e-22: even summed over all 150k nodes of the
-#: default contour, the skipped terms stay below 1e-16 |phi|, under rounding
+#: of its peak.  e^-50 = 2e-22: even summed over the whole window, the
+#: skipped terms stay below 1e-16 |phi|, under rounding
 _KERNEL_CUTOFF = 50.0
+
+#: the l = 0 contour switches to phi's asymptotic series at nu = 50
+_TAIL_START = 50.0
+
+
+def _series_tail(m: complex):
+    """``phi(m)``, ``phi'(m)`` and ``int_m^(m + i inf) phi`` from ``_PHI_SERIES``."""
+    k = np.arange(2, len(_PHI_SERIES))
+    a = _PHI_SERIES[2:]
+    value = np.sum(a * m ** (-k))
+    slope = np.sum(-k * a * m ** (-k - 1.0))
+    integral = np.sum(a * m ** (1.0 - k) / (k - 1))
+    return complex(value), complex(slope), complex(integral)
 
 
 def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> complex:
@@ -244,17 +323,26 @@ def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> co
     wherever no pole of ``phi`` (the real points 0, +-1, 3, 4, ...) lies
     between the two contours - e.g. throughout ``Re lam in (1.5, 2.5)``.
 
-    The trapezoid nodes are ``-conv_halfwidth + k conv_step``, but only those
-    in the kernel window are evaluated: with ``t = Im lam - nu`` the kernel
-    falls as ``e^(-(2 pi - a) t)`` below ``Im lam`` and as ``e^(a t)`` above
-    it (``a`` as in ``h_kernel``), so nodes where that decay is below
-    ``e^(-_KERNEL_CUTOFF)`` of the peak add nothing above rounding and are
-    skipped.  For ``l = +-1`` this keeps about 9k of the 150k nodes.  For
-    ``l = 0`` the kernel tends to ``2 pi i`` up the contour, so the window
-    runs to ``conv_halfwidth`` and the truncated upper tail
-    ``i int_M^inf phi(c + i nu) d nu`` is restored from a power-law fit of
-    the ``phi`` samples already taken on the outer half of the grid (phi
-    decays as ``1/nu^2`` on vertical lines).
+    The trapezoid nodes are uniform in ``u = (asinh(nu) + asinh(nu - s))/2``
+    with ``s = Im lam``, ``conv_step`` apart, with weight ``dnu/du``; the map
+    inverts in closed form, ``nu = sinh(u + asinh(s / (2 cosh u)))``, and is
+    ``nu = sinh u`` for real ``lam``.  The integrand's singularities sit
+    near two points of the line: the poles of ``phi`` on the imaginary
+    ``nu`` axis, at distance ``|p - c|`` for each real pole ``p``, and those
+    of the kernel at ``nu = s - i(k + 1/2)``.  The map keeps a node spacing
+    of at most ``2 conv_step`` next to both and widens it as ``|nu|`` and
+    ``|nu - s|`` grow, so the rule converges geometrically with few nodes
+    for any ``Im lam``.
+
+    Only the kernel window is integrated: with ``t = s - nu`` the kernel
+    falls as ``e^(-(2 pi - a) t)`` below ``s`` and as ``e^(a t)`` above it
+    (``a`` as in ``h_kernel``), and the window ends where that decay reaches
+    ``e^(-_KERNEL_CUTOFF)``.  For ``l = 0`` the kernel tends to ``2 pi i`` up
+    the contour instead, so the window stops at ``nu = _TAIL_START`` (or
+    where the kernel is that constant to rounding, if higher) and the rest,
+    ``i int phi d nu``, is summed exactly from ``phi``'s asymptotic series,
+    together with the trapezoid rule's Euler-Maclaurin term at that end,
+    ``-(conv_step^2 / 12) dF/du`` for the integrand ``F`` in ``u``.
 
     The transform normalizes the ``l = 0`` zero mode by decay at infinity
     rather than by ``G1 -> 2``, so ``(g_0 + g_1 + g_-1)/3`` differs from the
@@ -264,29 +352,28 @@ def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> co
     lam = complex(lam)
     c = lam.real - problem.conv_offset
     step = problem.conv_step
-    half = problem.conv_halfwidth
+    s = lam.imag
     a = _kernel_rate(l)
-    lo = lam.imag - _KERNEL_CUTOFF / (2 * np.pi - a)
+    lo = s - _KERNEL_CUTOFF / (2 * np.pi - a)
     if a > 0:
-        hi = lam.imag + _KERNEL_CUTOFF / a
+        hi = s + _KERNEL_CUTOFF / a
     else:
-        # h_0 -> 2 pi i upwards: run to the top, through the tail-fit nodes
-        hi = np.inf
-        lo = min(lo, half / 2)
-    nu = np.arange(-half, half + step / 2, step)
-    nu = nu[np.searchsorted(nu, lo) : np.searchsorted(nu, hi, side="right")]
+        hi = max(_TAIL_START, s + _KERNEL_CUTOFF / (2 * np.pi))
+    top, bottom = ((np.arcsinh(x) + np.arcsinh(x - s)) / 2 for x in (hi, lo))
+    u = top - step * np.arange(int(np.ceil((top - bottom) / step)) + 1)
+    nu = np.sinh(u + np.arcsinh(s / (2 * np.cosh(u))))
+    dudnu = (1 / np.hypot(1, nu) + 1 / np.hypot(1, nu - s)) / 2
     mu = c + 1j * nu
-    pv = phi(mu)
-    out = complex(np.trapezoid(h_kernel(l, -1j * (lam - mu)) * pv, nu) / (2 * np.pi))
+    f = h_kernel(l, -1j * (lam - mu)) * phi(mu) / dudnu / (2 * np.pi)
+    out = step * (f.sum() - (f[0] + f[-1]) / 2)
     if a == 0:
-        outer = nu >= half / 2
-        nfit = nu[outer]
-        powers = np.arange(2, 6)
-        design = nfit[:, None] ** (-powers[None, :])
-        coef, *_ = np.linalg.lstsq(design, pv[outer], rcond=None)
-        tail = np.sum(coef * half ** (1.0 - powers) / (powers - 1))
-        out += 1j * complex(tail)
-    return out
+        # above the top node F(u) = i phi(mu) dnu/du to rounding
+        m, dnu = nu[0], 1 / dudnu[0]
+        d2nu = (m / np.hypot(1, m) ** 3 + (m - s) / np.hypot(1, m - s) ** 3) / 2 * dnu**3
+        value, slope, integral = _series_tail(mu[0])
+        dfdu = 1j * (1j * dnu**2 * slope + d2nu * value)
+        out += integral - step**2 / 12 * dfdu
+    return complex(out)
 
 
 def solve_g_recursion_residual(
@@ -400,7 +487,11 @@ class G1Solver:
         return self._taylor(self._k_coef, self.periodic_coefficients, k)
 
     def comb(self, z):
-        """Extrapolated ``sum_{j>=1} phi_c(z + 3j)`` (vectorized)."""
+        """The comb's snapshots extrapolated through ``c + sum_p a_p / J^p``.
+
+        This is ``sum_{j>=1} phi_c(z + 3j)`` up to the 3-periodic remainder
+        of the omitted ``1/J`` term, which ``periodic_part`` absorbs.
+        """
         z = _arr(z)
         return _extrapolate(self.ladder, _comb_snapshots(z, self.ladder))
 
@@ -422,9 +513,6 @@ class G1Solver:
         z = _arr(z)
         out = self.k_function(z) + self.periodic_part(z)
         return complex(out[0]) if scalar else out
-
-    def g1(self, z):
-        return self.value(z)
 
     def circle_average(self, center: complex) -> complex:
         """Value at a removable point as the mean over a small circle."""
@@ -448,7 +536,9 @@ class G1Solver:
         w = np.exp(2j * np.pi / 3)
         lam = _arr(lam)
         return (
-            self.g1(lam) + w**l * self.g1(lam + 1) + w ** (2 * l) * self.g1(lam + 2)
+            self.value(lam)
+            + w**l * self.value(lam + 1)
+            + w ** (2 * l) * self.value(lam + 2)
         )
 
     def g_recursion_residual(self, l: int, lam) -> float:
@@ -584,9 +674,8 @@ def _inter_rhs(x, y, f1_val, f2_val, f3_val) -> np.ndarray:
     return b
 
 
-def _boundary_values(solver: G1Solver, lam: complex):
-    """F1, F2, F3 at the diagonal point (lam, lam): G1 times rational weights."""
-    g = solver.g1(np.array([lam, lam + 1, lam + 2]))
+def _boundary_values(g, lam: complex):
+    """F1, F2, F3 at the diagonal point (lam, lam) from ``g = G1(lam + (0, 1, 2))``."""
     pref = (lam**2 - 1) ** 2 * (lam + 2) ** 2
     return (
         g[0] * pref / lam**2,
@@ -595,25 +684,36 @@ def _boundary_values(solver: G1Solver, lam: complex):
     )
 
 
-def _diagonal_chain_solve(solver: G1Solver, lam: complex):
+@cache
+def _gram_3_inverse() -> np.ndarray:
+    """Float inverse of GRAM_3, mapping singlet amplitudes f to rho.
+
+    Computed on first use, not at import: the LAPACK call adds about 0.5 MB
+    of resident memory to every process that imports the package.
+    """
+    return np.linalg.inv(GRAM_3.astype(float))
+
+
+def _diagonal_chain_solve(lam: complex, g):
     """Amplitudes rho at a diagonal point by coupling lam, lam+1, lam+2.
 
-    The 11-equation system is rank 9 at a single diagonal point (two pairs
-    of equations coincide there).  Stacking the systems at three consecutive
-    points and linking neighbours through the difference-equation matrix
+    ``g`` holds ``G1`` at ``lam, lam + 1, ..., lam + 4``.  The 11-equation
+    system is rank 9 at a single diagonal point (two pairs of equations
+    coincide there).  Stacking the systems at three consecutive points and
+    linking neighbours through the difference-equation matrix
     ``f(lam) = M A3(lam, lam) M^(-1) f(lam+1)`` gives a full-rank 55 x 33
     least-squares problem whose residual is a solvability diagnostic.
     """
     from .basis import a3_closed_form
 
-    m_inv = np.linalg.inv(GRAM_3.astype(float))
+    m_inv = _gram_3_inverse()
     mat = np.zeros((55, 33), dtype=complex)
     rhs = np.zeros(55, dtype=complex)
     row = 0
     for k in range(3):
         x = lam + k
         mat[row : row + 11, 11 * k : 11 * k + 11] = _inter_matrix(x, x)
-        rhs[row : row + 11] = _inter_rhs(x, x, *_boundary_values(solver, x))
+        rhs[row : row + 11] = _inter_rhs(x, x, *_boundary_values(g[k : k + 3], x))
         row += 11
     for k in range(2):
         x = lam + k
@@ -636,7 +736,8 @@ def three_site_density_coefficients(
     there), but the amplitudes themselves are analytic, so their value at
     ``center`` is recovered as the mean of ``_diagonal_chain_solve`` over a
     small circle - the Cauchy integral, converging geometrically in the
-    number of circle points.  Returns ``(rho, diagnostics)`` with the
+    number of circle points.  ``G1`` is evaluated at every point the chain
+    solves need in one call.  Returns ``(rho, diagnostics)`` with the
     discarded imaginary part and the worst least-squares defect as quality
     measures.
     """
@@ -644,11 +745,9 @@ def three_site_density_coefficients(
     n = problem.circle_points
     radius = problem.circle_radius
     angles = 2 * np.pi * (np.arange(n) + 0.5) / n
-    rhos, residuals = [], []
-    for lam in center + radius * np.exp(1j * angles):
-        rho, resid = _diagonal_chain_solve(solver, lam)
-        rhos.append(rho)
-        residuals.append(resid)
+    lams = center + radius * np.exp(1j * angles)
+    g = solver.value(lams[:, None] + np.arange(5))
+    rhos, residuals = zip(*(_diagonal_chain_solve(lam, gl) for lam, gl in zip(lams, g)))
     rho0 = np.mean(rhos, axis=0)
     diagnostics = {
         "max_imag": float(np.abs(rho0.imag).max()),

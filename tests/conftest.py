@@ -70,18 +70,19 @@ def l9_full_space_energy():
 
 @pytest.fixture(scope="session")
 def three_site_pair():
-    """Correlator at two comb truncations (J and 2J) for self-convergence.
+    """Correlator at the shipped ladder (top level J = 400, 5 levels) and at
+    its top level doubled (J = 800), for self-convergence.
 
-    Returns ``(solutions, elapsed_seconds)`` so the acceptance suite can also
-    check the runtime budget.
+    Returns ``(solutions, elapsed_seconds)``, with ``solutions`` keyed by the
+    top level, so the acceptance suite can also check the runtime budget.
     """
     import time
+    from dataclasses import replace
 
     start = time.perf_counter()
+    default = ThreeSiteProblem()
     solutions = {
-        J: three_site_correlator(
-            ThreeSiteProblem(comb_terms=J, richardson_levels=2)
-        )
-        for J in (5000, 10000)
+        J: three_site_correlator(replace(default, comb_terms=J))
+        for J in (default.comb_terms, 2 * default.comb_terms)
     }
     return solutions, time.perf_counter() - start

@@ -53,8 +53,7 @@ def test_criterion_1_two_site_closed_form():
 
 def test_criterion_2_three_site_correlator(three_site_pair):
     solutions, elapsed = three_site_pair
-    fine = solutions[10000]
-    coarse = solutions[5000]
+    coarse, fine = (solutions[J] for J in sorted(solutions))
     delta = abs(fine.p12p23 - P12P23_REF)
     drift = abs(fine.p12p23 - coarse.p12p23)
     ok = delta < 1e-6 and drift < 1e-7 and elapsed < 300

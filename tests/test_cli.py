@@ -136,7 +136,7 @@ def test_two_site_overflow_fails_without_traceback(capsys):
 
 
 def test_report_table1_json_and_csv(capsys):
-    argv = ["report-table1", "--comb-terms", "2500"]
+    argv = ["report-table1"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
     rows = json.loads(out)["results"]["rows"]

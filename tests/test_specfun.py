@@ -53,6 +53,32 @@ def test_tetragamma_against_mpmath(z):
     assert abs(ours - ref) < 1e-12 * max(1.0, abs(ref))
 
 
+#: left of Re z = 1/2, where the reflection applies, and far enough off the
+#: real axis that sin(pi z) overflows (|Im z| > ~113)
+FAR_REFLECTED_POINTS = [
+    0.2 + 120j,
+    0.2 - 120j,
+    -0.5 + 2000j,
+    -3.3 - 500j,
+    -3.3 + 500j,
+    0.2 + 1e4j,
+    0.2 - 1e4j,
+    -7.9 - 1e4j,
+]
+
+
+@pytest.mark.parametrize("z", FAR_REFLECTED_POINTS)
+@pytest.mark.parametrize(
+    "order, fn", [(0, digamma_array), (1, trigamma_array), (2, tetragamma_array)]
+)
+def test_reflection_far_off_axis_against_mpmath(order, fn, z):
+    # tan(pi z) underflows harmlessly towards +-i; nothing may overflow
+    with np.errstate(over="raise", invalid="raise"):
+        ours = complex(fn(z)[0])
+    ref = complex(mp.polygamma(order, mp.mpc(z)))
+    assert abs(ours - ref) < 1e-13 * abs(ref)
+
+
 @pytest.mark.parametrize("s", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("a", [1.0, 4 / 3, 0.25 + 0.5j, 6.0 - 2.0j])
 def test_hurwitz_zeta_against_mpmath(s, a):

@@ -154,29 +154,24 @@ def test_solve_g_grid_self_convergence():
     assert abs(coarse - fine) < 1e-8
 
 
-def _solve_g_full_grid(l, lam):
-    """solve_g's integral over every node of [-half, half], with its tail fit."""
-    problem = ThreeSiteProblem()
-    c = lam.real - problem.conv_offset
-    half, step = problem.conv_halfwidth, problem.conv_step
-    nu = np.arange(-half, half + step / 2, step)
-    mu = c + 1j * nu
-    pv = phi(mu)
-    out = np.trapezoid(h_kernel(l, -1j * (lam - mu)) * pv, nu) / (2 * np.pi)
-    if l == 0:
-        outer = nu >= half / 2
-        powers = np.arange(2, 6)
-        design = nu[outer][:, None] ** (-powers[None, :])
-        coef, *_ = np.linalg.lstsq(design, pv[outer], rcond=None)
-        out += 1j * np.sum(coef * half ** (1.0 - powers) / (powers - 1))
-    return complex(out)
+#: g_l over the whole vertical line by 30-digit mpmath quadrature, printed by
+#: tests/solve_g_reference.py (which shares no code with su3chain)
+SOLVE_G_REFERENCE = {
+    (0, (1.6+0.1j)): complex(25.968524316985012795, 7.8361133105647046063),
+    (1, (1.6+0.1j)): complex(18.161941911580537629, -0.2629552051463777291),
+    (-1, (1.6+0.1j)): complex(17.729093812706412531, -7.8452578178000870455),
+    (0, (2.3+0.45j)): complex(5.4460807351520653234, 6.0986884075674728115),
+    (1, (2.3+0.45j)): complex(5.8813386941877341465, 1.2148318668539014558),
+    (-1, (2.3+0.45j)): complex(6.4430815235635657331, -4.7613220424383127496),
+}
 
 
 @pytest.mark.parametrize("lam", [1.6 + 0.1j, 2.3 + 0.45j])
 @pytest.mark.parametrize("l", [0, 1, -1])
 def test_solve_g_window_matches_full_grid(l, lam):
-    # the skipped nodes carry kernel weight below e^-50 of its peak
-    assert abs(solve_g(l, lam) - _solve_g_full_grid(l, lam)) < 1e-13
+    # the kernel window plus, for l = 0, the series tail against the integral
+    # over the whole line
+    assert abs(solve_g(l, lam) - SOLVE_G_REFERENCE[l, lam]) < 1e-13
 
 
 @pytest.mark.parametrize("l", [0, 1, -1])
@@ -190,10 +185,46 @@ def test_solve_g_evaluates_phi_once_per_window_node(monkeypatch, l):
     monkeypatch.setattr(threesite, "phi", counting_phi)
     solve_g(l, 1.9 + 0.2j)
     points = np.concatenate(seen)
-    grid = 150_001  # nodes of [-300, 300] at the default step
-    assert len(points) == len(np.unique(points)) <= grid
-    if l != 0:
-        assert len(points) <= grid // 10
+    assert len(points) == len(np.unique(points)) <= 2_500
+
+
+@pytest.mark.parametrize("l", [0, 1, -1])
+def test_solve_g_recursion_residuals_at_rounding(l):
+    # criterion 6's points; the exact l = 0 tail leaves only rounding
+    pts = 1.6 + 0.08 * np.arange(10) + 0.1j
+    worst = max(solve_g_recursion_residual(l, p) for p in pts)
+    assert worst <= 1e-12, f"l = {l}: residual {worst}"
+
+
+@pytest.mark.parametrize("lam", [1.9 + 60j, 1.9 - 60j, 2.1 + 300j, 2.1 - 300j])
+def test_solve_g_recursion_far_from_real_axis(lam):
+    # the kernel's poles at nu = Im lam and phi's near nu = 0 are both resolved
+    worst = max(solve_g_recursion_residual(l, lam) for l in (0, 1, -1))
+    assert worst <= 1e-12
+
+
+def test_phi_series_coefficients():
+    a = threesite._PHI_SERIES
+    assert a[0] == a[1] == 0
+    assert a[2] == 4
+    # against phi in floats beyond nu = 50, where solve_g uses the series
+    for c in (1.1, 1.9):
+        for nu in (50.0, 100.0):
+            mu = c + 1j * nu
+            series = np.sum(a * mu ** -np.arange(len(a)))
+            assert abs(series - phi(mu)) < 1e-14
+
+
+def test_phi_series_against_mpmath():
+    from solve_g_reference import phi_mp
+
+    a = threesite._PHI_SERIES
+    # nu = 20 is below the series' range: the first omitted term,
+    # a_18 mu^-18, is about 5e-14 there
+    for nu, tol in ((20.0, 1e-13), (50.0, 1e-17), (100.0, 1e-17)):
+        mu = 1.1 + 1j * nu
+        series = np.sum(a * mu ** -np.arange(len(a)))
+        assert abs(series - complex(phi_mp(mu))) < tol
 
 
 def test_convolution_agrees_with_comb_up_to_zero_mode(g1_solver):
@@ -201,7 +232,7 @@ def test_convolution_agrees_with_comb_up_to_zero_mode(g1_solver):
     # of G1 -> 2, so it reproduces the comb construction shifted by -2
     for lam in (0.3, 0.3 + 0.4j):
         conv = sum(solve_g(l, lam) for l in (0, 1, -1)) / 3
-        comb = complex(g1_solver.g1(lam))
+        comb = complex(g1_solver.value(lam))
         assert abs(conv + 2 - comb) < 1e-6
 
 
@@ -275,9 +306,7 @@ def test_invalid_comb_ladder_rejected(comb_terms, levels):
 
 
 def test_correlator_quick():
-    solution = three_site_correlator(
-        ThreeSiteProblem(comb_terms=2500, richardson_levels=2)
-    )
+    solution = three_site_correlator()
     assert abs(solution.p12p23 - P12P23_REFERENCE) < 1e-6
     assert abs(solution.f1 - 8 * solution.p12p23) < 1e-12
     assert solution.diagnostics["c2_imag"] < 1e-10
