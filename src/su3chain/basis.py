@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -171,10 +172,16 @@ def build_basis(m: int) -> SingletBasis:
     return basis
 
 
-def _solve_exact_rational(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve gram @ X = w with the integer gram inverted in exact rationals."""
-    n = gram.shape[0]
-    aug = [[Fraction(int(gram[i, j])) for j in range(n)] for i in range(n)]
+@cache
+def _exact_inverse(gram: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Float image of the exact rational inverse of an integer Gram matrix.
+
+    Computed once per matrix, on first use rather than at import: the
+    ``Fraction`` Gauss-Jordan takes milliseconds for ``GRAM_3``.  Every
+    caller shares the returned array, so it is read-only.
+    """
+    n = len(gram)
+    aug = [[Fraction(x) for x in row] for row in gram]
     inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
@@ -188,8 +195,14 @@ def _solve_exact_rational(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    inv_f = np.array([[float(x) for x in row] for row in inv])
-    return inv_f @ w
+    out = np.array([[float(x) for x in row] for row in inv])
+    out.flags.writeable = False
+    return out
+
+
+def _solve_exact_rational(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Solve gram @ X = w with the integer gram inverted in exact rationals."""
+    return _exact_inverse(tuple(map(tuple, gram.tolist()))) @ w
 
 
 class SingularParameterError(ValueError):
@@ -437,8 +450,6 @@ def a3_printed_zero_pattern() -> np.ndarray:
 # ---------------------------------------------------------------------------
 # reduction to physical density operators
 # ---------------------------------------------------------------------------
-
-_P12_2 = None
 
 
 def _site_ops(m: int):

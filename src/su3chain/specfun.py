@@ -138,6 +138,48 @@ def tetragamma_array(z) -> np.ndarray:
     return out
 
 
+#: asymptotic coefficients in powers of 1/z^2, highest first, for Horner:
+#: psi  ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)
+#: psi' ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1)
+_PSI_HORNER = [b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1)][::-1]
+_PSI1_HORNER = _BERNOULLI[::-1]
+
+
+def digamma_trigamma_array(z) -> tuple[np.ndarray, np.ndarray]:
+    """Digamma and trigamma together at complex arguments (no pole guarding).
+
+    The two orders share the reflection mask, the upward shift loop, ``1/z``
+    and one Horner pass in ``1/z^2`` over the Bernoulli coefficients.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    reflect = z.real < 0.5
+    zr = np.where(reflect, 1 - z, z)
+    psi = np.zeros_like(zr)
+    psi1 = np.zeros_like(zr)
+    while True:
+        small = np.abs(zr) < _ASYMPTOTIC_RADIUS
+        if not small.any():
+            break
+        inv = 1 / zr[small]
+        psi[small] -= inv
+        psi1[small] += inv * inv
+        zr[small] += 1
+    inv = 1 / zr
+    inv2 = inv * inv
+    p0 = np.full_like(zr, _PSI_HORNER[0])
+    p1 = np.full_like(zr, _PSI1_HORNER[0])
+    for c0, c1 in zip(_PSI_HORNER[1:], _PSI1_HORNER[1:]):
+        p0 = p0 * inv2 + c0
+        p1 = p1 * inv2 + c1
+    psi += np.log(zr) - inv / 2 - inv2 * p0
+    psi1 += inv + inv2 / 2 + inv * inv2 * p1
+    # psi(z) = psi(1 - z) - pi cot(pi z); psi'(z) = -psi'(1 - z) + pi^2 (1 + cot^2)
+    cot = 1 / np.tan(np.pi * z[reflect])
+    psi[reflect] -= np.pi * cot
+    psi1[reflect] = np.pi**2 * (1 + cot**2) - psi1[reflect]
+    return psi, psi1
+
+
 def digamma(z: complex) -> SpecialValue:
     """Digamma function with pole guarding and an error estimate."""
     _check_pole(z, "digamma")

@@ -93,13 +93,6 @@ class LabeledTensor:
                 return i
         raise KeyError(f"no leg labeled {label!r}")
 
-    def relabel(self, mapping: dict[str, str]) -> "LabeledTensor":
-        legs = [
-            Leg(l.dim, l.orientation, mapping.get(l.label, l.label))
-            for l in self._legs
-        ]
-        return LabeledTensor(self._entries, legs)
-
     def scaled(self, factor: complex) -> "LabeledTensor":
         return LabeledTensor(self._entries * factor, self._legs)
 

@@ -14,13 +14,26 @@ analyticity normalization (it has poles at 0 and a wrong principal part at
               + P3(lam)
 
 with ``tau`` the exact 3-periodic part of ``phi`` (a cotangent difference),
-``phi_c = phi - tau`` evaluated in an analytically cancelled form (direct
-subtraction loses all digits for large ``|lam|``), and ``P3`` a 3-periodic
-correction spanned by ``1, cot(pi lam/3), cot^2(pi lam/3), cot(pi(lam-1)/3),
-cot^2(pi(lam-1)/3)``.  The five coefficients are fixed by six linear
-analyticity conditions (Laurent coefficients on circles around 0 and -2
-computed by discrete Fourier transform); the system is overdetermined by one,
-and the least-squares defect is kept as a consistency diagnostic.
+``phi_c = phi - tau``, and ``P3`` a 3-periodic correction spanned by
+``1, cot(pi lam/3), cot^2(pi lam/3), cot(pi(lam-1)/3), cot^2(pi(lam-1)/3)``.
+The five coefficients are fixed by six linear analyticity conditions
+(Laurent coefficients on circles around 0 and -2 computed by discrete
+Fourier transform); the system is overdetermined by one, and the
+least-squares defect is kept as a consistency diagnostic.
+
+``phi_c`` is never formed as the difference ``phi - tau``, which loses all
+digits for large ``|lam|``.  ``phi`` holds eight digammas and four trigammas
+of ``1 +- lam/3`` and ``4/3 +- lam/3``; by ``psi(1 + a) = psi(a) + 1/a`` and
+the reflection ``psi(1 - a) = psi(a) + pi cot(pi a)`` (DLMF 5.5) they need
+only the three arguments ``a = lam/3``, ``b = (lam - 1)/3`` and
+``c = (lam + 4)/3``, plus cotangents.  The cotangents make up exactly
+``tau`` and its derivative ``tau'``: two-site's ``sigma`` is
+``sigma_d - tau/12`` and ``sigma'`` is ``sigma_d' - tau'/12``, where
+``sigma_d = [2 psi(a) + 3/lam - psi(b) - psi(c)]/3 - 1/(lam^2 - 1)`` decays
+to the right.  ``-12 sigma`` contributes ``tau`` to ``phi``, and dropping it
+leaves ``phi_c``.  One ``digamma_trigamma_array`` call gives ``psi`` and
+``psi'`` at the three arguments; ``tau`` and ``tau'`` are 3-periodic, so the
+comb computes them once per point, not once per term.
 
 The comb is summed once, as running sums over ``j`` in fixed-size blocks,
 with a snapshot at each level ``J_i = J // 2^(n-1-i)`` of a geometric ladder
@@ -84,7 +97,7 @@ import numpy as np
 
 from .basis import GRAM_2, GRAM_3, _solve_exact_rational, reduce_to_physical
 from .twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution
-from .specfun import BERNOULLI_EVEN, digamma_array
+from .specfun import BERNOULLI_EVEN, digamma_trigamma_array
 
 _TS = TwoSiteSolution()
 
@@ -117,30 +130,40 @@ def phi(lam):
     return out if np.ndim(lam) else complex(out[0])
 
 
+def _tau_and_slope(l):
+    """tau and tau' = (4 pi^2/3) [cot^2(pi l/3) - cot^2(pi(l-1)/3)], both 3-periodic."""
+    ca = _cot(np.pi * l / 3)
+    cb = _cot(np.pi * (l - 1) / 3)
+    return -4 * np.pi * (ca - cb), 4 * np.pi**2 / 3 * (ca**2 - cb**2)
+
+
 def tau(lam):
     """Exact 3-periodic part of phi: -4 pi [cot(pi lam/3) - cot(pi(lam-1)/3)]."""
-    l = _arr(lam)
-    out = -4 * np.pi * (_cot(np.pi * l / 3) - _cot(np.pi * (l - 1) / 3))
+    out = _tau_and_slope(_arr(lam))[0]
     return out if np.ndim(lam) else complex(out[0])
 
 
-def _sigma_decaying(l):
-    """sigma with the periodic reflection removed; decays to the right."""
-    return (
-        digamma_array(l / 3)
-        - digamma_array((l - 1) / 3)
-        + digamma_array(1 + l / 3)
-        - digamma_array(4 / 3 + l / 3)
-    ) / 3 - 1 / (l**2 - 1)
+def phi_c(lam, *, periodic=None):
+    """phi - tau in analytically cancelled form (no large-argument blowup).
 
-
-def phi_c(lam):
-    """phi - tau in analytically cancelled form (no large-argument blowup)."""
+    The shift and reflection identities put all of phi's digamma and
+    trigamma terms at the three arguments ``lam/3``, ``(lam-1)/3`` and
+    ``(lam+4)/3``, evaluated in one ``digamma_trigamma_array`` call; the
+    reflections leave ``tau`` and ``tau'``.  ``periodic`` passes
+    ``(tau(lam), tau'(lam))`` when the caller has them already, as the comb
+    does: both are 3-periodic, so ``lam - 3j`` gives the same values.
+    """
     l = _arr(lam)
-    s = _TS.digamma_part(l) - 1 / (l**2 - 1)
-    sp = _TS.digamma_part_prime(l) + 2 * l / (l**2 - 1) ** 2
+    psi, psi1 = digamma_trigamma_array(np.stack((l / 3, (l - 1) / 3, (l + 4) / 3)))
+    t, tp = _tau_and_slope(l) if periodic is None else periodic
+    # sigma = s_d - tau/12 and sigma' = s_d' - tau'/12, with the parts s_d,
+    # s_d' that decay to the right
+    s_d = (2 * psi[0] + 3 / l - psi[1] - psi[2]) / 3 - 1 / (l**2 - 1)
+    sp_d = (2 * psi1[0] - psi1[1] - psi1[2]) / 9 - 1 / l**2 + 2 * l / (l**2 - 1) ** 2
+    s = s_d - t / 12
+    sp = sp_d - tp / 12
     out = (
-        -12 * _sigma_decaying(l)
+        -12 * s_d
         - 4 * l * s / (l**2 - 1) ** 2
         - 2 * sp / (l**2 - 1)
         + 4 * l * OMEGA33_HOMOGENEOUS / (l**2 - 1) ** 2
@@ -391,8 +414,11 @@ def solve_g_recursion_residual(
 # ---------------------------------------------------------------------------
 
 #: comb terms per block of the running sum: phi_c never sees more than
-#: (points x _COMB_BLOCK) arguments at once, whatever comb_terms is
-_COMB_BLOCK = 128
+#: (points x _COMB_BLOCK) arguments at once, whatever comb_terms is.  Each
+#: argument becomes three digamma_trigamma_array arguments, each with two
+#: outputs and their temporaries, so the block stays small to keep peak
+#: memory down; at 512 points a block is still 16k arguments
+_COMB_BLOCK = 32
 
 #: Laurent orders kept on the circles around the fit centers
 _KS = np.arange(-4, 7)
@@ -417,13 +443,15 @@ def _comb_snapshots(z, ladder):
     One pass over j = 1..ladder[-1] in blocks of at most ``_COMB_BLOCK``
     terms; returns an array of shape ``(len(ladder),) + z.shape``.
     """
+    t, tp = _tau_and_slope(z)
+    periodic = (t[..., None], tp[..., None])
     total = np.zeros(z.shape, dtype=complex)
     snapshots = []
     start = 1
     for stop in ladder:
         for lo in range(start, stop + 1, _COMB_BLOCK):
             jj = 3.0 * np.arange(lo, min(lo + _COMB_BLOCK, stop + 1))
-            total += phi_c(z[..., None] + jj).sum(axis=-1)
+            total += phi_c(z[..., None] + jj, periodic=periodic).sum(axis=-1)
         snapshots.append(total.copy())
         start = stop + 1
     return np.array(snapshots)
@@ -452,6 +480,12 @@ class G1Solver:
     each level (for ``c2_per_level`` and ``residual_per_level``) and, once
     more, to the extrapolated Laurent data; that last fit defines the solver's
     G1 everywhere, and ``consistency_residual`` is its defect.
+
+    The extrapolated comb leaves out the 3-periodic ``1/J`` term of the
+    truncation error (see ``comb``), so ``periodic_coefficients`` are not
+    those of the infinite sum's correction: they also absorb that term.
+    Only ``value`` and the Taylor coefficients, which come out of the same
+    fit, are G1's.
     """
 
     def __init__(self, problem: ThreeSiteProblem | None = None):
@@ -496,7 +530,12 @@ class G1Solver:
         return _extrapolate(self.ladder, _comb_snapshots(z, self.ladder))
 
     def k_function(self, z):
-        """Particular solution of the step-3 recursion (one-sided comb)."""
+        """Particular solution of the step-3 recursion (one-sided comb).
+
+        Built on ``comb``, so it differs from the infinite one-sided sum by
+        the 3-periodic remainder of the omitted ``1/J`` term; any 3-periodic
+        function still solves the recursion, and ``periodic_part`` absorbs it.
+        """
         z = _arr(z)
         return phi_c(z) + self.comb(z) - (z / 3) * tau(z)
 
@@ -526,7 +565,9 @@ class G1Solver:
 
         Without the 3-periodic correction the particular solution violates
         the O(lam^2) normalization at 0; the returned coefficients quantify
-        the violation (they all vanish for the corrected G1)."""
+        the violation (they all vanish for the corrected G1).  They are those
+        of ``k_function``, so they include the omitted 3-periodic ``1/J``
+        term of the extrapolated comb, which the periodic fit absorbs."""
         return {k: complex(self._k_coef[0, k - _KS[0]]) for k in (-2, -1, 0, 1)}
 
     # -- derived objects ---------------------------------------------------

@@ -20,6 +20,12 @@ def g1_solver():
 
 
 @pytest.fixture(scope="session")
+def default_correlator():
+    """``three_site_correlator()`` at the shipped defaults, computed once."""
+    return three_site_correlator()
+
+
+@pytest.fixture(scope="session")
 def d3(g1_solver):
     """Homogeneous three-site density operator from the chain + circle solve."""
     return density_matrix_three_site(g1_solver)

@@ -11,6 +11,7 @@ from su3chain.specfun import (
     digamma,
     digamma_array,
     digamma_asymptotic_direct,
+    digamma_trigamma_array,
     hurwitz_zeta,
     hurwitz_zeta_array,
     polygamma,
@@ -77,6 +78,43 @@ def test_reflection_far_off_axis_against_mpmath(order, fn, z):
         ours = complex(fn(z)[0])
     ref = complex(mp.polygamma(order, mp.mpc(z)))
     assert abs(ours - ref) < 1e-13 * abs(ref)
+
+
+#: both sides of the reflection at Re z = 1/2, near the poles, in the
+#: asymptotic region and far off the real axis
+FUSED_POINTS = [
+    0.3 + 0.2j,
+    -2.7 + 0.01j,
+    -0.5 + 3j,
+    -15.5 + 0.3j,
+    0.49 + 0j,
+    0.51 + 0j,
+    12 + 0.5j,
+    0.2 + 1e4j,
+    0.2 - 1e4j,
+    -3.3 - 500j,
+    1e3 + 1e3j,
+]
+
+
+@pytest.mark.parametrize("z", FUSED_POINTS)
+def test_digamma_trigamma_against_mpmath(z):
+    with np.errstate(over="raise", invalid="raise"):
+        psi, psi1 = (complex(v[0]) for v in digamma_trigamma_array(z))
+    for ours, ref in (
+        (psi, complex(mp.digamma(mp.mpc(z)))),
+        (psi1, complex(mp.psi(1, mp.mpc(z)))),
+    ):
+        assert abs(ours - ref) < 1e-13 * max(1.0, abs(ref))
+
+
+def test_digamma_trigamma_agrees_with_separate_kernels():
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-20, 20, (100, 100)) + 1j * rng.uniform(-20, 20, (100, 100))
+    psi, psi1 = digamma_trigamma_array(z)
+    assert psi.shape == psi1.shape == z.shape
+    for ours, ref in ((psi, digamma_array(z)), (psi1, trigamma_array(z))):
+        assert np.all(np.abs(ours - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("s", [2, 3, 5, 7, 11])

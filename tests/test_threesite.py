@@ -86,6 +86,36 @@ def test_phi_c_plus_tau_is_phi():
         assert abs(phi_c(lam) + tau(lam) - phi(lam)) < 1e-10
 
 
+def _phi_c_mp(lam):
+    """phi - tau at 40 digits, subtracted directly from the closed forms."""
+    import mpmath as mp
+    from solve_g_reference import _phi_closed_form
+
+    with mp.workdps(40):
+        l = mp.mpc(lam)
+        tau_mp = -4 * mp.pi * (mp.cot(mp.pi * l / 3) - mp.cot(mp.pi * (l - 1) / 3))
+        return complex(_phi_closed_form(l) - tau_mp)
+
+
+COMB_ORIGINS = [0.45, -2 + 0.45j, 5.5 + 3j, -2.3 + 0.1j]
+COMB_STEPS = [0, 1, 2, 5, 20, 100, 399]
+
+
+@pytest.mark.parametrize("j", COMB_STEPS)
+@pytest.mark.parametrize("z", COMB_ORIGINS)
+def test_phi_c_against_mpmath(z, j):
+    lam = z + 3 * j
+    assert abs(phi_c(lam) - _phi_c_mp(lam)) <= 1e-13
+
+
+@pytest.mark.parametrize("z", COMB_ORIGINS)
+def test_phi_c_with_periodic_part_from_comb_origin(z):
+    # tau and tau' are 3-periodic, so the comb passes them from z to z + 3j
+    lam = z + 3.0 * np.array(COMB_STEPS)
+    periodic = threesite._tau_and_slope(np.array([z]))
+    assert np.abs(phi_c(lam, periodic=periodic) - phi_c(lam)).max() <= 1e-13
+
+
 def test_phi_c_decays_without_cancellation():
     # the naive phi - tau subtraction loses all digits out here
     big = np.array([3e4, 1e5]) + 0.3j
@@ -287,8 +317,8 @@ def test_top_snapshot_equals_single_level_run():
     assert abs(top.real / 2 - single.p12p23) < 1e-14
 
 
-def test_correlator_defaults():
-    solution = three_site_correlator()
+def test_correlator_defaults(default_correlator):
+    solution = default_correlator
     diagnostics = solution.diagnostics
     assert abs(solution.p12p23 - P12P23_REFERENCE) <= 1e-12
     assert diagnostics["lstsq_residuals"][-1] <= 1e-12
@@ -305,8 +335,8 @@ def test_invalid_comb_ladder_rejected(comb_terms, levels):
         problem.comb_ladder()
 
 
-def test_correlator_quick():
-    solution = three_site_correlator()
+def test_correlator_quick(default_correlator):
+    solution = default_correlator
     assert abs(solution.p12p23 - P12P23_REFERENCE) < 1e-6
     assert abs(solution.f1 - 8 * solution.p12p23) < 1e-12
     assert solution.diagnostics["c2_imag"] < 1e-10
