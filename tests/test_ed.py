@@ -1,5 +1,7 @@
 """Exact diagonalization: finite chains, sectors, Lanczos, observables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,51 @@ def test_balanced_sector_sizes():
     assert len(ed.balanced_sector(3)) == 6
     assert len(ed.balanced_sector(6)) == 90
     assert len(ed.balanced_sector(9)) == 1680
+
+
+@pytest.mark.parametrize("L", [3, 6, 9])
+def test_balanced_sector_matches_brute_force_filter(L):
+    # the oracle digitises every one of the 3^L states and keeps the balanced
+    states = np.arange(3**L, dtype=np.int64)
+    digits = (states[:, None] // 3 ** np.arange(L - 1, -1, -1)) % 3
+    k = L // 3
+    keep = ((digits == 0).sum(axis=1) == k) & ((digits == 1).sum(axis=1) == k)
+    assert np.array_equal(ed.balanced_sector(L), states[keep])
+
+
+def test_balanced_sector_l12():
+    # checked from the sector's own states, with no 3^12 array
+    states = ed.balanced_sector(12)
+    assert len(states) == 34650
+    assert (np.diff(states) > 0).all()
+    digits = (states[:, None] // 3 ** np.arange(11, -1, -1)) % 3
+    for color in range(3):
+        assert ((digits == color).sum(axis=1) == 4).all()
+
+
+def test_bond_targets_are_involutive_permutations_l12():
+    ham = ed.build_hamiltonian(ed.ChainSpec(12))
+    identity = np.arange(ham.dim)
+    for target in ham.bond_targets:
+        assert np.array_equal(target[target], identity)
+        assert np.array_equal(np.sort(target), identity)
+
+
+def test_hamiltonian_rejects_broken_sector():
+    with pytest.raises(RuntimeError, match="sector broken"):
+        ed.Hamiltonian(6, ed.balanced_sector(6)[1:])
+
+
+def test_build_hamiltonian_peak_memory_l12():
+    # tracemalloc sees numpy's buffers; a 3^12 int64 table alone is 4 MiB,
+    # and a (3^12, 12) digit table 49 MiB
+    tracemalloc.start()
+    try:
+        ed.build_hamiltonian(ed.ChainSpec(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_hamiltonian_hermitian_and_matvec_consistent():

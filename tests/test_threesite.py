@@ -1,5 +1,7 @@
 """Three-site functional equations, transform kernels, density operators."""
 
+from decimal import ROUND_HALF_EVEN, Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +335,30 @@ def test_invalid_comb_ladder_rejected(comb_terms, levels):
     problem = ThreeSiteProblem(comb_terms=comb_terms, richardson_levels=levels)
     with pytest.raises(ValueError):
         problem.comb_ladder()
+
+
+#: <P12 P23>, F2 and F3 at 30 digits from tests/correlator_reference.py
+#: (mpmath, no code shared with su3chain; its fit defect is 6e-21)
+CORRELATOR_REFERENCE = {
+    "p12p23": "0.19136882011667350189",
+    "f2": "-1.0936108848798794755",
+    "f3": "-2.4325423472550265525",
+}
+
+
+def test_correlator_against_30_digit_oracle(default_correlator):
+    solution = default_correlator
+    reference = {name: float(value) for name, value in CORRELATOR_REFERENCE.items()}
+    assert abs(solution.p12p23 - reference["p12p23"]) <= 1e-14
+    assert abs(solution.f3 - reference["f3"]) <= 1e-13
+    assert abs(solution.f2 - reference["f2"]) <= 5e-13
+
+
+def test_paper_p12p23_is_oracle_correctly_rounded():
+    oracle = Decimal(CORRELATOR_REFERENCE["p12p23"])
+    assert oracle.quantize(Decimal("1e-15"), ROUND_HALF_EVEN) == Decimal(
+        repr(P12P23_REFERENCE)
+    )
 
 
 def test_correlator_quick(default_correlator):
