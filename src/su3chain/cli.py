@@ -94,15 +94,10 @@ def _fail(fmt: str, payload: dict, message: str) -> int:
     return EXIT_VERIFY
 
 
-def _comb_usage_error(comb_terms: int, levels: int) -> str | None:
-    """Why a comb ladder of ``levels`` levels topping at ``comb_terms`` is invalid."""
-    if levels < 1:
-        return f"--levels must be at least 1, got {levels}"
-    if comb_terms < 2 ** (levels - 1):
-        return (
-            f"--comb-terms must be at least 2**(levels - 1) = {2 ** (levels - 1)} "
-            f"for {levels} levels, got {comb_terms}"
-        )
+def _comb_usage_error(comb_terms: int) -> str | None:
+    """Why a comb head of ``comb_terms`` terms is invalid."""
+    if comb_terms < 1:
+        return f"--comb-terms must be at least 1, got {comb_terms}"
     return None
 
 
@@ -235,13 +230,11 @@ def _cmd_two_site(args) -> int:
 
 
 def _cmd_three_site(args) -> int:
-    usage = _comb_usage_error(args.comb_terms, args.levels)
+    usage = _comb_usage_error(args.comb_terms)
     if usage:
         print(f"usage error: {usage}", file=sys.stderr)
         return EXIT_USAGE
-    problem = threesite.ThreeSiteProblem(
-        comb_terms=args.comb_terms, richardson_levels=args.levels
-    )
+    problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     solution = threesite.three_site_correlator(problem)
     results = {
         "p12p23": solution.p12p23,
@@ -250,13 +243,12 @@ def _cmd_three_site(args) -> int:
         "f3": solution.f3,
     }
     diagnostics = dict(solution.diagnostics)
-    diagnostics["c2_per_level"] = [[c.real, c.imag] for c in diagnostics["c2_per_level"]]
     diagnostics["p12p23_delta_vs_reference"] = float(
         solution.p12p23 - PAPER_REFERENCE_VALUES["p12p23_thermodynamic"]
     )
     payload = _payload(
         "three-site",
-        {"comb_terms": args.comb_terms, "richardson_levels": args.levels},
+        {"comb_terms": args.comb_terms},
         results,
         diagnostics,
     )
@@ -316,11 +308,11 @@ def _cmd_ed(args) -> int:
 
 
 def _cmd_report_table1(args) -> int:
-    problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
-    usage = _comb_usage_error(problem.comb_terms, problem.richardson_levels)
+    usage = _comb_usage_error(args.comb_terms)
     if usage:
         print(f"usage error: {usage}", file=sys.stderr)
         return EXIT_USAGE
+    problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     rows = []
     for L in (3, 6, 9):
         result = ed_mod.ground_state(ed_mod.ChainSpec(L))
@@ -357,7 +349,7 @@ def _cmd_report_table1(args) -> int:
         {"comb_terms": args.comb_terms},
         {"rows": rows},
         {"three_site_diagnostics": {
-            "last_level_shift": solution.diagnostics["last_level_shift"],
+            "tail_bound": solution.diagnostics["tail_bound"],
         }},
     )
     _emit(payload, args.format)
@@ -413,9 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     defaults = threesite.ThreeSiteProblem()
     p = sub.add_parser("three-site", help="<P12 P23> from the functional equations")
     p.add_argument("--comb-terms", type=int, default=defaults.comb_terms,
-                   help="top level of the comb ladder")
-    p.add_argument("--levels", type=int, default=defaults.richardson_levels,
-                   help="number of ladder levels and order of the extrapolation")
+                   help="comb terms summed before the closed-form tail")
     common(p)
     p.set_defaults(func=_cmd_three_site)
 
@@ -426,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report-table1", help="finite-size comparison table")
     p.add_argument("--comb-terms", type=int, default=defaults.comb_terms,
-                   help="top level of the comb ladder")
+                   help="comb terms summed before the closed-form tail")
     common(p)
     p.set_defaults(func=_cmd_report_table1)
     return parser

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -138,20 +139,39 @@ def tetragamma_array(z) -> np.ndarray:
     return out
 
 
-#: asymptotic coefficients in powers of 1/z^2, highest first, for Horner:
-#: psi  ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)
-#: psi' ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1)
-_PSI_HORNER = [b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1)][::-1]
-_PSI1_HORNER = _BERNOULLI[::-1]
+@cache
+def real_pi(real) -> np.floating:
+    """pi rounded to the real dtype ``real`` (``np.pi`` itself for float64)."""
+    return 4 * np.arctan(np.dtype(real).type(1))
+
+
+@cache
+def _psi_horner(real) -> tuple[list, list]:
+    """Asymptotic coefficients of psi and psi' in powers of 1/z^2, highest first.
+
+    ``psi ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)`` and
+    ``psi' ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1)``.  Each ``B_2k`` is
+    rounded once from its exact fraction to ``real``, so float64 gets
+    ``float(B_2k)`` bit for bit and long double its own precision.
+    """
+    one = np.dtype(real).type(1)
+    bern = [one * b.numerator / b.denominator for b in BERNOULLI_EVEN]
+    return [b / (2 * k) for k, b in enumerate(bern, start=1)][::-1], bern[::-1]
 
 
 def digamma_trigamma_array(z) -> tuple[np.ndarray, np.ndarray]:
     """Digamma and trigamma together at complex arguments (no pole guarding).
 
     The two orders share the reflection mask, the upward shift loop, ``1/z``
-    and one Horner pass in ``1/z^2`` over the Bernoulli coefficients.
+    and one Horner pass in ``1/z^2`` over the Bernoulli coefficients.  The
+    arithmetic follows the input's precision: ``np.clongdouble`` (or
+    ``np.longdouble``) arguments are evaluated in long double, anything else
+    in complex128.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.atleast_1d(np.asarray(z))
+    z = z.astype(np.promote_types(z.dtype, complex), copy=False)
+    pi = real_pi(z.real.dtype)
+    psi_horner, psi1_horner = _psi_horner(z.real.dtype)
     reflect = z.real < 0.5
     zr = np.where(reflect, 1 - z, z)
     psi = np.zeros_like(zr)
@@ -166,17 +186,17 @@ def digamma_trigamma_array(z) -> tuple[np.ndarray, np.ndarray]:
         zr[small] += 1
     inv = 1 / zr
     inv2 = inv * inv
-    p0 = np.full_like(zr, _PSI_HORNER[0])
-    p1 = np.full_like(zr, _PSI1_HORNER[0])
-    for c0, c1 in zip(_PSI_HORNER[1:], _PSI1_HORNER[1:]):
+    p0 = np.full_like(zr, psi_horner[0])
+    p1 = np.full_like(zr, psi1_horner[0])
+    for c0, c1 in zip(psi_horner[1:], psi1_horner[1:]):
         p0 = p0 * inv2 + c0
         p1 = p1 * inv2 + c1
     psi += np.log(zr) - inv / 2 - inv2 * p0
     psi1 += inv + inv2 / 2 + inv * inv2 * p1
     # psi(z) = psi(1 - z) - pi cot(pi z); psi'(z) = -psi'(1 - z) + pi^2 (1 + cot^2)
-    cot = 1 / np.tan(np.pi * z[reflect])
-    psi[reflect] -= np.pi * cot
-    psi1[reflect] = np.pi**2 * (1 + cot**2) - psi1[reflect]
+    cot = 1 / np.tan(pi * z[reflect])
+    psi[reflect] -= pi * cot
+    psi1[reflect] = pi**2 * (1 + cot**2) - psi1[reflect]
     return psi, psi1
 
 

@@ -35,19 +35,30 @@ leaves ``phi_c``.  One ``digamma_trigamma_array`` call gives ``psi`` and
 ``psi'`` at the three arguments; ``tau`` and ``tau'`` are 3-periodic, so the
 comb computes them once per point, not once per term.
 
-The comb is summed once, as running sums over ``j`` in fixed-size blocks,
-with a snapshot at each level ``J_i = J // 2^(n-1-i)`` of a geometric ladder
-(``J = comb_terms``, ``n = richardson_levels``; 25, 50, ..., 400 by default).
-``phi_c`` is a 3-periodic function times a power series in ``1/(lam + 3j)``
-whose leading term is ``1/lam^2`` (``lam^2 phi_c(lam)`` tends to 7.247 on
-``Re lam = 0.45 mod 3``), so the truncation error starts with a 3-periodic
-``1/J`` term.  The snapshots are extrapolated point by point through the
-model ``c + sum_{p=2..n} a_p / J^p``, which the ``n`` levels fix exactly; it
-leaves out that ``1/J`` term, so the extrapolated comb is off by a
-3-periodic function (about 1e-3 at 0.45), which the periodic correction,
-fitted once to the extrapolated comb, absorbs (fit defect 3e-15).  ``G1`` is
-linear in the comb, so this one extrapolated ``G1`` serves both the
-correlator and the density operator below.
+The comb is a head of ``J = comb_terms`` terms, evaluated in one broadcast,
+plus its tail beyond ``J`` in closed form.  Write
+``phi_c = A + tau B + tau' C`` with the rational ``B(l) = l/(3(l^2-1)^2)``
+and ``C(l) = 1/(6(l^2-1))``; ``A`` is ``phi_c`` with ``tau = tau' = 0``, a
+pure power series ``sum_k a_k l^-k``, which is ``_PHI_SERIES`` (``tau`` and
+``tau'`` vanish up the imaginary axis, where that series was expanded).
+``tau`` and ``tau'`` are 3-periodic, so with ``x = z/3 + J + 1``
+
+    sum_{j>J} B(z+3j) = [psi'(x - 1/3) - psi'(x + 1/3)] / 108,
+    sum_{j>J} C(z+3j) = [psi(x + 1/3) - psi(x - 1/3)] / 36,
+    sum_{j>J} A(z+3j) = sum_k a_k 3^-k zeta(k, x)        (DLMF 25.11),
+
+the last truncated at ``k = 16``; its last term, largest over the sample
+points, is reported as ``tail_bound`` (3e-17 at ``J = 12``).
+
+The samples of ``K`` are formed in ``np.clongdouble`` and rounded to
+complex128 once.  On the Laurent circles around 0 and -2, ``phi_c`` and
+``(lam/3) tau`` are large and cancel (and the first comb term around -2 sits
+next to the pole at 1), so in float64 the samples carry rounding errors up
+to 1e-13, which the fit passes on to ``F2``; in long double they stay below
+float64 rounding.  The tail is small and smooth and stays in float64.  On a
+platform whose long double is float64 the same code runs in float64.
+``G1`` is linear in the comb, so one ``G1`` serves both the correlator and
+the density operator below.
 
 Physical outputs:  ``<P12 P23> = c2 / 2`` where ``c2`` is the ``lam^2``
 Taylor coefficient of ``G1`` at 0, and the boundary values ``F1 = 4 c2``,
@@ -96,14 +107,17 @@ from math import comb
 import numpy as np
 
 from .basis import GRAM_2, GRAM_3, _solve_exact_rational, reduce_to_physical
-from .twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution
-from .specfun import BERNOULLI_EVEN, digamma_trigamma_array
+from .twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution, omega33_homogeneous
+from .specfun import BERNOULLI_EVEN, digamma_trigamma_array, hurwitz_zeta_array, real_pi
 
 _TS = TwoSiteSolution()
 
 
 def _arr(z):
-    return np.atleast_1d(np.asarray(z, dtype=complex))
+    """``z`` as a complex array of at least one dimension, in complex128 or,
+    for long-double input, in ``np.clongdouble``."""
+    z = np.atleast_1d(np.asarray(z))
+    return z.astype(np.promote_types(z.dtype, complex), copy=False)
 
 
 def _cot(z):
@@ -131,10 +145,14 @@ def phi(lam):
 
 
 def _tau_and_slope(l):
-    """tau and tau' = (4 pi^2/3) [cot^2(pi l/3) - cot^2(pi(l-1)/3)], both 3-periodic."""
-    ca = _cot(np.pi * l / 3)
-    cb = _cot(np.pi * (l - 1) / 3)
-    return -4 * np.pi * (ca - cb), 4 * np.pi**2 / 3 * (ca**2 - cb**2)
+    """tau and tau' = (4 pi^2/3) [cot^2(pi l/3) - cot^2(pi(l-1)/3)], both 3-periodic.
+
+    Evaluated in the precision of ``l``, with pi rounded to it.
+    """
+    pi = real_pi(l.real.dtype)
+    ca = _cot(pi * l / 3)
+    cb = _cot(pi * (l - 1) / 3)
+    return -4 * pi * (ca - cb), 4 * pi**2 / 3 * (ca**2 - cb**2)
 
 
 def tau(lam):
@@ -152,6 +170,8 @@ def phi_c(lam, *, periodic=None):
     reflections leave ``tau`` and ``tau'``.  ``periodic`` passes
     ``(tau(lam), tau'(lam))`` when the caller has them already, as the comb
     does: both are 3-periodic, so ``lam - 3j`` gives the same values.
+    The arithmetic, pi and ``OMEGA33_HOMOGENEOUS`` follow the precision of
+    ``lam``: long double for ``np.clongdouble`` input, else complex128.
     """
     l = _arr(lam)
     psi, psi1 = digamma_trigamma_array(np.stack((l / 3, (l - 1) / 3, (l + 4) / 3)))
@@ -166,7 +186,7 @@ def phi_c(lam, *, periodic=None):
         -12 * s_d
         - 4 * l * s / (l**2 - 1) ** 2
         - 2 * sp / (l**2 - 1)
-        + 4 * l * OMEGA33_HOMOGENEOUS / (l**2 - 1) ** 2
+        + 4 * l * omega33_homogeneous(l.real.dtype) / (l**2 - 1) ** 2
         + 2 * (4 * l**4 + 6 * l**3 - l**2 - 6 * l - 1) / (l**2 * (l**2 - 1) ** 2)
     )
     return out if np.ndim(lam) else complex(out[0])
@@ -232,31 +252,17 @@ def h_kernel(l: int, z):
 class ThreeSiteProblem:
     """Numerical parameters of the three-site solver."""
 
-    #: top level J of the comb ladder J // 2^(levels-1), ..., J // 2, J
-    comb_terms: int = 400
+    #: head length J of the comb; the tail beyond it is summed in closed form
+    comb_terms: int = 12
     laurent_points: int = 256
     laurent_radius: float = 0.45
-    #: number of ladder levels, which is also the order of the 1/J model
-    richardson_levels: int = 5
     #: solve_g: trapezoid step in its asinh coordinate u along the vertical
     #: contour, which runs conv_offset to the left of the evaluation point
     conv_step: float = 0.004
     conv_offset: float = 0.5
     #: Cauchy circle average recovering the homogeneous density amplitudes
     circle_radius: float = 0.35
-    circle_points: int = 12
-
-    def comb_ladder(self) -> list[int]:
-        """Comb truncations ``comb_terms // 2^(levels-1-i)``, i = 0..levels-1."""
-        levels = self.richardson_levels
-        if levels < 1:
-            raise ValueError(f"richardson_levels must be >= 1, got {levels}")
-        if self.comb_terms < 2 ** (levels - 1):
-            raise ValueError(
-                f"comb_terms must be >= 2^(richardson_levels - 1) = "
-                f"{2 ** (levels - 1)}, got {self.comb_terms}"
-            )
-        return [self.comb_terms // 2 ** (levels - 1 - i) for i in range(levels)]
+    circle_points: int = 16
 
 
 def _phi_series() -> np.ndarray:
@@ -410,15 +416,8 @@ def solve_g_recursion_residual(
 
 
 # ---------------------------------------------------------------------------
-# comb construction of G1 with pointwise Richardson extrapolation
+# comb construction of G1
 # ---------------------------------------------------------------------------
-
-#: comb terms per block of the running sum: phi_c never sees more than
-#: (points x _COMB_BLOCK) arguments at once, whatever comb_terms is.  Each
-#: argument becomes three digamma_trigamma_array arguments, each with two
-#: outputs and their temporaries, so the block stays small to keep peak
-#: memory down; at 512 points a block is still 16k arguments
-_COMB_BLOCK = 32
 
 #: Laurent orders kept on the circles around the fit centers
 _KS = np.arange(-4, 7)
@@ -437,107 +436,85 @@ def _cot_basis():
     return fns
 
 
-def _comb_snapshots(z, ladder):
-    """Running sums ``sum_{j=1..J} phi_c(z + 3j)`` at each J of the ladder.
+def _series_term(k: int, x):
+    """``a_k 3^-k zeta(k, x)``: with ``x = z/3 + J + 1``, term k of the
+    series of ``sum_{j>J} A(z + 3j)``."""
+    return _PHI_SERIES[k] / 3.0**k * hurwitz_zeta_array(k, x)
 
-    One pass over j = 1..ladder[-1] in blocks of at most ``_COMB_BLOCK``
-    terms; returns an array of shape ``(len(ladder),) + z.shape``.
+
+def _comb_tail(z, t, tp, terms: int):
+    """``sum_{j > terms} phi_c(z + 3j)`` in complex128, from the closed forms.
+
+    ``t`` and ``tp`` are ``tau(z)`` and ``tau'(z)``; see the module docstring.
     """
-    t, tp = _tau_and_slope(z)
-    periodic = (t[..., None], tp[..., None])
-    total = np.zeros(z.shape, dtype=complex)
-    snapshots = []
-    start = 1
-    for stop in ladder:
-        for lo in range(start, stop + 1, _COMB_BLOCK):
-            jj = 3.0 * np.arange(lo, min(lo + _COMB_BLOCK, stop + 1))
-            total += phi_c(z[..., None] + jj, periodic=periodic).sum(axis=-1)
-        snapshots.append(total.copy())
-        start = stop + 1
-    return np.array(snapshots)
-
-
-def _extrapolate(js, vals):
-    """Limit J -> inf of ``c + sum_{p=2..n} a_p / J^p`` through n samples.
-
-    ``vals`` holds one sample per ladder level ``js`` along its first axis;
-    the extrapolation is pointwise over any trailing shape.  The powers are
-    taken of ``min(js) / J`` so the system stays well scaled at every order.
-    """
-    js = np.asarray(js, dtype=float)
-    vals = np.asarray(vals, dtype=complex)
-    powers = np.r_[0, np.arange(2, len(js) + 1)]
-    mat = (js.min() / js)[:, None] ** powers
-    sol = np.linalg.solve(mat, vals.reshape(len(js), -1))
-    return sol[0].reshape(vals.shape[1:])
+    z, t, tp = (np.asarray(v, dtype=complex) for v in (z, t, tp))
+    x = z / 3 + (terms + 1)
+    psi, psi1 = digamma_trigamma_array(np.stack((x - 1 / 3, x + 1 / 3)))
+    series = sum(_series_term(k, x) for k in range(2, len(_PHI_SERIES)))
+    return series + t * (psi1[0] - psi1[1]) / 108 + tp * (psi[1] - psi[0]) / 36
 
 
 class G1Solver:
-    """G1 from the extrapolated comb plus its fitted 3-periodic correction.
+    """G1 from the one-sided comb plus its fitted 3-periodic correction.
 
-    The comb is summed once at the Laurent points around 0 and -2, with a
-    snapshot at each ladder level.  The cotangent coefficients are fitted to
-    each level (for ``c2_per_level`` and ``residual_per_level``) and, once
-    more, to the extrapolated Laurent data; that last fit defines the solver's
-    G1 everywhere, and ``consistency_residual`` is its defect.
-
-    The extrapolated comb leaves out the 3-periodic ``1/J`` term of the
-    truncation error (see ``comb``), so ``periodic_coefficients`` are not
-    those of the infinite sum's correction: they also absorb that term.
-    Only ``value`` and the Taylor coefficients, which come out of the same
-    fit, are G1's.
+    ``k_function`` is sampled on the Laurent circles around 0 and -2, and
+    the cotangent coefficients ``periodic_coefficients`` are fitted to cancel
+    its forbidden Laurent data; ``consistency_residual`` is the defect of
+    that fit.  ``tail_bound`` is the largest magnitude, over the samples, of
+    the last term kept in the series of the comb's tail.
     """
 
     def __init__(self, problem: ThreeSiteProblem | None = None):
         self.problem = problem or ThreeSiteProblem()
-        self.ladder = self.problem.comb_ladder()
+        if self.problem.comb_terms < 1:
+            raise ValueError(f"comb_terms must be >= 1, got {self.problem.comb_terms}")
         self.basis_functions = _cot_basis()
         n, r = self.problem.laurent_points, self.problem.laurent_radius
         th = 2 * np.pi * np.arange(n) / n
         z = np.array(_CENTERS)[:, None] + r * np.exp(1j * th)
         dft = np.exp(-1j * np.outer(th, _KS)) / (n * r**_KS)
-        # Laurent coefficients (level, center, k) of the particular solution
-        k_levels = (phi_c(z) - (z / 3) * tau(z) + _comb_snapshots(z, self.ladder)) @ dft
+        # Laurent coefficients (center, k) of the particular solution
+        self._k_coef = self.k_function(z) @ dft
         self._b_coef = np.array([b(z) for b in self.basis_functions]) @ dft
-        self._mat = self._b_coef[:, _VANISHING].T
-        fits = [self._fit(k) for k in k_levels]
-        self.c2_per_level = [self._taylor(k, x, 2) for k, (x, _) in zip(k_levels, fits)]
-        self.residual_per_level = [res for _, res in fits]
-        self._k_coef = _extrapolate(self.ladder, k_levels)
-        self.periodic_coefficients, self.consistency_residual = self._fit(self._k_coef)
-
-    def _fit(self, k_coef):
-        """Least-squares cotangent coefficients cancelling the forbidden Laurent data."""
-        rhs = -k_coef[_VANISHING]
-        x, *_ = np.linalg.lstsq(self._mat, rhs, rcond=None)
-        return x, float(np.abs(self._mat @ x - rhs).max())
-
-    def _taylor(self, k_coef, x, k: int) -> complex:
-        i = k - _KS[0]
-        return complex(k_coef[0, i] + self._b_coef[:, 0, i] @ x)
+        # least-squares cotangent coefficients cancelling the forbidden data
+        mat = self._b_coef[:, _VANISHING].T
+        rhs = -self._k_coef[_VANISHING]
+        x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+        self.periodic_coefficients = x
+        self.consistency_residual = float(np.abs(mat @ x - rhs).max())
+        tail_x = z / 3 + (self.problem.comb_terms + 1)
+        last = len(_PHI_SERIES) - 1
+        self.tail_bound = float(np.abs(_series_term(last, tail_x)).max())
 
     def taylor_coefficient(self, k: int) -> complex:
         """Laurent/Taylor coefficient of G1 around 0 (k in -4..6)."""
-        return self._taylor(self._k_coef, self.periodic_coefficients, k)
+        i = k - _KS[0]
+        x = self.periodic_coefficients
+        return complex(self._k_coef[0, i] + self._b_coef[:, 0, i] @ x)
+
+    def _comb(self, z, start: int):
+        """``sum_{j>=start} phi_c(z + 3j)`` and ``tau(z)`` at long-double ``z``.
+
+        The terms ``j = start..J`` are one broadcast in long double; the tail
+        beyond ``J`` is added in complex128.
+        """
+        terms = self.problem.comb_terms
+        t, tp = _tau_and_slope(z)
+        j3 = 3 * np.arange(start, terms + 1)
+        head = phi_c(z[..., None] + j3, periodic=(t[..., None], tp[..., None]))
+        return head.sum(axis=-1) + _comb_tail(z, t, tp, terms), t
 
     def comb(self, z):
-        """The comb's snapshots extrapolated through ``c + sum_p a_p / J^p``.
-
-        This is ``sum_{j>=1} phi_c(z + 3j)`` up to the 3-periodic remainder
-        of the omitted ``1/J`` term, which ``periodic_part`` absorbs.
-        """
-        z = _arr(z)
-        return _extrapolate(self.ladder, _comb_snapshots(z, self.ladder))
+        """The one-sided comb ``sum_{j>=1} phi_c(z + 3j)``."""
+        return self._comb(_arr(z).astype(np.clongdouble), 1)[0].astype(complex)
 
     def k_function(self, z):
-        """Particular solution of the step-3 recursion (one-sided comb).
-
-        Built on ``comb``, so it differs from the infinite one-sided sum by
-        the 3-periodic remainder of the omitted ``1/J`` term; any 3-periodic
-        function still solves the recursion, and ``periodic_part`` absorbs it.
+        """Particular solution of the step-3 recursion, ``sum_{j>=0} phi_c(z + 3j)
+        - (z/3) tau(z)``, formed in long double and rounded to complex128 once.
         """
-        z = _arr(z)
-        return phi_c(z) + self.comb(z) - (z / 3) * tau(z)
+        z = _arr(z).astype(np.clongdouble)
+        comb, t = self._comb(z, 0)
+        return (comb - z / 3 * t).astype(complex)
 
     def periodic_part(self, z):
         z = _arr(z)
@@ -563,11 +540,10 @@ class G1Solver:
     def one_sided_pole_data(self) -> dict[int, complex]:
         """Laurent coefficients k=-2..1 of the bare one-sided construction.
 
-        Without the 3-periodic correction the particular solution violates
-        the O(lam^2) normalization at 0; the returned coefficients quantify
-        the violation (they all vanish for the corrected G1).  They are those
-        of ``k_function``, so they include the omitted 3-periodic ``1/J``
-        term of the extrapolated comb, which the periodic fit absorbs."""
+        Without the 3-periodic correction the particular solution
+        ``k_function`` violates the O(lam^2) normalization at 0; the returned
+        coefficients quantify the violation (they all vanish for the
+        corrected G1)."""
         return {k: complex(self._k_coef[0, k - _KS[0]]) for k in (-2, -1, 0, 1)}
 
     # -- derived objects ---------------------------------------------------
@@ -604,21 +580,18 @@ class ThreeSiteSolution:
 
 
 def three_site_correlator(problem: ThreeSiteProblem | None = None) -> ThreeSiteSolution:
-    """<P12 P23> and the boundary values F1, F2, F3 from the extrapolated G1.
+    """<P12 P23> and the boundary values F1, F2, F3 from the comb-built G1.
 
-    Diagnostics: the comb ladder, ``c2`` fitted at each level, the fit
-    defects per level followed by that of the extrapolated fit (which
-    produced the returned values), ``|Im c2|`` and the shift of ``c2`` from
-    the top level to the extrapolated value.
+    Diagnostics: the head length of the comb, the fit defects (one list
+    entry, the periodic fit's), ``|Im c2|`` and the comb's ``tail_bound``.
     """
     solver = G1Solver(problem)
     c2 = solver.taylor_coefficient(2)
     diag = {
-        "comb_terms": solver.ladder,
-        "c2_per_level": solver.c2_per_level,
-        "lstsq_residuals": solver.residual_per_level + [solver.consistency_residual],
+        "comb_terms": solver.problem.comb_terms,
+        "lstsq_residuals": [solver.consistency_residual],
         "c2_imag": float(abs(c2.imag)),
-        "last_level_shift": float(abs(solver.c2_per_level[-1] - c2)),
+        "tail_bound": solver.tail_bound,
     }
     return ThreeSiteSolution(
         p12p23=float(c2.real) / 2,

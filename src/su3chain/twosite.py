@@ -28,18 +28,29 @@ at ``-1`` where its value is ``1 + omega33'(-1)``.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .specfun import (
     PoleError,
     digamma_array,
     hurwitz_zeta,
+    real_pi,
     trigamma_array,
     digamma,
 )
 
-#: omega33(0,0) = 1 - pi/(3 sqrt 3) - log 3, the ground-state energy per bond
-OMEGA33_HOMOGENEOUS = 1 - np.pi / (3 * np.sqrt(3)) - np.log(3)
+
+@cache
+def omega33_homogeneous(real=np.float64):
+    """omega33(0,0) = 1 - pi/(3 sqrt 3) - log 3, rounded to the real dtype ``real``."""
+    three = np.dtype(real).type(3)
+    return 1 - real_pi(real) / (3 * np.sqrt(three)) - np.log(three)
+
+
+#: the ground-state energy per bond
+OMEGA33_HOMOGENEOUS = omega33_homogeneous()
 
 #: alpha33(0,0) = (2 - pi/sqrt(3) - 3 log 3)/24
 ALPHA33_HOMOGENEOUS = (2 - np.pi / np.sqrt(3) - 3 * np.log(3)) / 24

@@ -14,8 +14,9 @@ from su3chain.threesite import (
 
 @pytest.fixture(scope="session")
 def g1_solver():
-    """Comb-constructed G1 at the defaults: one comb pass over the ladder
-    25..400, extrapolated point by point (good to ~1e-13 in the correlator)."""
+    """Comb-constructed G1 at the defaults: a head of 12 comb terms plus the
+    closed-form tail, sampled in long double (``c2`` within 1e-16 of the
+    30-digit oracle)."""
     return G1Solver()
 
 
@@ -76,11 +77,11 @@ def l9_full_space_energy():
 
 @pytest.fixture(scope="session")
 def three_site_pair():
-    """Correlator at the shipped ladder (top level J = 400, 5 levels) and at
-    its top level doubled (J = 800), for self-convergence.
+    """Correlator at the default comb head (J = 12 terms before the
+    closed-form tail) and at that head doubled (J = 24), for self-convergence.
 
     Returns ``(solutions, elapsed_seconds)``, with ``solutions`` keyed by the
-    top level, so the acceptance suite can also check the runtime budget.
+    head length, so the acceptance suite can also check the runtime budget.
     """
     import time
     from dataclasses import replace

@@ -108,6 +108,26 @@ def test_digamma_trigamma_against_mpmath(z):
         assert abs(ours - ref) < 1e-13 * max(1.0, abs(ref))
 
 
+def _mp_from_long_double(x):
+    return mp.mpc(
+        *(mp.mpf(np.format_float_scientific(v, unique=True)) for v in (x.real, x.imag))
+    )
+
+
+@pytest.mark.parametrize("z", FUSED_POINTS)
+def test_digamma_trigamma_long_double_against_mpmath(z):
+    """Long-double input is evaluated in long double.
+
+    The bound assumes the x86-64 80-bit extended long double (as on Linux
+    x86-64); where ``np.longdouble`` is float64 it cannot hold.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        psi, psi1 = digamma_trigamma_array(np.array([z], dtype=np.clongdouble))
+    assert psi.dtype == psi1.dtype == np.clongdouble
+    for ours, ref in ((psi[0], mp.digamma(z)), (psi1[0], mp.psi(1, z))):
+        assert abs(_mp_from_long_double(ours) - ref) < 2e-17 * max(1, abs(ref))
+
+
 def test_digamma_trigamma_agrees_with_separate_kernels():
     rng = np.random.default_rng(7)
     z = rng.uniform(-20, 20, (100, 100)) + 1j * rng.uniform(-20, 20, (100, 100))
