@@ -187,6 +187,20 @@ def test_three_site_short_comb_fails_gate(capsys):
     assert "p12p23 off reference" in err
 
 
+@pytest.mark.parametrize("comb_terms", ["4", "6"])
+def test_three_site_other_orders(capsys, comb_terms):
+    # shorter comb heads still pass the 1e-6 gate, and the JSON reports the
+    # head length and its tail bound
+    code, out, _ = run(capsys, ["three-site", "--comb-terms", comb_terms])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    diagnostics = payload["diagnostics"]
+    assert payload["inputs"] == {"comb_terms": int(comb_terms)}
+    assert diagnostics["comb_terms"] == int(comb_terms)
+    assert diagnostics["tail_bound"] < 1e-9
+    assert abs(diagnostics["p12p23_delta_vs_reference"]) <= 1e-6
+
+
 def test_ed_nan_residual_fails_closed(monkeypatch, capsys):
     real_ground_state = ed_mod.ground_state
 

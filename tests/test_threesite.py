@@ -307,6 +307,19 @@ def test_comb_matches_nsum(g1_solver, z):
     assert abs(g1_solver.comb(z)[0] - NSUM_COMB[z]) <= 1e-14
 
 
+@pytest.mark.parametrize("comb_terms", range(1, 7))
+def test_extrapolate_recovers_limit(comb_terms):
+    # the closed-form tail extrapolates a head of J terms to the infinite
+    # sum; both nsum points lie on the Laurent circles, so the error stays
+    # within the reported tail_bound even at heads far below the default
+    solver = G1Solver(ThreeSiteProblem(comb_terms=comb_terms))
+    z = np.array(list(NSUM_COMB))
+    err = np.abs(solver.comb(z) - np.array(list(NSUM_COMB.values())))
+    assert err.max() <= solver.tail_bound
+    # pointwise over the sample shape
+    assert all(solver.comb(zi)[0] == ci for zi, ci in zip(z, solver.comb(z)))
+
+
 def test_comb_head_length_converged(g1_solver):
     doubled = G1Solver(ThreeSiteProblem(comb_terms=2 * g1_solver.problem.comb_terms))
     assert abs(doubled.taylor_coefficient(2) - g1_solver.taylor_coefficient(2)) <= 1e-14
