@@ -35,14 +35,12 @@ from functools import cache
 
 import numpy as np
 
-from .tensors import ANTIFUND, FUND, LabeledTensor, Leg, levi_civita
+from .tensors import levi_civita, pie
 
 N = 3
 
 _EYE = np.eye(N)
-_P4 = np.einsum("il,jk->ikjl", _EYE, _EYE)
-_I4 = np.einsum("ij,kl->ikjl", _EYE, _EYE)
-_E4 = np.einsum("ik,jl->ikjl", _EYE, _EYE)
+_P4, _I4, _E4 = pie(N)
 _EPS = levi_civita(N)
 
 GRAM_2 = np.array([[18, 6, 6], [6, 18, -6], [6, -6, 18]], dtype=np.int64)
@@ -83,37 +81,12 @@ _BASIS3_SPEC = [
 @dataclass(frozen=True)
 class SingletBasis:
     m: int
-    elements: tuple[LabeledTensor, ...]
+    elements: tuple[np.ndarray, ...]  # read-only, legs as in the module doc
     gram: np.ndarray  # exact integers
 
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    def arrays(self) -> list[np.ndarray]:
-        return [el.entries for el in self.elements]
-
-
-def _legs_m2() -> list[Leg]:
-    return [
-        Leg(N, FUND, "i1"),
-        Leg(N, FUND, "i2"),
-        Leg(N, FUND, "i3"),
-        Leg(N, FUND, "r1"),
-        Leg(N, ANTIFUND, "s1"),
-    ]
-
-
-def _legs_m3() -> list[Leg]:
-    return [
-        Leg(N, FUND, "i1"),
-        Leg(N, FUND, "i2"),
-        Leg(N, FUND, "i3"),
-        Leg(N, FUND, "r1"),
-        Leg(N, FUND, "r2"),
-        Leg(N, ANTIFUND, "s1"),
-        Leg(N, ANTIFUND, "s2"),
-    ]
 
 
 def _element3(eps_slots: tuple[int, int, int], pairing: int) -> np.ndarray:
@@ -148,25 +121,20 @@ def build_basis(m: int) -> SingletBasis:
             np.einsum("abd,ce->abcde", _EPS, d),
             np.einsum("dbc,ae->abcde", _EPS, d),
         ]
-        legs = _legs_m2()
         expected_gram = GRAM_2
     elif m == 3:
         arrs = [_element3(slots, pairing) for slots, pairing in _BASIS3_SPEC]
-        legs = _legs_m3()
         expected_gram = GRAM_3
     else:
         raise ValueError(f"m must be 2 or 3, got {m}")
-    gram = np.array(
-        [[int(round(np.vdot(a, b).real)) for b in arrs] for a in arrs],
-        dtype=np.int64,
-    )
     # brute-force contraction must reproduce the integer Gram matrix exactly
-    exact = np.array(
-        [[np.vdot(a, b).real for b in arrs] for a in arrs]
-    )
-    if not np.array_equal(gram, expected_gram) or np.abs(exact - gram).max() != 0:
+    exact = np.array([[np.vdot(a, b).real for b in arrs] for a in arrs])
+    if not np.array_equal(exact, expected_gram):
         raise AssertionError("singlet-basis Gram matrix mismatch")
-    elements = tuple(LabeledTensor(a, legs) for a in arrs)
+    gram = exact.astype(np.int64)
+    elements = tuple(np.asarray(a, dtype=complex) for a in arrs)
+    for element in elements:
+        element.flags.writeable = False
     basis = SingletBasis(m=m, elements=elements, gram=gram)
     _CACHE[m] = basis
     return basis
@@ -245,7 +213,7 @@ def a_matrix(m: int, lam1: complex, lam2: complex, lam3: complex | None = None,
     with ``return_gauge=True`` the removed scalar factor is also returned.
     """
     basis = build_basis(m)
-    arrs = basis.arrays()
+    arrs = basis.elements
     if m == 2:
         lam = lam1 - lam2
         _reject_singular("lam", lam)
@@ -454,13 +422,12 @@ def a3_printed_zero_pattern() -> np.ndarray:
 
 def _site_ops(m: int):
     """Identity/permutation operators on (C^3)^{tensor m} as dense matrices."""
-    eye3 = np.eye(N)
-    P = np.einsum("il,jk->ijkl", eye3, eye3).reshape(N * N, N * N)
+    P = _P4.transpose(2, 3, 0, 1).reshape(N * N, N * N)
     if m == 2:
         return {"I": np.eye(N**2), "P12": P}
     eye = np.eye(N**3)
-    P12 = np.kron(P, eye3)
-    P23 = np.kron(eye3, P)
+    P12 = np.kron(P, _EYE)
+    P23 = np.kron(_EYE, P)
     ops = {
         "I": eye,
         "P12": P12,

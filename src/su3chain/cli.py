@@ -19,7 +19,9 @@ invocations and seeds) with the top-level layout
 {"command", "inputs", "results", "diagnostics", "paper_reference_values"};
 ``--format text`` gives key: value lines, and ``report-table1`` also supports
 ``--format csv``.  A plain ``key = value`` config file can preload any option;
-explicit flags win.
+explicit flags win.  The merged options are checked before any work:
+``--samples`` and ``--points`` lie in 1..100000, ``--seed`` is non-negative
+and ``--comb-terms`` positive; a violation is a usage error naming the option.
 
 Exit codes: 0 success, 1 verification failure (the failing check is named),
 2 usage error.
@@ -38,7 +40,7 @@ from . import ed as ed_mod
 from . import rmatrix
 from . import threesite
 from .specfun import PoleError
-from .twosite import ALPHA33_HOMOGENEOUS, OMEGA33_HOMOGENEOUS, TwoSiteSolution
+from .twosite import TwoSiteSolution
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
 
@@ -66,15 +68,11 @@ def _emit(payload: dict, fmt: str) -> None:
                     print(f"{k} = {value[k]}")
             else:
                 print(value)
-    elif fmt == "csv":
-        rows = payload["results"].get("rows")
-        if rows is None:
-            raise ValueError("csv format is only available for report-table1")
+    else:  # csv, which _usage_error allows for report-table1 only
+        rows = payload["results"]["rows"]
         print(",".join(rows[0].keys()))
         for row in rows:
             print(",".join(str(v) for v in row.values()))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _payload(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:
@@ -94,10 +92,30 @@ def _fail(fmt: str, payload: dict, message: str) -> int:
     return EXIT_VERIFY
 
 
-def _comb_usage_error(comb_terms: int) -> str | None:
-    """Why a comb head of ``comb_terms`` terms is invalid."""
-    if comb_terms < 1:
+_MAX_POINTS = 100_000
+_FORMATS = ("json", "text", "csv")
+
+
+def _usage_error(args) -> str | None:
+    """Why the merged options are invalid, checked before any work is done.
+
+    Config values bypass argparse's types and choices, so every rule is
+    applied here, after the merge.
+    """
+    for name in ("samples", "points"):
+        value = getattr(args, name, None)
+        if value is not None and not 1 <= value <= _MAX_POINTS:
+            return f"--{name} must be in 1..{_MAX_POINTS}, got {value}"
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        return f"--seed must be >= 0, got {seed}"
+    comb_terms = getattr(args, "comb_terms", None)
+    if comb_terms is not None and comb_terms < 1:
         return f"--comb-terms must be at least 1, got {comb_terms}"
+    if args.format not in _FORMATS:
+        return f"--format must be one of {', '.join(_FORMATS)}, got {args.format!r}"
+    if args.format == "csv" and args.command != "report-table1":
+        return "--format csv is only available for report-table1"
     return None
 
 
@@ -230,10 +248,6 @@ def _cmd_two_site(args) -> int:
 
 
 def _cmd_three_site(args) -> int:
-    usage = _comb_usage_error(args.comb_terms)
-    if usage:
-        print(f"usage error: {usage}", file=sys.stderr)
-        return EXIT_USAGE
     problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     solution = threesite.three_site_correlator(problem)
     results = {
@@ -308,10 +322,6 @@ def _cmd_ed(args) -> int:
 
 
 def _cmd_report_table1(args) -> int:
-    usage = _comb_usage_error(args.comb_terms)
-    if usage:
-        print(f"usage error: {usage}", file=sys.stderr)
-        return EXIT_USAGE
     problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     rows = []
     for L in (3, 6, 9):
@@ -383,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--format", choices=("json", "text", "csv"), default="json")
+        p.add_argument("--format", choices=_FORMATS, default="json")
 
     p = sub.add_parser("verify-algebra", help="run the R-matrix identity suite")
     p.add_argument("--seed", type=int, default=7)
@@ -456,6 +466,10 @@ def main(argv: list[str] | None = None) -> int:
                 except (TypeError, ValueError):
                     print(f"config error: bad value for {key}: {val!r}", file=sys.stderr)
                     return EXIT_USAGE
+    usage = _usage_error(args)
+    if usage:
+        print(f"usage error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, RuntimeError, ArithmeticError) as exc:

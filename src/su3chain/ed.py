@@ -26,6 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .tensors import pie
+
 #: published finite-size reference values: L -> (energy per bond, <P12 P23>)
 REFERENCE_TABLE1 = {
     3: (-1.000000000000000, 1.000000000000000),
@@ -291,14 +293,6 @@ def _ground_space(spec: ChainSpec):
 # observables
 # ---------------------------------------------------------------------------
 
-def _permutation9() -> np.ndarray:
-    p = np.zeros((9, 9))
-    for a in range(3):
-        for b in range(3):
-            p[3 * b + a, 3 * a + b] = 1.0
-    return p
-
-
 def _rdm3_from_vectors(L: int, states: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Reduced density matrix of sites (0,1,2), projector-averaged over vecs."""
     rdm = np.zeros((27, 27))
@@ -315,7 +309,7 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
     ham, e0, vecs, method, residual, iters = _ground_space(spec)
     rdm3 = _rdm3_from_vectors(spec.L, ham.states, vecs)
     rdm2 = rdm3.reshape(9, 3, 9, 3).trace(axis1=1, axis2=3)
-    p9 = _permutation9()
+    p9 = pie(3)[0].transpose(2, 3, 0, 1).reshape(9, 9)
     p12 = float(np.trace(rdm2 @ p9))
     p12f = np.kron(p9, np.eye(3))
     p23f = np.kron(np.eye(3), p9)

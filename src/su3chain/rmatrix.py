@@ -17,6 +17,8 @@ conventions.
 
 All checks return residuals (and, where applicable, the expected scalar
 factor) instead of booleans, so degenerate parameter points remain reportable.
+They take scalar or array parameters: an array is one batch of stacked
+operators, and the residual is the maximum over its points.
 """
 
 from __future__ import annotations
@@ -25,15 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensors import (
-    ANTIFUND,
-    FUND,
-    LabeledTensor,
-    Leg,
-    StructuralKind,
-    levi_civita,
-    structural_tensor,
-)
+from .tensors import levi_civita, pie
 
 
 class RKind(Enum):
@@ -51,45 +45,27 @@ class RKind(Enum):
         return self.value[0] != self.value[1]
 
 
-def _pie(n: int):
-    eye = np.eye(n)
-    P = np.einsum("il,jk->ikjl", eye, eye)
-    I = np.einsum("ij,kl->ikjl", eye, eye)
-    E = np.einsum("ik,jl->ikjl", eye, eye)
-    return P, I, E
+def r_operator(kind: RKind, n: int, lam) -> np.ndarray:
+    """R-matrix as an ``n^2 x n^2`` operator: row index ``(j, l)``, column ``(i, k)``.
 
-
-def r_matrix(kind: RKind, n: int, lam: complex) -> LabeledTensor:
-    """Four-leg R-matrix ``(i, k, j, l)`` for the given representation pair.
-
-    FF/AA give ``I + lam*P``; FA/AF give ``lam*P - E``.  Leg orientations
-    follow the representation content: on a fundamental line the incoming leg
-    is fundamental and the outgoing leg anti-fundamental, and vice versa on an
-    anti-fundamental line.
+    FF/AA give ``I + lam*P``; FA/AF give ``lam*P - E``.  An array ``lam``
+    gives the stacked operators, of shape ``lam.shape + (n^2, n^2)``.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be >= 2, got {n}")
-    P, I, E = _pie(n)
-    if kind.mixed:
-        arr = lam * P - E
-    else:
-        arr = I + lam * P
-    t1, t2 = kind.types
-    o1_in, o1_out = (FUND, ANTIFUND) if t1 == "F" else (ANTIFUND, FUND)
-    o2_in, o2_out = (FUND, ANTIFUND) if t2 == "F" else (ANTIFUND, FUND)
-    legs = [
-        Leg(n, o1_in, "i"),
-        Leg(n, o2_in, "k"),
-        Leg(n, o1_out, "j"),
-        Leg(n, o2_out, "l"),
-    ]
-    return LabeledTensor(arr, legs)
+    P, I, E = (t.transpose(2, 3, 0, 1).reshape(n * n, n * n) for t in pie(n))
+    lam = np.asarray(lam)[..., None, None]
+    return lam * P - E if kind.mixed else I + lam * P
 
 
-def r_operator(kind: RKind, n: int, lam: complex) -> np.ndarray:
-    """R-matrix as an ``n^2 x n^2`` operator: row index ``(j, l)``, column ``(i, k)``."""
-    t = r_matrix(kind, n, lam).entries
-    return np.ascontiguousarray(t.transpose(2, 3, 0, 1)).reshape(n * n, n * n)
+def _on_12(m: np.ndarray, n: int) -> np.ndarray:
+    """``kron(m, eye(n))`` for each operator of a stack."""
+    out = np.einsum("...ab,pq->...apbq", m, np.eye(n))
+    return out.reshape(m.shape[:-2] + (n**3, n**3))
+
+
+def _on_23(m: np.ndarray, n: int) -> np.ndarray:
+    """``kron(eye(n), m)`` for each operator of a stack."""
+    out = np.einsum("pq,...ab->...paqb", np.eye(n), m)
+    return out.reshape(m.shape[:-2] + (n**3, n**3))
 
 
 _STANDARD_TYPE_TRIPLES = [
@@ -122,12 +98,10 @@ def _infer_line_types(r1: RKind, r2: RKind, r3: RKind) -> tuple[str, str, str]:
 
 def standard_kind_triples() -> list[tuple[RKind, RKind, RKind]]:
     """The six kind triples satisfying the unshifted Yang-Baxter equation."""
-    out = []
-    for t1, t2, t3 in _STANDARD_TYPE_TRIPLES:
-        out.append(
-            (RKind(t1 + t2), RKind(t1 + t3), RKind(t2 + t3))
-        )
-    return out
+    return [
+        (RKind(t1 + t2), RKind(t1 + t3), RKind(t2 + t3))
+        for t1, t2, t3 in _STANDARD_TYPE_TRIPLES
+    ]
 
 
 def special_kind_triples() -> list[tuple[RKind, RKind, RKind]]:
@@ -142,9 +116,9 @@ def check_yang_baxter(
     r1: RKind,
     r2: RKind,
     r3: RKind,
-    lam: complex,
-    mu: complex,
-    nu: complex,
+    lam,
+    mu,
+    nu,
     n: int = 3,
     shift: complex | None = None,
 ) -> float:
@@ -159,26 +133,22 @@ def check_yang_baxter(
     ``a = lam - mu + n`` for the two special triples (where line 3 carries the
     same representation as line 1 but line 2 the opposite one).  ``shift``
     overrides the automatic choice; pass ``shift=0`` to evaluate a special
-    triple without the shift (which demonstrably fails).
+    triple without the shift (which demonstrably fails).  The parameters may
+    be arrays; the residual is then the maximum over all their points.
     """
     types = _infer_line_types(r1, r2, r3)
     if shift is None:
         shift = n if types in _SPECIAL_TYPE_TRIPLES else 0
-    a = lam - mu + shift
-    eye = np.eye(n)
-    m1 = r_operator(r1, n, a)
+    lam, mu, nu = np.asarray(lam), np.asarray(mu), np.asarray(nu)
+    m1 = r_operator(r1, n, lam - mu + shift)
     m2 = r_operator(r2, n, lam - nu)
     m3 = r_operator(r3, n, mu - nu)
-    op12 = lambda m: np.kron(m, eye)
-    op23 = lambda m: np.kron(eye, m)
-    left = op12(m1) @ op23(m2) @ op12(m3)
-    right = op23(m3) @ op12(m2) @ op23(m1)
+    left = _on_12(m1, n) @ _on_23(m2, n) @ _on_12(m3, n)
+    right = _on_23(m3, n) @ _on_12(m2, n) @ _on_23(m1, n)
     return float(np.abs(left - right).max())
 
 
-def check_unitarity(
-    kind: str, n: int, lam: complex, mu: complex
-) -> tuple[float, complex]:
+def check_unitarity(kind: str, n: int, lam, mu) -> tuple[float, np.ndarray]:
     """Residual and expected scalar of a unitarity relation.
 
     ``standard``   : R[FF](lam-mu) R[FF](mu-lam) = (1 - (lam-mu)^2) I
@@ -186,9 +156,10 @@ def check_unitarity(
     ``special-2``  : R[FA](lam-mu) R[AF](mu-lam+n) = (lam-mu)(mu-lam+n) I
 
     The scalar is returned, not divided out, so degenerate points where it
-    vanishes stay reportable.
+    vanishes stay reportable.  The parameters may be arrays: the residual is
+    the maximum over their points and the scalar has their broadcast shape.
     """
-    d = lam - mu
+    d = np.asarray(lam) - np.asarray(mu)
     if kind == "standard":
         prod = r_operator(RKind.FF, n, d) @ r_operator(RKind.FF, n, -d)
         scalar = 1 - d**2
@@ -200,13 +171,11 @@ def check_unitarity(
         scalar = d * (-d + n)
     else:
         raise ValueError(f"unknown unitarity kind {kind!r}")
-    residual = float(np.abs(prod - scalar * np.eye(n * n)).max())
-    return residual, scalar
+    expected = np.asarray(scalar)[..., None, None] * np.eye(n * n)
+    return float(np.abs(prod - expected).max()), scalar
 
 
-def check_fusion(
-    n: int, lam: complex, mu: complex, direction: str
-) -> tuple[float, complex]:
+def check_fusion(n: int, lam, mu, direction: str) -> tuple[float, np.ndarray]:
     """Residual and scalar of the fusion (antisymmetrizer sliding) relations.
 
     A column of three R-matrices with arguments ``lam - mu``, ``lam + 1 - mu``,
@@ -215,13 +184,15 @@ def check_fusion(
 
     ``up``   : mixed R content, scalar (lam + 2 - mu)(1 - (lam - mu)^2)
     ``down`` : FF content,      scalar (mu - lam)(1 - (lam + 2 - mu)^2)
+
+    The parameters may be arrays, as in :func:`check_unitarity`.
     """
     if n != 3:
         raise ValueError("fusion relations are implemented for n = 3 only")
-    P, I, E = _pie(n)
+    P, I, E = pie(n)
     eps = levi_civita(n)
-    eye = np.eye(n)
-    args = (lam - mu, lam + 1 - mu, lam + 2 - mu)
+    lam, mu = np.asarray(lam), np.asarray(mu)
+    args = [(lam + k - mu)[..., None, None, None, None] for k in range(3)]
     if direction == "up":
         rs = [a * P - E for a in args]
         scalar = (lam + 2 - mu) * (1 - (lam - mu) ** 2)
@@ -232,20 +203,25 @@ def check_fusion(
         rhs_eps = eps.transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown fusion direction {direction!r}")
-    left = np.einsum("fwxa,gvwb,huvc,cba->fghux", rs[0], rs[1], rs[2], eps)
-    right = np.einsum("abc,uv->abcuv", rhs_eps, eye)
-    residual = float(np.abs(left - scalar * right).max())
-    return residual, scalar
+    left = np.einsum(
+        "...fwxa,...gvwb,...huvc,cba->...fghux", *rs, eps, optimize=True
+    )
+    right = np.einsum("abc,uv->abcuv", rhs_eps, np.eye(n))
+    expected = np.asarray(scalar)[..., None, None, None, None, None] * right
+    return float(np.abs(left - expected).max()), scalar
 
 
 EDGE_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
 
+#: parameter points per call of each check in :func:`identity_suite`, so that
+#: its memory does not grow with the number of samples
+_BLOCK = 64
 
-def sample_parameters(count: int, seed: int = 7) -> list[complex]:
+
+def sample_parameters(count: int, seed: int = 7) -> np.ndarray:
     """Deterministic complex sample points for identity checks."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3, 3, size=(count, 2))
-    return [complex(a, b) for a, b in pts]
+    return rng.uniform(-3, 3, size=(count, 2)).view(complex).ravel()
 
 
 def identity_suite(seed: int = 7, samples: int = 50, n: int = 3) -> dict[str, float]:
@@ -254,9 +230,17 @@ def identity_suite(seed: int = 7, samples: int = 50, n: int = 3) -> dict[str, fl
     Covers the six standard Yang-Baxter triples, the shifted special triples,
     standard and special unitarity, both fusion directions, and the epsilon /
     delta contraction identities, over ``samples`` fixed-seed complex points
-    plus the deterministic edge points 0, +-1, +-2, +-3.
+    plus the deterministic edge points 0, +-1, +-2, +-3.  Each check runs
+    once per block of ``_BLOCK`` points.
     """
     pts = sample_parameters(3 * samples, seed=seed)
+    edges = np.array(EDGE_POINTS, dtype=complex)
+    # Yang-Baxter triples (lam, mu, nu) and unitarity/fusion pairs (lam2, mu2)
+    lam = np.concatenate([pts[0::3], edges])
+    mu = np.concatenate([pts[1::3], np.full_like(edges, 0.31 - 0.12j)])
+    nu = np.concatenate([pts[2::3], np.full_like(edges, -1.44 + 0.77j)])
+    lam2 = np.concatenate([pts[0 : 2 * samples : 2], edges])
+    mu2 = np.concatenate([pts[1 : 2 * samples : 2], np.zeros_like(edges)])
     triples_std = standard_kind_triples()
     triples_special = special_kind_triples()
     res: dict[str, float] = {}
@@ -264,23 +248,20 @@ def identity_suite(seed: int = 7, samples: int = 50, n: int = 3) -> dict[str, fl
     def record(name, value):
         res[name] = max(res.get(name, 0.0), float(value))
 
-    params = [tuple(pts[3 * i : 3 * i + 3]) for i in range(samples)]
-    params += [(e, 0.31 - 0.12j, -1.44 + 0.77j) for e in EDGE_POINTS]
-    for lam, mu, nu in params:
+    for start in range(0, len(lam), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        triple = (lam[block], mu[block], nu[block])
+        pair = (lam2[block], mu2[block])
         for t in triples_std:
             name = "ybe_" + "".join(k.value for k in t)
-            record(name, check_yang_baxter(*t, lam, mu, nu, n=n))
+            record(name, check_yang_baxter(*t, *triple, n=n))
         for t in triples_special:
             name = "ybe_special_" + "".join(k.value for k in t)
-            record(name, check_yang_baxter(*t, lam, mu, nu, n=n))
-
-    pairs = [(pts[2 * i], pts[2 * i + 1]) for i in range(samples)]
-    pairs += [(e, 0.0) for e in EDGE_POINTS]
-    for lam, mu in pairs:
+            record(name, check_yang_baxter(*t, *triple, n=n))
         for kind in ("standard", "special-1", "special-2"):
-            record("unitarity_" + kind, check_unitarity(kind, n, lam, mu)[0])
+            record("unitarity_" + kind, check_unitarity(kind, n, *pair)[0])
         for direction in ("up", "down"):
-            record("fusion_" + direction, check_fusion(3, lam, mu, direction)[0])
+            record("fusion_" + direction, check_fusion(3, *pair, direction)[0])
 
     eps = levi_civita(3)
     eye = np.eye(3)

@@ -1,11 +1,11 @@
-"""Digamma, polygamma and Hurwitz zeta functions, implemented from scratch.
+"""Digamma, its first two derivatives and Hurwitz zeta, implemented from scratch.
 
 Strategy: upward recurrence shifts the argument until the asymptotic
 (Bernoulli) expansion applies (``|z| >= 10`` with non-negative shifted real
 part), plus a reflection step for arguments left of ``Re z = 1/2`` so that
-accuracy is uniform near the negative real axis.  ``polygamma`` of order
-``m >= 1`` is evaluated through the Hurwitz zeta function via
-``psi_m(z) = (-1)^(m+1) m! zeta(m+1, z)``.
+accuracy is uniform near the negative real axis.  The Hurwitz zeta function
+``sum_k (k + a)^(-s)`` of integer order ``s >= 2`` uses the same upward
+shift followed by the Euler-Maclaurin tail.
 
 Scalar entry points return a :class:`SpecialValue` carrying the value together
 with an estimated error; the vectorized ``*_array`` variants (used in the hot
@@ -240,31 +240,3 @@ def hurwitz_zeta(s: int, a: complex) -> SpecialValue:
     val = complex(hurwitz_zeta_array(s, a)[0])
     err = 5e-16 * max(1.0, abs(val))
     return SpecialValue(val, err)
-
-
-def polygamma(order: int, z: complex) -> SpecialValue:
-    """Polygamma ``psi_m`` for ``order`` in 1..6 via the Hurwitz zeta relation."""
-    if order < 1 or order > 6:
-        raise ValueError(f"polygamma order must be in 1..6, got {order}")
-    _check_pole(z, "polygamma")
-    zeta = hurwitz_zeta(order + 1, z)
-    sign = 1 if order % 2 == 1 else -1
-    fact = math.factorial(order)
-    return SpecialValue(sign * fact * zeta.value, fact * zeta.estimated_error)
-
-
-def digamma_asymptotic_direct(z: complex) -> complex:
-    """Digamma via the bare asymptotic series (valid for ``|z| >= 10``, Re z > 0).
-
-    Exposed for the consistency test against the recurrence-lifted evaluation.
-    """
-    z = complex(z)
-    if abs(z) < _ASYMPTOTIC_RADIUS:
-        raise ValueError("asymptotic series requires |z| >= 10")
-    out = np.log(z) - 1 / (2 * z)
-    z2 = z * z
-    term = 1 / z2
-    for k, b in enumerate(_BERNOULLI, start=1):
-        out -= b / (2 * k) * term
-        term /= z2
-    return complex(out)

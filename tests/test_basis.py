@@ -120,14 +120,14 @@ def test_reduction_matches_wing_contraction():
     """
     basis2 = build_basis(2)
     for j, element in enumerate(basis2.elements):
-        wing = np.einsum("bcd,cdars->arbs", EPS, element.entries).reshape(9, 9)
+        wing = np.einsum("bcd,cdars->arbs", EPS, element).reshape(9, 9)
         unit = np.zeros(3)
         unit[j] = 1
         assert np.abs(wing - reduce_to_physical(2, unit)).max() < 1e-13
     basis3 = build_basis(3)
     for j, element in enumerate(basis3.elements):
         wing = np.einsum(
-            "bcd,cdarxsy->arxbsy", EPS, element.entries
+            "bcd,cdarxsy->arxbsy", EPS, element
         ).reshape(27, 27)
         unit = np.zeros(11)
         unit[j] = 1

@@ -215,3 +215,41 @@ def test_ed_nan_residual_fails_closed(monkeypatch, capsys):
     assert "eigenresidual" in err
     assert "Traceback" not in err
     assert "NaN" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, config, option",
+    [
+        (["verify-algebra", "--samples", "-1"], None, "--samples"),
+        (["verify-algebra", "--samples", "0"], None, "--samples"),
+        (["verify-algebra", "--samples", "100000000000"], None, "--samples"),
+        (["verify-algebra", "--seed", "-1"], None, "--seed"),
+        (["verify-matrices", "--seed", "-1"], None, "--seed"),
+        (["verify-matrices", "--points", "-2"], None, "--points"),
+        (["verify-matrices", "--points", "0"], None, "--points"),
+        (["verify-matrices", "--points", "100001"], None, "--points"),
+        (["verify-algebra", "--format", "csv"], None, "--format"),
+        (["verify-matrices", "--format", "csv"], None, "--format"),
+        (["two-site", "--format", "csv"], None, "--format"),
+        (["three-site", "--format", "csv"], None, "--format"),
+        (["ed", "--format", "csv"], None, "--format"),
+        (["verify-algebra"], "samples = -1", "--samples"),
+        (["verify-algebra"], "samples = 100000000000", "--samples"),
+        (["verify-algebra"], "seed = -1", "--seed"),
+        (["verify-matrices"], "points = 0", "--points"),
+        (["verify-matrices"], "format = csv", "--format"),
+        (["verify-matrices"], "format = xml", "--format"),
+        (["three-site"], "comb_terms = 0", "--comb-terms"),
+    ],
+)
+def test_out_of_range_options_fail_closed(tmp_path, capsys, argv, config, option):
+    # exit 2 naming the option, before any work: nothing reaches stdout
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert option in err
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """R-matrix identities: Yang-Baxter, unitarity, fusion, contraction rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,3 +92,55 @@ def test_unitarity_reports_degenerate_scalar():
     residual, scalar = check_unitarity("standard", 3, 0.5, 0.5)
     assert scalar == 1
     assert residual < TOL
+
+
+def _all_checks():
+    """The 13 checks of the identity suite, each as ``f(lam, mu, nu)``."""
+    checks = {}
+    for t in standard_kind_triples() + special_kind_triples():
+        name = "ybe_" + "".join(k.value for k in t)
+        checks[name] = lambda lam, mu, nu, t=t: check_yang_baxter(*t, lam, mu, nu)
+    for kind in ("standard", "special-1", "special-2"):
+        checks["unitarity_" + kind] = (
+            lambda lam, mu, nu, kind=kind: check_unitarity(kind, 3, lam, mu)[0]
+        )
+    for direction in ("up", "down"):
+        checks["fusion_" + direction] = (
+            lambda lam, mu, nu, d=direction: check_fusion(3, lam, mu, d)[0]
+        )
+    return checks
+
+
+def test_array_checks_match_scalar_calls():
+    rng = np.random.default_rng(2024)
+    lam, mu, nu = rng.uniform(-3, 3, (3, 20)) + 1j * rng.uniform(-3, 3, (3, 20))
+    checks = _all_checks()
+    assert len(checks) == 13
+    for name, check in checks.items():
+        batched = check(lam, mu, nu)
+        scalar = max(check(*point) for point in zip(lam, mu, nu))
+        assert abs(batched - scalar) < 1e-13, name
+        assert batched < TOL and scalar < TOL, name
+    for triple in special_kind_triples():
+        assert check_yang_baxter(*triple, lam, mu, nu, shift=0) > 1e-2
+
+
+def test_array_scalars_have_parameter_shape():
+    lam = np.array([1.3 - 0.7j, 0.2 + 0.1j])
+    _, scalar = check_unitarity("standard", 3, lam, 0.0)
+    assert np.allclose(scalar, 1 - lam**2)
+    _, scalar = check_fusion(3, lam, 0.0, "down")
+    assert np.allclose(scalar, -lam * (1 - (lam + 2) ** 2))
+    assert r_operator(RKind.FA, 3, lam.reshape(2, 1)).shape == (2, 1, 9, 9)
+
+
+def test_identity_suite_memory_is_blocked():
+    # each check runs on blocks of a fixed 64 points, so the peak does not
+    # grow with the sample count (unblocked, 500 samples take about 24 MiB)
+    tracemalloc.start()
+    try:
+        identity_suite(seed=7, samples=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -10,11 +10,9 @@ from su3chain.specfun import (
     SpecialValue,
     digamma,
     digamma_array,
-    digamma_asymptotic_direct,
     digamma_trigamma_array,
     hurwitz_zeta,
     hurwitz_zeta_array,
-    polygamma,
     tetragamma_array,
     trigamma_array,
 )
@@ -145,14 +143,6 @@ def test_hurwitz_zeta_against_mpmath(s, a):
     assert abs(ours - ref) < 1e-13 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 6])
-def test_polygamma_against_mpmath(order):
-    z = 0.8 + 0.3j
-    ours = polygamma(order, z)
-    ref = complex(mp.polygamma(order, mp.mpc(z)))
-    assert abs(ours.value - ref) < 1e-12 * max(1.0, abs(ref))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-8, 8, allow_nan=False),
@@ -184,8 +174,6 @@ def test_pole_guard():
     with pytest.raises(PoleError):
         digamma(-3 + 1e-10j)
     with pytest.raises(PoleError):
-        polygamma(1, -1.0)
-    with pytest.raises(PoleError):
         hurwitz_zeta(3, 0.0)
 
 
@@ -194,22 +182,6 @@ def test_hurwitz_zeta_rejects_bad_s():
         hurwitz_zeta_array(1, 2.0)
     with pytest.raises(ValueError):
         hurwitz_zeta_array(2.5, 2.0)
-
-
-def test_polygamma_order_range():
-    with pytest.raises(ValueError):
-        polygamma(0, 1.0)
-    with pytest.raises(ValueError):
-        polygamma(7, 1.0)
-
-
-def test_asymptotic_direct_agrees_with_lifted_evaluation():
-    for z in (12.0 + 0.0j, 15.0 - 4.0j, 30.0 + 9.0j):
-        assert abs(
-            digamma_asymptotic_direct(z) - complex(digamma_array(z)[0])
-        ) < 1e-13 * abs(np.log(z))
-    with pytest.raises(ValueError):
-        digamma_asymptotic_direct(2.0)
 
 
 def test_special_value_interface():

@@ -1,4 +1,4 @@
-"""Structural tensors, leg bookkeeping and the contraction engine."""
+"""The structural tensors P, I, E and the Levi-Civita tensor."""
 
 import itertools
 
@@ -6,39 +6,32 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from su3chain.tensors import (
-    ANTIFUND,
-    FUND,
-    LabeledTensor,
-    Leg,
-    StructuralKind,
-    contract,
-    levi_civita,
-    structural_tensor,
-)
+from su3chain.tensors import levi_civita, pie
 
 
 def test_permutation_entries():
-    p = structural_tensor(StructuralKind.PERMUTATION, 3)
-    assert p.entries[0, 1, 1, 0] == 1
-    assert p.entries[0, 1, 0, 1] == 0
+    p = pie(3)[0]
+    assert p[0, 1, 1, 0] == 1
+    assert p[0, 1, 0, 1] == 0
     for i, k, j, l in itertools.product(range(3), repeat=4):
-        assert p.entries[i, k, j, l] == (1 if i == l and j == k else 0)
+        assert p[i, k, j, l] == (1 if i == l and j == k else 0)
+    # as an operator, row (j, l) and column (i, k), P swaps the two factors
+    swap = pie(2)[0].transpose(2, 3, 0, 1).reshape(4, 4)
+    assert np.array_equal(swap, np.eye(4)[[0, 2, 1, 3]])
 
 
 def test_identity_and_temperley_lieb_entries():
-    ident = structural_tensor(StructuralKind.IDENTITY, 3)
-    e = structural_tensor(StructuralKind.TEMPERLEY_LIEB, 3)
+    _, ident, e = pie(3)
     for i, k, j, l in itertools.product(range(3), repeat=4):
-        assert ident.entries[i, k, j, l] == (1 if i == j and k == l else 0)
-        assert e.entries[i, k, j, l] == (1 if i == k and j == l else 0)
+        assert ident[i, k, j, l] == (1 if i == j and k == l else 0)
+        assert e[i, k, j, l] == (1 if i == k and j == l else 0)
 
 
 def test_epsilon_values():
-    eps = structural_tensor(StructuralKind.EPSILON, 3)
-    assert eps.entries[0, 1, 2] == 1
-    assert eps.entries[1, 0, 2] == -1
-    assert eps.entries[0, 0, 1] == 0
+    eps = levi_civita(3)
+    assert eps[0, 1, 2] == 1
+    assert eps[1, 0, 2] == -1
+    assert eps[0, 0, 1] == 0
 
 
 @given(st.permutations(range(3)))
@@ -52,62 +45,13 @@ def test_levi_civita_antisymmetry(perm):
     assert base == 1
 
 
-def test_identity_contraction_returns_vector():
-    ident = structural_tensor(StructuralKind.IDENTITY, 3)
-    v = LabeledTensor(np.arange(3), [Leg(3, ANTIFUND, "v")])
-    w = contract(ident, v, [("i", "v")])
-    # I_{ik}^{jl} v_i summed over i leaves delta(k,l) v_j structure; contract
-    # the simpler delta instead for a clean identity check
-    delta = structural_tensor(StructuralKind.DELTA, 3)
-    out = contract(delta, v, [("i", "v")])
-    assert np.allclose(out.entries, v.entries)
-    assert w.entries.shape == (3, 3, 3)
-
-
-def test_delta_full_trace_is_n():
-    delta = structural_tensor(StructuralKind.DELTA, 3)
-    conj = LabeledTensor(np.eye(3), [Leg(3, ANTIFUND, "a"), Leg(3, FUND, "b")])
-    out = contract(delta, conj, [("i", "a"), ("j", "b")])
-    assert out.entries.shape == ()
-    assert out.entries == 3
-
-
-def test_contraction_rejects_same_orientation():
-    delta = structural_tensor(StructuralKind.DELTA, 3)
-    other = structural_tensor(StructuralKind.DELTA, 3)
-    with pytest.raises(ValueError, match="orientation"):
-        contract(delta, other, [("i", "i")])
-
-
-def test_contraction_rejects_dimension_mismatch():
-    a = LabeledTensor(np.zeros(3), [Leg(3, FUND, "x")])
-    b = LabeledTensor(np.zeros(4), [Leg(4, ANTIFUND, "y")])
-    with pytest.raises(ValueError, match="dimension"):
-        contract(a, b, [("x", "y")])
-
-
-def test_duplicate_labels_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        LabeledTensor(np.zeros((3, 3)), [Leg(3, FUND, "x"), Leg(3, FUND, "x")])
-
-
 def test_small_n_rejected():
     with pytest.raises(ValueError):
-        structural_tensor(StructuralKind.PERMUTATION, 1)
-
-
-@given(st.integers(0, 2**16 - 1))
-def test_contract_matches_tensordot(bits):
-    rng = np.random.default_rng(bits)
-    a_arr = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b_arr = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a = LabeledTensor(a_arr, [Leg(3, FUND, "p"), Leg(3, FUND, "q")])
-    b = LabeledTensor(b_arr, [Leg(3, ANTIFUND, "r"), Leg(3, ANTIFUND, "s")])
-    out = contract(a, b, [("q", "r")])
-    assert np.allclose(out.entries, a_arr @ b_arr)
+        pie(1)
 
 
 def test_entries_are_immutable():
-    t = structural_tensor(StructuralKind.DELTA, 3)
-    with pytest.raises(ValueError):
-        t.entries[0, 0] = 5
+    for t in pie(3):
+        with pytest.raises(ValueError):
+            t[0, 0, 0, 0] = 5
+    assert pie(3)[0] is pie(3)[0]  # built once, shared by every caller
