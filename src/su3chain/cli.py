@@ -297,6 +297,8 @@ def _cmd_ed(args) -> int:
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
         "degeneracy": result.degeneracy,
+        "k0_dimension": result.k0_dimension,
+        "k0_gap": result.k0_gap,
         "rdm2_trace_defect": trace_defect,
         "rdm2_min_eigenvalue": min_eig,
     }

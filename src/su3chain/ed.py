@@ -4,15 +4,23 @@ Basis states are base-3 digit strings packed into machine integers (site 0 is
 the most significant digit), and ``H = sum_j P_{j,j+1}`` (periodic, including
 the wrap bond) acts matrix-free by swapping adjacent digits.  The ground
 state lives in the balanced color sector (L/3 sites of each color, dimension
-90 for L=6, 1680 for L=9 and 34650 for L=12); for L <= 6 this is verified
-against the full-spectrum minimum, for larger L a Lanczos iteration with full
-reorthogonalization and a fixed seed is used inside the sector.
+90 for L=6, 1680 for L=9 and 34650 for L=12) and is translation invariant, so
+H is solved in the zero-momentum block of that sector (Sandvik,
+arXiv:1101.3281, section 4): one basis vector per translation orbit, weighted
+by the orbit sizes, of dimension 2, 16, 188 and 2896 for L = 3, 6, 9, 12.
+Blocks up to 3^6 are solved dense, and for L <= 6 the block's minimum is
+verified against the full-spectrum minimum; the L = 12 block is solved by a
+Lanczos iteration with full reorthogonalization and a fixed seed.  The
+reported degeneracy and gap are those of the block; the chain's lowest
+excitation may lie in another momentum block (at L = 12 the block's gap is
+1.86, the balanced sector's 0.70).
 
 The sector is enumerated from combinations of the sites of each color, and a
 bond swap changes a state by ``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its
 two digits ``d_j``, ``d_k``; the swapped state is ranked by binary search in
-the ascending state list.  So building the sector and its Hamiltonian stores
-nothing of size 3^L (4.5 MiB traced at L=12).
+the ascending state list.  The three-site density matrix is contracted over
+the configurations of the other L - 3 sites that occur in the sector.  So no
+array of size 3^L is built for L >= 9.
 
 The equivalent spin-1 form ``H = sum_j [S.S + (S.S)^2]`` differs from the
 permutation form by ``L`` times the identity (P = S.S + (S.S)^2 - 1 on a
@@ -35,9 +43,10 @@ REFERENCE_TABLE1 = {
     9: (-0.731082881703061, 0.239661721591669),
 }
 
-_DENSE_LIMIT = 6  # largest L materialized as a full 3^L x 3^L matrix
+_DENSE_LIMIT = 6  # largest L of a dense 3^L x 3^L matrix; blocks up to 3^6 go dense
 _DEGENERACY_TOL = 1e-10
 _LANCZOS_SEED = 7
+_LANCZOS_BLOCK = 32  # Lanczos basis rows allocated at a time
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,14 @@ class ChainSpec:
 
 @dataclass
 class SpectrumResult:
-    """Ground-state data of a finite chain."""
+    """Ground-state data of a finite chain.
+
+    ``degeneracy``, ``k0_dimension`` and ``k0_gap`` describe the
+    zero-momentum block of the balanced sector that was solved: the number
+    of its ground vectors, its dimension and the distance from its ground
+    level to its next level.  The chain's own gap may be smaller, in another
+    momentum block.
+    """
 
     L: int
     method: str
@@ -70,6 +86,8 @@ class SpectrumResult:
     residual_norm: float
     degeneracy: int
     iterations: int
+    k0_dimension: int
+    k0_gap: float
     observables: dict = field(default_factory=dict)
 
 
@@ -100,35 +118,53 @@ def balanced_sector(L: int) -> np.ndarray:
 
 
 class Hamiltonian:
-    """Matrix-free H = sum_j P_{j,j+1} restricted to a list of basis states.
+    """H = sum_j P_{j,j+1} in the zero-momentum block of a list of states.
 
-    Precomputes, for each bond, the permutation of the state list induced by
-    swapping the two adjacent digits; ``matvec`` is then a fixed-order sum of
-    gathers, so results are independent of any outer parallelism.  The
-    states must be ascending: each swapped state is ranked by binary search
-    in the list, and one that is not in it raises.
+    The states must be ascending and closed under the one-site translation
+    and under every bond swap; a list that is not raises.  The block has one
+    basis vector per translation orbit, ``|r~> = n_r^(-1/2) sum_t |t>`` over
+    the ``n_r`` states ``t`` of the orbit, represented by its smallest state
+    ``r`` (``reps``).  For each orbit and bond the representative ``s`` of the
+    bond-swapped state is precomputed, so ``matvec`` is the fixed-order
+    weighted gather ``out[r] = sum_bonds sqrt(n_r / n_s) v[s]``, and results
+    are independent of any outer parallelism.
     """
 
     def __init__(self, L: int, states: np.ndarray):
         self.L = L
         self.states = states
-        self.dim = len(states)
+        top = 3 ** (L - 1)
+        rep, rotated = states, states
+        fixed = np.zeros(len(states), dtype=np.int64)  # translations fixing each
+        for _ in range(L):
+            rotated = rotated % top * 3 + rotated // top
+            rep = np.minimum(rep, rotated)
+            fixed += rotated == states
+        self.reps, self.orbit = np.unique(rep, return_inverse=True)
+        self.dim = len(self.reps)
+        self.size = np.zeros(self.dim, dtype=np.int64)
+        self.size[self.orbit] = L // fixed
+        if not np.array_equal(np.bincount(self.orbit), self.size):
+            raise RuntimeError("translation left the state list (sector broken)")
         pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
         self.bond_targets = []
+        self.bond_weights = []
         for j in range(L):
             k = (j + 1) % L
-            d_j = states // pw[j] % 3
-            d_k = states // pw[k] % 3
-            swapped = states + (d_k - d_j) * (pw[j] - pw[k])
-            target = np.minimum(np.searchsorted(states, swapped), self.dim - 1)
-            if (states[target] != swapped).any():
+            d_j = self.reps // pw[j] % 3
+            d_k = self.reps // pw[k] % 3
+            swapped = self.reps + (d_k - d_j) * (pw[j] - pw[k])
+            rank = np.minimum(np.searchsorted(states, swapped), len(states) - 1)
+            if (states[rank] != swapped).any():
                 raise RuntimeError("bond swap left the state list (sector broken)")
+            target = self.orbit[rank]
             self.bond_targets.append(target)
+            self.bond_weights.append(np.sqrt(self.size / self.size[target]))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        for target in self.bond_targets:
-            out += v[target]
+        for target, weight in zip(self.bond_targets, self.bond_weights):
+            out += weight * v[target]
         return out
 
     def dense(self) -> np.ndarray:
@@ -136,9 +172,13 @@ class Hamiltonian:
             raise ValueError(f"refusing to materialize a {self.dim}-dim matrix")
         h = np.zeros((self.dim, self.dim))
         rows = np.arange(self.dim)
-        for target in self.bond_targets:
-            h[rows, target] += 1.0
+        for target, weight in zip(self.bond_targets, self.bond_weights):
+            h[rows, target] += weight
         return h
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """Amplitudes on ``states`` of the block vector ``v``."""
+        return v[self.orbit] / np.sqrt(self.size[self.orbit])
 
 
 def spin1_matrices():
@@ -166,27 +206,36 @@ def _apply_two_site(op9: np.ndarray, mat: np.ndarray, L: int, j: int) -> np.ndar
 
 
 def build_hamiltonian(spec: ChainSpec, form: str = "permutation", sector: str = "balanced"):
-    """Hamiltonian handle (matrix-free for permutation form, dense for spin-1).
+    """Hamiltonian handle: the matrix-free zero-momentum block, or dense.
 
-    ``sector`` selects the balanced color sector or the full Hilbert space.
-    The spin-1 form is available dense on the full space for L <= 6 only.
+    The permutation form on the ``"balanced"`` sector is the zero-momentum
+    block of the balanced color sector (a :class:`Hamiltonian`).  The
+    permutation form on the ``"full"`` space and the spin-1 form are dense
+    matrices on all 3^L states, for L <= 6 only.
     """
-    if form == "permutation":
-        if sector == "balanced":
-            return Hamiltonian(spec.L, balanced_sector(spec.L))
-        if sector == "full":
-            return Hamiltonian(spec.L, np.arange(3**spec.L, dtype=np.int64))
+    if form not in ("permutation", "spin1"):
+        raise ValueError(f"unknown form {form!r}")
+    if form == "permutation" and sector == "balanced":
+        return Hamiltonian(spec.L, balanced_sector(spec.L))
+    if form == "permutation" and sector != "full":
         raise ValueError(f"unknown sector {sector!r}")
+    if spec.L > _DENSE_LIMIT:
+        raise ValueError("the full space is materialized dense, L <= 6 only")
+    dim = 3**spec.L
     if form == "spin1":
-        if spec.L > _DENSE_LIMIT:
-            raise ValueError("spin-1 form is materialized dense, L <= 6 only")
         op = _spin1_bond()
-        h = np.zeros((3**spec.L, 3**spec.L))
-        eye = np.eye(3**spec.L)
+        h = np.zeros((dim, dim))
+        eye = np.eye(dim)
         for j in range(spec.L):
             h += _apply_two_site(op, eye, spec.L, j)
         return h
-    raise ValueError(f"unknown form {form!r}")
+    # bond (j, j+1) sends each state to the one with tensor axes j, j+1 swapped
+    index = np.arange(dim).reshape((3,) * spec.L)
+    rows = np.arange(dim)
+    h = np.zeros((dim, dim))
+    for j in range(spec.L):
+        h[rows, np.swapaxes(index, j, (j + 1) % spec.L).ravel()] += 1.0
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +255,14 @@ def _lanczos_ground(
     Converged when the Ritz value moves by less than ``eig_tol`` between
     iterations and the explicit residual norm is below ``resid_tol``.
     Returns (eigenvalue, vector, residual, iterations, gap) where ``gap`` is
-    the distance to the second Ritz value.
+    the distance to the second Ritz value.  The basis grows by
+    ``_LANCZOS_BLOCK`` rows at a time, so its memory follows the iterations
+    run, not ``max_iter``.
     """
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
-    basis = np.zeros((max_iter + 1, dim))
+    basis = np.empty((_LANCZOS_BLOCK, dim))
     basis[0] = q
     alphas: list[float] = []
     betas: list[float] = []
@@ -247,6 +298,10 @@ def _lanczos_ground(
             gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
             return float(theta), x, residual, j + 1, gap
         betas.append(b)
+        if j + 1 == len(basis):
+            grown = np.empty((len(basis) + _LANCZOS_BLOCK, dim))
+            grown[: j + 1] = basis
+            basis = grown
         basis[j + 1] = w / b
     raise RuntimeError(
         f"Lanczos did not converge in {max_iter} iterations "
@@ -255,59 +310,68 @@ def _lanczos_ground(
 
 
 def _ground_space(spec: ChainSpec):
-    """(energy, orthonormal ground vectors in sector, method, residual, iters).
+    """(block, energy, orthonormal ground vectors, method, residual, iters, gap).
 
-    Dense path for small sectors (with a full-spectrum check that the
-    balanced sector attains the global minimum when the full space is also
-    small); Lanczos otherwise.  Degeneracies within 1e-10 are resolved by a
-    dense solve so that observables can be projector-averaged.
+    Works in the zero-momentum block of the balanced sector.  Dense path for
+    blocks up to 3^6 (with a check that the block attains the global minimum
+    of the full space when that is also small); Lanczos otherwise.
+    Degeneracies within 1e-10 are resolved by the dense solve so that
+    observables can be projector-averaged; ``gap`` is the distance from the
+    ground level to the next level of the block.
     """
-    ham = build_hamiltonian(spec, "permutation", "balanced")
+    ham = build_hamiltonian(spec)
     if ham.dim <= 3**_DENSE_LIMIT:
         evals, evecs = np.linalg.eigh(ham.dense())
-        if 3**spec.L <= 3**_DENSE_LIMIT:
+        if spec.L <= _DENSE_LIMIT:
             full = build_hamiltonian(spec, "permutation", "full")
-            global_min = float(np.linalg.eigvalsh(full.dense())[0])
+            global_min = float(np.linalg.eigvalsh(full)[0])
             if abs(global_min - evals[0]) > 1e-10:
                 raise RuntimeError(
-                    f"balanced sector misses the global minimum: "
+                    f"zero-momentum block misses the global minimum: "
                     f"{evals[0]} vs {global_min}"
                 )
         mask = evals - evals[0] < _DEGENERACY_TOL
         vecs = evecs[:, mask].T
         e0 = float(evals[0])
+        gap = float(evals[len(vecs)] - e0) if len(vecs) < ham.dim else np.inf
         residual = float(
             max(np.linalg.norm(ham.matvec(v) - e0 * v) for v in vecs)
         )
-        return ham, e0, vecs, "dense", residual, ham.dim
+        return ham, e0, vecs, "dense", residual, ham.dim, gap
     e0, x, residual, iters, gap = _lanczos_ground(ham.matvec, ham.dim)
     if gap < _DEGENERACY_TOL:
         raise RuntimeError(
             "degenerate ground space detected beyond the dense fallback size; "
             f"gap {gap}"
         )
-    return ham, e0, x[None, :], "lanczos", residual, iters
+    return ham, e0, x[None, :], "lanczos", residual, iters, gap
 
 
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
 
-def _rdm3_from_vectors(L: int, states: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Reduced density matrix of sites (0,1,2), projector-averaged over vecs."""
+def _rdm3_from_vectors(ham: Hamiltonian, vecs: np.ndarray) -> np.ndarray:
+    """Reduced density matrix of sites (0,1,2), projector-averaged over vecs.
+
+    Each block vector is expanded to the sector and laid out as a 27 x m
+    matrix: the digits of sites 0-2 by the m configurations of the other
+    sites that occur in the sector.
+    """
+    head, tail = np.divmod(ham.states, 3 ** (ham.L - 3))
+    tails, column = np.unique(tail, return_inverse=True)
     rdm = np.zeros((27, 27))
     for v in vecs:
-        full = np.zeros(3**L)
-        full[states] = v
-        a = full.reshape(27, -1)
+        a = np.zeros((27, len(tails)))
+        a[head, column] = ham.expand(v)
         rdm += a @ a.T
     return rdm / len(vecs)
 
 
 def ground_state(spec: ChainSpec) -> SpectrumResult:
     """Ground-state energy and correlation observables of a finite chain."""
-    ham, e0, vecs, method, residual, iters = _ground_space(spec)
-    rdm3 = _rdm3_from_vectors(spec.L, ham.states, vecs)
+    ham, e0, vecs, method, residual, iters, gap = _ground_space(spec)
+    rdm3 = _rdm3_from_vectors(ham, vecs)
     rdm2 = rdm3.reshape(9, 3, 9, 3).trace(axis1=1, axis2=3)
     p9 = pie(3)[0].transpose(2, 3, 0, 1).reshape(9, 9)
     p12 = float(np.trace(rdm2 @ p9))
@@ -327,6 +391,8 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
         residual_norm=residual,
         degeneracy=len(vecs),
         iterations=iters,
+        k0_dimension=ham.dim,
+        k0_gap=gap,
         observables={
             "p12": p12,
             "p12p23": p12p23,

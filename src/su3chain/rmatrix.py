@@ -224,8 +224,8 @@ def sample_parameters(count: int, seed: int = 7) -> np.ndarray:
     return rng.uniform(-3, 3, size=(count, 2)).view(complex).ravel()
 
 
-def identity_suite(seed: int = 7, samples: int = 50, n: int = 3) -> dict[str, float]:
-    """Run every algebraic identity check and return max residuals by name.
+def identity_suite(seed: int = 7, samples: int = 50) -> dict[str, float]:
+    """Run every SU(3) identity check and return max residuals by name.
 
     Covers the six standard Yang-Baxter triples, the shifted special triples,
     standard and special unitarity, both fusion directions, and the epsilon /
@@ -254,12 +254,12 @@ def identity_suite(seed: int = 7, samples: int = 50, n: int = 3) -> dict[str, fl
         pair = (lam2[block], mu2[block])
         for t in triples_std:
             name = "ybe_" + "".join(k.value for k in t)
-            record(name, check_yang_baxter(*t, *triple, n=n))
+            record(name, check_yang_baxter(*t, *triple))
         for t in triples_special:
             name = "ybe_special_" + "".join(k.value for k in t)
-            record(name, check_yang_baxter(*t, *triple, n=n))
+            record(name, check_yang_baxter(*t, *triple))
         for kind in ("standard", "special-1", "special-2"):
-            record("unitarity_" + kind, check_unitarity(kind, n, *pair)[0])
+            record("unitarity_" + kind, check_unitarity(kind, 3, *pair)[0])
         for direction in ("up", "down"):
             record("fusion_" + direction, check_fusion(3, *pair, direction)[0])
 

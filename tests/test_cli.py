@@ -74,6 +74,18 @@ def test_ed_l3(capsys):
     assert payload["diagnostics"]["method"] == "dense"
 
 
+def test_ed_l12_reports_the_zero_momentum_block(capsys):
+    code, out, _ = run(capsys, ["ed", "--L", "12"])
+    code2, out2, _ = run(capsys, ["ed", "--L", "12"])
+    assert code == code2 == EXIT_OK
+    assert out == out2  # byte-identical JSON
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["method"] == "lanczos"
+    assert diagnostics["k0_dimension"] == 2896
+    assert diagnostics["degeneracy"] == 1
+    assert diagnostics["k0_gap"] == pytest.approx(1.8555, abs=1e-3)
+
+
 def test_ed_invalid_length(capsys):
     code, _, err = run(capsys, ["ed", "--L", "5"])
     assert code == EXIT_USAGE

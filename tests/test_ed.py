@@ -45,15 +45,71 @@ def test_balanced_sector_l12():
         assert ((digits == color).sum(axis=1) == 4).all()
 
 
-def test_bond_targets_are_involutive_permutations_l12():
+def _sector_partners(L, states):
+    """Per bond, the index in ``states`` of each state's bond-swapped partner,
+    from the digits themselves (no code from ``ed``)."""
+    pw = 3 ** np.arange(L - 1, -1, -1)
+    digits = states[:, None] // pw % 3
+    partners = []
+    for j in range(L):
+        k = (j + 1) % L
+        swapped = digits.copy()
+        swapped[:, [j, k]] = digits[:, [k, j]]
+        partners.append(np.searchsorted(states, swapped @ pw))
+    return partners
+
+
+@pytest.mark.parametrize(
+    "L, sector_dim, block_dim",
+    [(3, 6, 2), (6, 90, 16), (9, 1680, 188), (12, 34650, 2896)],
+)
+def test_orbit_sizes_sum_to_sector(L, sector_dim, block_dim):
+    ham = ed.build_hamiltonian(ed.ChainSpec(L))
+    assert len(ham.states) == sector_dim
+    assert ham.dim == block_dim
+    assert ham.size.sum() == sector_dim
+    # each orbit is represented by its smallest state
+    first = np.unique(ham.orbit, return_index=True)[1]
+    assert np.array_equal(ham.states[first], ham.reps)
+
+
+def test_orbit_operator_is_symmetric_l12():
+    import scipy.sparse as sp
+
     ham = ed.build_hamiltonian(ed.ChainSpec(12))
-    identity = np.arange(ham.dim)
-    for target in ham.bond_targets:
-        assert np.array_equal(target[target], identity)
-        assert np.array_equal(np.sort(target), identity)
+    rows = np.tile(np.arange(ham.dim), 12)
+    cols = np.concatenate(ham.bond_targets)
+    h = sp.csr_matrix((np.concatenate(ham.bond_weights), (rows, cols)))
+    assert abs(h - h.T).max() < 1e-14
+
+
+@pytest.mark.parametrize("L", [6, 9, 12])
+def test_orbit_operator_intertwines_with_sector(L):
+    # H on the expanded vector equals the expansion of the block's H v
+    ham = ed.build_hamiltonian(ed.ChainSpec(L))
+    v = np.random.default_rng(L).standard_normal(ham.dim)
+    x = ham.expand(v)
+    hx = sum(x[partner] for partner in _sector_partners(L, ham.states))
+    assert np.abs(hx - ham.expand(ham.matvec(v))).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [3, 9])
+def test_orbit_dense_is_symmetric_and_matches_matvec(L):
+    ham = ed.build_hamiltonian(ed.ChainSpec(L))
+    dense = ham.dense()
+    assert np.abs(dense - dense.T).max() < 1e-14
+    v = np.random.default_rng(3).standard_normal(ham.dim)
+    assert np.abs(ham.matvec(v) - dense @ v).max() < 1e-12
+
+
+def test_hamiltonian_rejects_states_not_closed_under_swaps():
+    # one whole translation orbit of L=3 (012, 120, 201), without its swaps
+    with pytest.raises(RuntimeError, match="bond swap left"):
+        ed.Hamiltonian(3, np.array([5, 15, 19], dtype=np.int64))
 
 
 def test_hamiltonian_rejects_broken_sector():
+    # the smallest state is cut from its translation orbit
     with pytest.raises(RuntimeError, match="sector broken"):
         ed.Hamiltonian(6, ed.balanced_sector(6)[1:])
 
@@ -64,6 +120,19 @@ def test_build_hamiltonian_peak_memory_l12():
     tracemalloc.start()
     try:
         ed.build_hamiltonian(ed.ChainSpec(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_ground_state_peak_memory_l12():
+    # the solve, Lanczos basis and three-site density included; the Lanczos
+    # basis preallocated for 400 iterations of the sector was 111 MiB alone
+    ed.ground_state(ed.ChainSpec(12))  # imports and one-off set-up
+    tracemalloc.start()
+    try:
+        ed.ground_state(ed.ChainSpec(12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -83,7 +152,7 @@ def test_hamiltonian_hermitian_and_matvec_consistent():
 def test_spin1_form_differs_by_identity():
     spec = ed.ChainSpec(3)
     h_spin1 = ed.build_hamiltonian(spec, form="spin1")
-    h_perm = ed.build_hamiltonian(spec, form="permutation", sector="full").dense()
+    h_perm = ed.build_hamiltonian(spec, form="permutation", sector="full")
     assert np.abs(h_spin1 - h_perm - 3 * np.eye(27)).max() < 1e-12
 
 
@@ -100,7 +169,7 @@ def test_spin1_bond_equals_permutation_plus_identity():
 def test_color_count_conservation():
     # H commutes with each color-number operator (block structure on L=3)
     spec = ed.ChainSpec(3)
-    h = ed.build_hamiltonian(spec, sector="full").dense()
+    h = ed.build_hamiltonian(spec, sector="full")
     states = np.arange(27)
     digits = (states[:, None] // 3 ** np.arange(2, -1, -1)) % 3
     for color in range(3):
@@ -118,8 +187,8 @@ def test_l3_ground_state(ed_results):
 
 def test_l3_singlet_is_antisymmetric():
     # ground state of the 3-site ring is the totally antisymmetric singlet
-    ham = ed.build_hamiltonian(ed.ChainSpec(3), sector="full")
-    evals, evecs = np.linalg.eigh(ham.dense())
+    h = ed.build_hamiltonian(ed.ChainSpec(3), sector="full")
+    evals, evecs = np.linalg.eigh(h)
     psi = evecs[:, 0]
     p = np.zeros((9, 9))
     for a in range(3):
@@ -137,24 +206,70 @@ def test_l6_dense_matches_reference(ed_results):
     assert abs(result.observables["p12p23"] - ref[1]) < 1e-10
 
 
-def test_l9_lanczos(ed_results, l9_full_space_energy):
+def test_l9_dense(ed_results, l9_full_space_energy):
     result = ed_results[9]
-    assert result.method == "lanczos"
+    # the zero-momentum block of L=9 has 188 states, inside the dense rule
+    assert result.method == "dense"
+    assert result.k0_dimension == 188
     assert result.residual_norm < 1e-10
     # the published p12p23 entry is reproduced far inside tolerance
     assert abs(result.observables["p12p23"] - ed.REFERENCE_TABLE1[9][1]) < 1e-8
     # the energy is pinned against a full-space solve that shares no code with
     # ed (the published energy per bond is unattainable, see criterion 3)
     assert abs(result.ground_energy - l9_full_space_energy) < 1e-10
-    # and Lanczos converged on its own sector matrix: a dense solve of the
-    # 1680-dimensional balanced sector
-    ham = ed.build_hamiltonian(ed.ChainSpec(9))
-    h = np.zeros((ham.dim, ham.dim))
-    rows = np.arange(ham.dim)
-    for target in ham.bond_targets:
-        h[rows, target] += 1.0
+    # and against a dense solve of the whole 1680-dimensional balanced sector
+    states = ed.balanced_sector(9)
+    h = np.zeros((len(states), len(states)))
+    rows = np.arange(len(states))
+    for partner in _sector_partners(9, states):
+        h[rows, partner] += 1.0
     dense_e0 = np.linalg.eigvalsh(h)[0]
     assert abs(result.ground_energy - dense_e0) < 1e-10
+
+
+def test_l12_balanced_sector_energy_independent():
+    """The L=12 zero-momentum energy against the whole balanced sector.
+
+    The sector is filtered from all 3^12 digit strings and H assembled as a
+    sparse matrix from digit swaps; ``eigsh`` gives its two lowest levels,
+    with nothing taken from ``su3chain.ed``.  The ground level is
+    non-degenerate with gap 0.70, so the zero-momentum block (whose own gap
+    is 1.86) holds the chain's ground state.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import eigsh
+
+    L = 12
+    pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int32)
+    all_states = np.arange(3**L, dtype=np.int32)
+    counts = np.zeros((3, 3**L), dtype=np.int8)
+    for p in pw:
+        digit = all_states // p % 3
+        for color in range(3):
+            counts[color] += digit == color
+    states = all_states[(counts == L // 3).all(axis=0)]
+    assert len(states) == 34650
+    dim = len(states)
+    rows = np.tile(np.arange(dim), L)
+    cols = np.concatenate(_sector_partners(L, states.astype(np.int64)))
+    h = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    levels = np.sort(eigsh(h, k=2, which="SA", v0=v0, return_eigenvectors=False))
+    result = ed.ground_state(ed.ChainSpec(L))
+    assert abs(result.ground_energy - levels[0]) < 1e-10
+    assert abs(levels[1] - levels[0] - 0.70) < 0.01
+    assert abs(result.k0_gap - 1.86) < 0.01
+
+
+@pytest.mark.parametrize("L", [9, 12])
+def test_ground_vector_is_translation_invariant(L):
+    ham, _, vecs, *_ = ed._ground_space(ed.ChainSpec(L))
+    top = 3 ** (L - 1)
+    shifted = np.searchsorted(ham.states, ham.states % top * 3 + ham.states // top)
+    for v in vecs:
+        x = ham.expand(v)
+        assert abs(np.linalg.norm(x) - 1) < 1e-12
+        assert np.abs(x[shifted] - x).max() < 1e-12
 
 
 def test_translation_invariance_and_rdm_properties(ed_results):
@@ -179,6 +294,28 @@ def test_finite_size_monotonicity(ed_results):
     # approach toward the thermodynamic values from the functional equations
     assert values_w[2] < -0.703212076746182
     assert values_pp[2] > 0.191368820116674
+
+
+def test_lanczos_agrees_with_dense_on_l9_block():
+    ham = ed.build_hamiltonian(ed.ChainSpec(9))
+    evals = np.linalg.eigvalsh(ham.dense())
+    e0, x, residual, iters, gap = ed._lanczos_ground(ham.matvec, ham.dim)
+    assert abs(e0 - evals[0]) < 1e-12
+    assert residual < 1e-12
+    assert abs(gap - (evals[1] - evals[0])) < 1e-8
+
+
+def test_lanczos_basis_growth_keeps_bits(monkeypatch):
+    # the L=12 block converges in 48 iterations: blocks of 7 rows grow the
+    # basis six times, 401 rows never
+    ham = ed.build_hamiltonian(ed.ChainSpec(12))
+    runs = []
+    for rows in (7, 401):
+        monkeypatch.setattr(ed, "_LANCZOS_BLOCK", rows)
+        runs.append(ed._lanczos_ground(ham.matvec, ham.dim))
+    (e_a, x_a, *rest_a), (e_b, x_b, *rest_b) = runs
+    assert e_a == e_b and rest_a == rest_b
+    assert np.array_equal(x_a, x_b)
 
 
 def test_lanczos_agrees_with_dense_on_l6():
