@@ -11,7 +11,7 @@ Modules
 -------
 tensors    the structural tensors (P, I, E, epsilon) as plain arrays
 rmatrix    rational R-matrices and identity checks batched over parameters
-specfun    digamma and its derivatives, Hurwitz zeta, implemented from scratch
+specfun    one kernel for digamma and its first two derivatives, and Hurwitz zeta
 twosite    closed-form two-site solution: sigma, omega33, alpha33, zeta expansion
 basis      singlet bases for two and three sites, Gram and A matrices
 threesite  functional-equation solver for <P12 P23> and the three-site density matrix

@@ -32,14 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .specfun import (
-    PoleError,
-    digamma_array,
-    hurwitz_zeta,
-    real_pi,
-    trigamma_array,
-    digamma,
-)
+from .specfun import PoleError, digamma_array, hurwitz_zeta_array, real_pi, trigamma_array
 
 
 @cache
@@ -60,6 +53,12 @@ def _asarray(lam):
     return np.atleast_1d(np.asarray(lam, dtype=complex))
 
 
+def _stacked_arguments(lam):
+    """The four digamma arguments ``1 -+ lam/3`` and ``4/3 +- lam/3`` of sigma, stacked."""
+    third = _asarray(lam) / 3
+    return np.stack((1 - third, 1 + third, 4 / 3 + third, 4 / 3 - third))
+
+
 class TwoSiteSolution:
     """Evaluators for the two-site correlation functions and their checks.
 
@@ -70,22 +69,12 @@ class TwoSiteSolution:
     # ---- building blocks -------------------------------------------------
 
     def digamma_part(self, lam):
-        lam = _asarray(lam)
-        return (
-            digamma_array(1 - lam / 3)
-            + digamma_array(1 + lam / 3)
-            - digamma_array(4 / 3 + lam / 3)
-            - digamma_array(4 / 3 - lam / 3)
-        ) / 3
+        psi = digamma_array(_stacked_arguments(lam))
+        return (psi[0] + psi[1] - psi[2] - psi[3]) / 3
 
     def digamma_part_prime(self, lam):
-        lam = _asarray(lam)
-        return (
-            -trigamma_array(1 - lam / 3)
-            + trigamma_array(1 + lam / 3)
-            - trigamma_array(4 / 3 + lam / 3)
-            + trigamma_array(4 / 3 - lam / 3)
-        ) / 9
+        psi1 = trigamma_array(_stacked_arguments(lam))
+        return (-psi1[0] + psi1[1] - psi1[2] + psi1[3]) / 9
 
     # ---- primary functions ----------------------------------------------
 
@@ -158,13 +147,12 @@ class TwoSiteSolution:
         """
         if K < 0 or K > 20:
             raise ValueError("K must be in 0..20 (double-precision limit)")
-        coeffs = [
-            (2 / 3) * (digamma(1.0).value - digamma(4 / 3).value).real
-        ]
+        a = (1.0, 4 / 3)
+        psi = digamma_array(a).real
+        coeffs = [(2 / 3) * (psi[0] - psi[1])]
         for k in range(1, K + 1):
-            z1 = hurwitz_zeta(2 * k + 1, 1.0).value.real
-            z2 = hurwitz_zeta(2 * k + 1, 4 / 3).value.real
-            coeffs.append(-(2 / 3) * (z1 - z2) / 3 ** (2 * k))
+            zeta = hurwitz_zeta_array(2 * k + 1, a).real
+            coeffs.append(-(2 / 3) * (zeta[0] - zeta[1]) / 3 ** (2 * k))
         return coeffs
 
     def check_difference_equations(self, lam: complex):
