@@ -18,12 +18,12 @@ Kronecker deltas:
   equation matrix A3.
 
 The difference-equation matrix ``A`` is computed from first principles as
-``A = M^{-1} W`` where ``W_{jk} = <P_j, T P_k>`` and ``T`` is the chain of
-2(m-1) R-matrices coupling the auxiliary legs.  The raw product carries a
-spin-independent scalar gauge (``lam(lam+3)`` for m=2 and
-``x(3+x) y(3+y)`` for m=3); ``a_matrix`` fixes the gauge by enforcing that
-the normalization row of the Gram matrix is a left eigenvector with
-eigenvalue 1, and reports the removed factor.
+``A = M^{-1} W / gauge`` where ``W_{jk} = <P_j, T P_k>`` and ``T`` is the
+chain of 2(m-1) R-matrices coupling the auxiliary legs.  ``W`` is a
+polynomial in the chain parameters with integer coefficients, built once.
+Its row 0 is exactly the scalar gauge (``lam(lam+3)`` for m=2 and
+``x(3+x) y(3+y)`` for m=3) times the normalization row of the Gram matrix,
+so that row is a left eigenvector of ``A`` with eigenvalue 1.
 """
 
 from __future__ import annotations
@@ -185,73 +185,77 @@ def _reject_singular(name: str, value: complex):
             )
 
 
-def _apply_chain_m2(lam: complex, pk: np.ndarray) -> np.ndarray:
-    ff = _I4 + lam * _P4
-    mx = (lam + 3) * _P4 - _E4
-    return np.einsum("cRru,uSsJ,Jabrs->abcRS", ff, mx, pk, optimize=True)
+@cache
+def _chain_polynomial(m: int) -> np.ndarray:
+    """Integer coefficients ``C`` of ``W_jk = <P_j, T P_k>`` in the chain parameters.
 
-
-def _apply_chain_m3(x: complex, y: complex, pk: np.ndarray) -> np.ndarray:
-    ff1 = _I4 + y * _P4
-    ff2 = _I4 + x * _P4
-    mx3 = (x + 3) * _P4 - _E4
-    mx4 = (y + 3) * _P4 - _E4
-    return np.einsum(
-        "cRru,uTtv,vSsw,wQqJ,Jabrtqs->abcRTQS", ff1, ff2, mx3, mx4, pk,
-        optimize=True,
-    )
-
-
-def a_matrix(m: int, lam1: complex, lam2: complex, lam3: complex | None = None,
-             return_gauge: bool = False):
-    """Difference-equation matrix ``A`` for ``m`` in {2, 3}.
-
-    For ``m = 2`` the matrix depends on ``lam = lam1 - lam2``; for ``m = 3``
-    on ``x = lam1 - lam3`` and ``y = lam1 - lam2`` (``x = y`` is rejected:
-    individual entries are singular there and no finite limit is asserted).
-    The gauge is fixed by the normalization-row left-eigenvector property;
-    with ``return_gauge=True`` the removed scalar factor is also returned.
+    ``W = sum_d C[d] lam^d`` for m = 2 and ``W = sum_pq C[p, q] x^p y^q`` for
+    m = 3.  Each R-matrix of ``T`` is linear in its parameter ``t`` and is
+    split into its (constant, linear) parts, ``I + tP -> (I, P)`` and
+    ``(t + 3)P - E -> (3P - E, P)``: one contraction per basis element gives
+    every product of parts, and the products are summed by degree.
     """
     basis = build_basis(m)
-    arrs = basis.elements
+    elements = np.array([element.real for element in basis.elements])
+    ff = np.stack([_I4, _P4])  # I + t P
+    mx = np.stack([3 * _P4 - _E4, _P4])  # (t + 3) P - E
+    # deg[d, a, b] = 1 where a + b = d: sums the parts' powers by degree
+    deg = np.array([np.add.outer([0, 1], [0, 1]) == d for d in range(3)], float)
+    gauge = np.array([0, 3, 1])  # t (t + 3) by ascending powers of t
+    if m == 2:
+        chain, factors = "AcRru,BuSsJ,Jabrs->ABabcRS", (ff, mx)
+        by_degree, degs = "dAB,ABjk->djk", (deg,)
+    else:  # the factors carry y, x, x, y
+        chain = "AcRru,BuTtv,CvSsw,DwQqJ,Jabrtqs->ABCDabcRTQS"
+        factors = (ff, ff, mx, mx)
+        by_degree, degs = "pBC,qAD,ABCDjk->pqjk", (deg, deg)
+        gauge = np.multiply.outer(gauge, gauge)
+    flat = elements.reshape(basis.dim, -1)
+    parts = []
+    for pk in elements:  # one at a time: a batched contraction raises the peak memory
+        image = np.einsum(chain, *factors, pk, optimize=True)
+        parts.append(image.reshape((2,) * len(factors) + (-1,)) @ flat.T)
+    coef = np.einsum(by_degree, *degs, np.stack(parts, axis=-1))
+    # small integers, so the float contraction is exact; GRAM[0] @ GRAM^-1 is
+    # e_0, so row 0 of W must be the gauge times GRAM[0]
+    if not (
+        np.array_equal(coef, np.rint(coef))
+        and np.array_equal(coef[..., 0, :], np.multiply.outer(gauge, basis.gram[0]))
+    ):
+        raise AssertionError("chain polynomial is not integral or breaks the gauge")
+    exact = coef.astype(np.int64)
+    exact.flags.writeable = False
+    return exact
+
+
+def a_matrix(m: int, lam1: complex, lam2: complex, lam3: complex | None = None):
+    """Difference-equation matrix ``A = GRAM^-1 W / gauge`` for ``m`` in {2, 3}.
+
+    For ``m = 2`` it depends on ``lam = lam1 - lam2``, with gauge
+    ``lam (lam + 3)``; for ``m = 3`` on ``x = lam1 - lam3`` and
+    ``y = lam1 - lam2``, with gauge ``x (3 + x) y (3 + y)``, and it is finite
+    at ``x = y``.  ``W`` is :func:`_chain_polynomial` at the point, whose
+    row 0 makes the normalization row of the Gram matrix an exact left
+    eigenvector of ``A`` with eigenvalue 1.
+    """
     if m == 2:
         lam = lam1 - lam2
         _reject_singular("lam", lam)
-        images = [_apply_chain_m2(lam, pk) for pk in arrs]
-        expected_gauge = lam * (lam + 3)
-    else:
+        powers = lam ** np.arange(3)
+        gauge = lam * (lam + 3)
+    elif m == 3:
         if lam3 is None:
             raise ValueError("m = 3 requires lam3")
         x = lam1 - lam3
         y = lam1 - lam2
         _reject_singular("x", x)
         _reject_singular("y", y)
-        if abs(x - y) < 1e-10:
-            raise SingularParameterError(
-                f"x = y = {x}: entries of A are singular at coincident points"
-            )
-        images = [_apply_chain_m3(x, y, pk) for pk in arrs]
-        expected_gauge = x * (3 + x) * y * (3 + y)
-    w = np.array([[np.vdot(pj, im) for pj in arrs] for im in images]).T
-    a_raw = _solve_exact_rational(basis.gram, w)
-    # gauge fixing: the normalization row of the Gram matrix must be a left
-    # eigenvector of A with eigenvalue 1
-    row = basis.gram[0].astype(float)
-    vec = row @ a_raw
-    scale = (vec @ row) / (row @ row)
-    a = a_raw / scale
-    residual = np.abs(row @ a - row).max()
-    if residual > 1e-8 * max(1.0, np.abs(a).max()):
-        raise AssertionError(
-            f"gauge fixing failed: left-eigenvector residual {residual}"
-        )
-    if abs(scale - expected_gauge) > 1e-6 * max(1.0, abs(expected_gauge)):
-        raise AssertionError(
-            f"unexpected gauge factor {scale} (expected {expected_gauge})"
-        )
-    if return_gauge:
-        return a, complex(scale)
-    return a
+        powers = np.multiply.outer(x ** np.arange(3), y ** np.arange(3))
+        gauge = x * (3 + x) * y * (3 + y)
+    else:
+        raise ValueError(f"m must be 2 or 3, got {m}")
+    w = np.tensordot(powers, _chain_polynomial(m), axes=powers.ndim)
+    return _solve_exact_rational(build_basis(m).gram, w) / gauge
 
 
 def a2_closed_form(lam: complex) -> np.ndarray:

@@ -145,7 +145,7 @@ def _random_points(rng, count):
     pts = []
     while len(pts) < count:
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        # keep clear of the singular sets lam in {0, -3} (and x = y for m = 3)
+        # keep clear of the singular sets lam in {0, -3}
         if min(abs(z), abs(z + 3)) > 0.2:
             pts.append(z)
     return pts
@@ -167,6 +167,7 @@ def _cmd_verify_matrices(args) -> int:
     zero_pattern = basis_mod.a3_printed_zero_pattern()
     for x in _random_points(rng, args.points):
         y = _random_points(rng, 1)[0]
+        # A3 is finite at x = y; the margin only keeps the seeded points unchanged
         while abs(x - y) < 0.2:
             y = _random_points(rng, 1)[0]
         a = basis_mod.a_matrix(3, x, x - y, x - x)
@@ -455,19 +456,20 @@ def main(argv: list[str] | None = None) -> int:
             if token.startswith("--"):
                 explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
         for key, val in overrides.items():
+            # the subcommand, its handler and the config file come from argv only
+            if key in ("command", "func", "config"):
+                print(f"config error: {key!r} cannot be set in a config file",
+                      file=sys.stderr)
+                return EXIT_USAGE
             if key in explicit or not hasattr(args, key):
                 continue
             current = getattr(args, key)
             caster = type(current) if current is not None else str
-            if caster is bool:
-                val = val.lower() in ("1", "true", "yes")
-                setattr(args, key, val)
-            else:
-                try:
-                    setattr(args, key, caster(val))
-                except (TypeError, ValueError):
-                    print(f"config error: bad value for {key}: {val!r}", file=sys.stderr)
-                    return EXIT_USAGE
+            try:
+                setattr(args, key, caster(val))
+            except (TypeError, ValueError):
+                print(f"config error: bad value for {key}: {val!r}", file=sys.stderr)
+                return EXIT_USAGE
     usage = _usage_error(args)
     if usage:
         print(f"usage error: {usage}", file=sys.stderr)

@@ -54,14 +54,8 @@ class ChainSpec:
     """Periodic SU(3) chain of L sites (L divisible by 3, 3 <= L <= 12)."""
 
     L: int
-    boundary: str = "periodic"
-    n: int = 3
 
     def __post_init__(self):
-        if self.boundary != "periodic":
-            raise ValueError("only periodic chains are supported")
-        if self.n != 3:
-            raise ValueError("only n = 3 is supported")
         if not (3 <= self.L <= 12):
             raise ValueError("L must be in 3..12 (Hilbert space size)")
         if self.L % 3:
@@ -209,16 +203,18 @@ def build_hamiltonian(spec: ChainSpec, form: str = "permutation", sector: str = 
     """Hamiltonian handle: the matrix-free zero-momentum block, or dense.
 
     The permutation form on the ``"balanced"`` sector is the zero-momentum
-    block of the balanced color sector (a :class:`Hamiltonian`).  The
-    permutation form on the ``"full"`` space and the spin-1 form are dense
-    matrices on all 3^L states, for L <= 6 only.
+    block of the balanced color sector (a :class:`Hamiltonian`).  On the
+    ``"full"`` space both forms are dense matrices on all 3^L states, for
+    L <= 6 only; the spin-1 form exists on the full space alone.
     """
     if form not in ("permutation", "spin1"):
         raise ValueError(f"unknown form {form!r}")
-    if form == "permutation" and sector == "balanced":
-        return Hamiltonian(spec.L, balanced_sector(spec.L))
-    if form == "permutation" and sector != "full":
+    if sector not in ("balanced", "full"):
         raise ValueError(f"unknown sector {sector!r}")
+    if sector == "balanced":
+        if form == "spin1":
+            raise ValueError('the spin-1 form needs sector="full"')
+        return Hamiltonian(spec.L, balanced_sector(spec.L))
     if spec.L > _DENSE_LIMIT:
         raise ValueError("the full space is materialized dense, L <= 6 only")
     dim = 3**spec.L

@@ -101,12 +101,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 import numpy as np
 
-from .basis import GRAM_2, GRAM_3, _solve_exact_rational, reduce_to_physical
+from .basis import GRAM_2, GRAM_3, _exact_inverse, _solve_exact_rational, reduce_to_physical
 from .twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution, omega33_homogeneous
 from .specfun import BERNOULLI_EVEN, digamma_trigamma_array, hurwitz_zeta_array, real_pi
 
@@ -698,16 +697,6 @@ def _boundary_values(g, lam: complex):
     )
 
 
-@cache
-def _gram_3_inverse() -> np.ndarray:
-    """Float inverse of GRAM_3, mapping singlet amplitudes f to rho.
-
-    Computed on first use, not at import: the LAPACK call adds about 0.5 MB
-    of resident memory to every process that imports the package.
-    """
-    return np.linalg.inv(GRAM_3.astype(float))
-
-
 def _diagonal_chain_solve(lam: complex, g):
     """Amplitudes rho at a diagonal point by coupling lam, lam+1, lam+2.
 
@@ -716,11 +705,15 @@ def _diagonal_chain_solve(lam: complex, g):
     coincide there).  Stacking the systems at three consecutive points and
     linking neighbours through the difference-equation matrix
     ``f(lam) = M A3(lam, lam) M^(-1) f(lam+1)`` gives a full-rank 55 x 33
-    least-squares problem whose residual is a solvability diagnostic.
+    least-squares problem whose residual is a solvability diagnostic.  The
+    rows differ in norm by two orders of magnitude, so each row and its
+    right side are divided by the row's 2-norm before the solve (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 20); the residual
+    is measured on the unscaled system.
     """
     from .basis import a3_closed_form
 
-    m_inv = _gram_3_inverse()
+    m_inv = _exact_inverse(tuple(map(tuple, GRAM_3.tolist())))
     mat = np.zeros((55, 33), dtype=complex)
     rhs = np.zeros(55, dtype=complex)
     row = 0
@@ -735,7 +728,8 @@ def _diagonal_chain_solve(lam: complex, g):
         mat[row : row + 11, 11 * k : 11 * k + 11] = m_inv
         mat[row : row + 11, 11 * (k + 1) : 11 * (k + 1) + 11] = -a3 @ m_inv
         row += 11
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    norms = np.linalg.norm(mat, axis=1)
+    sol, *_ = np.linalg.lstsq(mat / norms[:, None], rhs / norms, rcond=None)
     residual = float(np.linalg.norm(mat @ sol - rhs))
     return m_inv @ sol[:11], residual
 

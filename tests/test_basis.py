@@ -8,6 +8,7 @@ from su3chain.basis import (
     GRAM_2,
     GRAM_3,
     SingularParameterError,
+    _chain_polynomial,
     _solve_exact_rational,
     a2_closed_form,
     a3_closed_form,
@@ -59,9 +60,14 @@ def test_a2_matches_closed_form_at_random_points():
 
 
 def test_a2_gauge_factor():
-    lam = 0.8 - 0.55j
-    _, gauge = a_matrix(2, lam, 0.0, return_gauge=True)
-    assert abs(gauge - lam * (lam + 3)) < 1e-8
+    # row 0 of W = <P_j, T P_k> is lam (lam + 3) GRAM_2[0], coefficient by
+    # coefficient, so GRAM_2[0] is a left eigenvector of A with eigenvalue 1
+    coef = _chain_polynomial(2)
+    assert coef.dtype.kind == "i"
+    assert np.array_equal(coef[:, 0, :], np.outer([0, 3, 1], GRAM_2[0]))
+    row = GRAM_2[0].astype(float)
+    for lam in _random_points(np.random.default_rng(24), 10):
+        assert np.abs(row @ a_matrix(2, lam, 0.0) - row).max() < 1e-12
 
 
 def test_a3_matches_closed_form_at_random_points():
@@ -91,9 +97,24 @@ def test_a3_zero_pattern():
 
 
 def test_a3_gauge_factor():
-    x, y = 1.1 + 0.4j, -0.6 + 0.9j
-    _, gauge = a_matrix(3, x, x - y, 0.0, return_gauge=True)
-    assert abs(gauge - x * (3 + x) * y * (3 + y)) < 1e-6 * abs(gauge)
+    # row 0 of the x^p y^q coefficient is g_p g_q GRAM_3[0], with
+    # g = (0, 3, 1) the coefficients of x (3 + x)
+    coef = _chain_polynomial(3)
+    assert coef.dtype.kind == "i"
+    gauge = np.multiply.outer([0, 3, 1], [0, 3, 1])
+    assert np.array_equal(coef[:, :, 0, :], np.multiply.outer(gauge, GRAM_3[0]))
+    row = GRAM_3[0].astype(float)
+    rng = np.random.default_rng(25)
+    for x, y in zip(_random_points(rng, 10), _random_points(rng, 10)):
+        assert np.abs(row @ a_matrix(3, x, x - y, 0.0) - row).max() < 1e-12
+
+
+def test_a3_on_diagonal_matches_closed_form():
+    # x = y at the circle points of the three-site density solve
+    angles = 2 * np.pi * (np.arange(16) + 0.5) / 16
+    for shift in (0, 1):
+        for x in shift + 0.35 * np.exp(1j * angles):
+            assert np.abs(a_matrix(3, x, 0.0, 0.0) - a3_closed_form(x, x)).max() < 1e-12
 
 
 def test_normalization_row_left_eigenvector():
@@ -107,7 +128,7 @@ def test_singular_parameters_rejected():
     with pytest.raises(SingularParameterError):
         a_matrix(2, 0.0, 0.0)
     with pytest.raises(SingularParameterError):
-        a_matrix(3, 0.7, 0.0, 0.0)  # x = y
+        a_matrix(3, 0.7, 0.0, 3.7)  # x = -3
 
 
 def test_reduction_matches_wing_contraction():

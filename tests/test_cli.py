@@ -125,6 +125,18 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("key", ["command", "func", "config"])
+def test_config_cannot_choose_command_handler_or_config(tmp_path, capsys, key):
+    # "command = report-table1" would send ed's result to the table printer
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = report-table1\nformat = csv\n")
+    code, out, err = run(capsys, ["--config", str(cfg), "ed", "--L", "3"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("lam", ["-3", "3", "-2", "2"])
 def test_two_site_fails_closed_at_poles(capsys, lam):
     # each is a pole of omega33 or of the residual formulas at lam

@@ -13,10 +13,6 @@ def test_chain_spec_validation():
         ed.ChainSpec(4)
     with pytest.raises(ValueError):
         ed.ChainSpec(15)
-    with pytest.raises(ValueError):
-        ed.ChainSpec(6, boundary="open")
-    with pytest.raises(ValueError):
-        ed.ChainSpec(6, n=2)
 
 
 def test_balanced_sector_sizes():
@@ -151,9 +147,18 @@ def test_hamiltonian_hermitian_and_matvec_consistent():
 
 def test_spin1_form_differs_by_identity():
     spec = ed.ChainSpec(3)
-    h_spin1 = ed.build_hamiltonian(spec, form="spin1")
+    h_spin1 = ed.build_hamiltonian(spec, form="spin1", sector="full")
     h_perm = ed.build_hamiltonian(spec, form="permutation", sector="full")
     assert np.abs(h_spin1 - h_perm - 3 * np.eye(27)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "form, sector",
+    [("permutation", "nonsense"), ("spin1", "nonsense"), ("spin1", "balanced")],
+)
+def test_unknown_or_unsupported_sector_rejected(form, sector):
+    with pytest.raises(ValueError):
+        ed.build_hamiltonian(ed.ChainSpec(3), form=form, sector=sector)
 
 
 def test_spin1_bond_equals_permutation_plus_identity():

@@ -438,6 +438,15 @@ def test_three_site_density_matrix_properties(d3):
     assert abs(np.trace(d3 @ p12 @ p23) - P12P23_REFERENCE) < 1e-7
 
 
+def test_three_site_density_matrix_at_comb_accuracy(d3, g1_solver):
+    # the row-scaled chain solve carries D3 to within 5e-14 of the comb's c2
+    # and of the two-site omega
+    p12, p23 = _perm_ops()
+    c2 = g1_solver.taylor_coefficient(2).real
+    assert abs(np.trace(d3 @ p12 @ p23) - c2 / 2) <= 5e-14
+    assert abs(np.trace(d3 @ p12) - OMEGA33_HOMOGENEOUS) <= 5e-14
+
+
 def test_partial_traces_collapse_to_two_site(d3):
     d2 = density_matrix_two_site(0.0)
     assert np.abs(partial_trace_last_site(d3) - d2).max() < 1e-5
