@@ -19,9 +19,11 @@ invocations and seeds) with the top-level layout
 {"command", "inputs", "results", "diagnostics", "paper_reference_values"};
 ``--format text`` gives key: value lines, and ``report-table1`` also supports
 ``--format csv``.  A plain ``key = value`` config file can preload any option;
-explicit flags win.  The merged options are checked before any work:
-``--samples`` and ``--points`` lie in 1..100000, ``--seed`` is non-negative
-and ``--comb-terms`` positive; a violation is a usage error naming the option.
+explicit flags win, options of other subcommands are ignored, and a key that
+no subcommand has is a usage error naming it.  The merged options are checked
+before any work: ``--samples`` and ``--points`` lie in 1..100000, ``--seed``
+is non-negative and ``--comb-terms`` positive; a violation is a usage error
+naming the option.
 
 Exit codes: 0 success, 1 verification failure (the failing check is named),
 2 usage error.
@@ -35,12 +37,10 @@ import sys
 
 import numpy as np
 
-from . import basis as basis_mod
+# Each handler imports the layers it runs, so a process compiles and loads
+# only its own command's modules.  ed stays here: every payload carries its
+# REFERENCE_TABLE1.
 from . import ed as ed_mod
-from . import rmatrix
-from . import threesite
-from .specfun import PoleError
-from .twosite import TwoSiteSolution
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
 
@@ -93,6 +93,9 @@ def _fail(fmt: str, payload: dict, message: str) -> int:
 
 
 _MAX_POINTS = 100_000
+#: ``threesite.ThreeSiteProblem().comb_terms``, written out so that building
+#: the parser imports no threesite; a test holds the two together
+_COMB_TERMS = 12
 _FORMATS = ("json", "text", "csv")
 
 
@@ -124,6 +127,8 @@ def _usage_error(args) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_algebra(args) -> int:
+    from . import rmatrix
+
     residuals = rmatrix.identity_suite(seed=args.seed, samples=args.samples)
     worst = max(residuals, key=residuals.get)
     results = {name: float(res) for name, res in sorted(residuals.items())}
@@ -152,6 +157,8 @@ def _random_points(rng, count):
 
 
 def _cmd_verify_matrices(args) -> int:
+    from . import basis as basis_mod
+
     rng = np.random.default_rng(args.seed)
     diagnostics: dict = {}
     # Gram matrices: build_basis raises if contraction != printed integers
@@ -199,6 +206,9 @@ def _cmd_verify_matrices(args) -> int:
 # the reason on stderr, so numpy's floating-point warnings would only add noise
 @np.errstate(all="ignore")
 def _cmd_two_site(args) -> int:
+    from .specfun import PoleError
+    from .twosite import TwoSiteSolution
+
     ts = TwoSiteSolution()
     lam = complex(args.lam)
     if not np.isfinite(lam):
@@ -249,6 +259,8 @@ def _cmd_two_site(args) -> int:
 
 
 def _cmd_three_site(args) -> int:
+    from . import threesite
+
     problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     solution = threesite.three_site_correlator(problem)
     results = {
@@ -325,6 +337,9 @@ def _cmd_ed(args) -> int:
 
 
 def _cmd_report_table1(args) -> int:
+    from . import threesite
+    from .twosite import TwoSiteSolution
+
     problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     rows = []
     for L in (3, 6, 9):
@@ -387,6 +402,23 @@ def _load_config(path: str) -> dict:
     return values
 
 
+def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Every subcommand option, under each key a config file may name it by.
+
+    The keys are the option's flag without its dashes and its destination,
+    with ``-`` read as ``_`` (``comb_terms``; ``lambda`` and ``lam``).
+    """
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    options = {}
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            if action.default is argparse.SUPPRESS:  # --help
+                continue
+            for name in (action.dest, *action.option_strings):
+                options[name.lstrip("-").replace("-", "_")] = action
+    return options
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="su3chain",
@@ -415,9 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_two_site)
 
-    defaults = threesite.ThreeSiteProblem()
     p = sub.add_parser("three-site", help="<P12 P23> from the functional equations")
-    p.add_argument("--comb-terms", type=int, default=defaults.comb_terms,
+    p.add_argument("--comb-terms", type=int, default=_COMB_TERMS,
                    help="comb terms summed before the closed-form tail")
     common(p)
     p.set_defaults(func=_cmd_three_site)
@@ -428,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ed)
 
     p = sub.add_parser("report-table1", help="finite-size comparison table")
-    p.add_argument("--comb-terms", type=int, default=defaults.comb_terms,
+    p.add_argument("--comb-terms", type=int, default=_COMB_TERMS,
                    help="comb terms summed before the closed-form tail")
     common(p)
     p.set_defaults(func=_cmd_report_table1)
@@ -450,23 +481,26 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        explicit = set()
+        options = _config_options(parser)
         raw = argv if argv is not None else sys.argv[1:]
-        for token in raw:
-            if token.startswith("--"):
-                explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
+        flags = (t[2:].split("=", 1)[0].replace("-", "_") for t in raw if t.startswith("--"))
+        explicit = {options[flag].dest for flag in flags if flag in options}
         for key, val in overrides.items():
             # the subcommand, its handler and the config file come from argv only
             if key in ("command", "func", "config"):
                 print(f"config error: {key!r} cannot be set in a config file",
                       file=sys.stderr)
                 return EXIT_USAGE
-            if key in explicit or not hasattr(args, key):
+            action = options.get(key)
+            if action is None:
+                print(f"config error: unknown key {key!r}: no subcommand has this option",
+                      file=sys.stderr)
+                return EXIT_USAGE
+            # an option of another subcommand is ignored
+            if action.dest in explicit or not hasattr(args, action.dest):
                 continue
-            current = getattr(args, key)
-            caster = type(current) if current is not None else str
             try:
-                setattr(args, key, caster(val))
+                setattr(args, action.dest, (action.type or str)(val))
             except (TypeError, ValueError):
                 print(f"config error: bad value for {key}: {val!r}", file=sys.stderr)
                 return EXIT_USAGE

@@ -130,8 +130,9 @@ def _cot(z):
 def phi(lam):
     """Inhomogeneity of the step-3 recursion for G1 (poles at 0, +-1)."""
     l = _arr(lam)
-    s = _TS.digamma_part(l) - 1 / (l**2 - 1)
-    sp = _TS.digamma_part_prime(l) + 2 * l / (l**2 - 1) ** 2
+    part, part_prime = _TS.digamma_parts(l)
+    s = part - 1 / (l**2 - 1)
+    sp = part_prime + 2 * l / (l**2 - 1) ** 2
     om = (l**2 - 1) * s
     omp = 2 * l * s + (l**2 - 1) * sp
     out = (

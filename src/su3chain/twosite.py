@@ -32,7 +32,14 @@ from functools import cache
 
 import numpy as np
 
-from .specfun import PoleError, digamma_array, hurwitz_zeta_array, real_pi, trigamma_array
+from .specfun import (
+    PoleError,
+    digamma_array,
+    digamma_trigamma_array,
+    hurwitz_zeta_array,
+    real_pi,
+    trigamma_array,
+)
 
 
 @cache
@@ -59,6 +66,16 @@ def _stacked_arguments(lam):
     return np.stack((1 - third, 1 + third, 4 / 3 + third, 4 / 3 - third))
 
 
+def _part(psi):
+    """sigma's digamma part from psi at the four stacked arguments."""
+    return (psi[0] + psi[1] - psi[2] - psi[3]) / 3
+
+
+def _part_prime(psi1):
+    """The lam-derivative of the digamma part from psi' at the same arguments."""
+    return (-psi1[0] + psi1[1] - psi1[2] + psi1[3]) / 9
+
+
 class TwoSiteSolution:
     """Evaluators for the two-site correlation functions and their checks.
 
@@ -69,12 +86,15 @@ class TwoSiteSolution:
     # ---- building blocks -------------------------------------------------
 
     def digamma_part(self, lam):
-        psi = digamma_array(_stacked_arguments(lam))
-        return (psi[0] + psi[1] - psi[2] - psi[3]) / 3
+        return _part(digamma_array(_stacked_arguments(lam)))
 
     def digamma_part_prime(self, lam):
-        psi1 = trigamma_array(_stacked_arguments(lam))
-        return (-psi1[0] + psi1[1] - psi1[2] + psi1[3]) / 9
+        return _part_prime(trigamma_array(_stacked_arguments(lam)))
+
+    def digamma_parts(self, lam):
+        """``(digamma_part, digamma_part_prime)`` from one kernel pass, bit for bit."""
+        psi, psi1 = digamma_trigamma_array(_stacked_arguments(lam))
+        return _part(psi), _part_prime(psi1)
 
     # ---- primary functions ----------------------------------------------
 
@@ -97,7 +117,8 @@ class TwoSiteSolution:
 
     def omega33_prime(self, lam):
         lam = _asarray(lam)
-        out = 2 * lam * self.digamma_part(lam) + (lam**2 - 1) * self.digamma_part_prime(lam)
+        part, part_prime = self.digamma_parts(lam)
+        out = 2 * lam * part + (lam**2 - 1) * part_prime
         return _maybe_scalar(out)
 
     def omega_bar33(self, lam):

@@ -1,12 +1,16 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from su3chain import ed as ed_mod
-from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _build_parser, main
+from su3chain.threesite import ThreeSiteProblem
 
 
 def run(capsys, argv):
@@ -123,6 +127,73 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, ["--config", str(cfg), "verify-algebra"])
     assert code == EXIT_USAGE
     assert "config error" in err
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    # "sed" is a typo for "seed": no subcommand has it, so nothing is run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sed = 11\n")
+    code, out, err = run(capsys, ["--config", str(cfg), "verify-algebra"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "config error" in err
+    assert "'sed'" in err
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 9\ncomb-terms = 4\npoints = 3\nsamples = 5\n")
+    code, out, _ = run(capsys, ["--config", str(cfg), "verify-algebra", "--samples", "2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["samples"] == 2
+
+
+def test_config_names_an_option_by_its_flag(tmp_path, capsys):
+    # --lambda stores to "lam"; the file may use either name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.5\n")
+    code, out, _ = run(capsys, ["--config", str(cfg), "two-site"])
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["lambda"] == [0.5, 0.0]
+    code, out, _ = run(capsys, ["--config", str(cfg), "two-site", "--lambda", "0.25"])
+    assert json.loads(out)["inputs"]["lambda"] == [0.25, 0.0]
+
+
+def test_comb_terms_default_is_the_library_default():
+    parser = _build_parser()
+    for command in ("three-site", "report-table1"):
+        assert parser.parse_args([command]).comb_terms == ThreeSiteProblem().comb_terms
+
+
+_LOADED = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from su3chain.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("su3chain."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, not_loaded",
+    [
+        (["ed", "--L", "3"], {"basis", "rmatrix", "threesite", "twosite", "specfun"}),
+        (["verify-algebra", "--samples", "2"], {"basis", "threesite", "twosite"}),
+        (["two-site"], {"basis", "rmatrix", "threesite"}),
+    ],
+)
+def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
+    # a fresh process, since this one has imported every layer already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _LOADED, src, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    code, loaded = json.loads(child.stdout)
+    assert code == EXIT_OK
+    assert not not_loaded & {name.split(".", 1)[1] for name in loaded}
 
 
 @pytest.mark.parametrize("key", ["command", "func", "config"])

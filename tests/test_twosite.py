@@ -112,3 +112,13 @@ def test_sigma_prime_matches_stencil():
         - complex(TS.sigma(lam + 2 * h))
     ) / (12 * h)
     assert abs(stencil - complex(TS.sigma_prime(lam))) < 1e-9
+
+
+def test_digamma_parts_are_bit_identical_to_the_separate_parts():
+    # each kernel order is computed on its own, so one pass for both parts
+    # (what threesite.phi uses) changes no bit of either
+    rng = np.random.default_rng(2024)
+    lam = rng.uniform(-6, 6, 20_000) + 1j * rng.uniform(-6, 6, 20_000)
+    part, part_prime = TS.digamma_parts(lam)
+    assert np.array_equal(part, TS.digamma_part(lam))
+    assert np.array_equal(part_prime, TS.digamma_part_prime(lam))
