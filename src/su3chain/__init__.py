@@ -11,9 +11,11 @@ Modules
 -------
 tensors    the structural tensors (P, I, E, epsilon) as plain arrays
 rmatrix    rational R-matrices and identity checks batched over parameters
-specfun    one kernel for digamma and its first two derivatives, and Hurwitz zeta
-twosite    closed-form two-site solution: sigma, omega33, alpha33, zeta expansion
-basis      singlet bases for two and three sites, Gram and A matrices
+specfun    one kernel for digamma and its first two derivatives, Hurwitz zeta,
+           and the scalar/array rule the evaluators share
+twosite    closed-form two-site functions: sigma, omega33, alpha33, zeta expansion
+basis      singlet bases for two and three sites, Gram matrices, their exact
+           inverses and the A matrices
 threesite  functional-equation solver for <P12 P23> and the three-site density matrix
 ed         exact diagonalization (dense + Lanczos) of finite chains
 cli        command-line interface

@@ -141,13 +141,16 @@ def build_basis(m: int) -> SingletBasis:
 
 
 @cache
-def _exact_inverse(gram: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Float image of the exact rational inverse of an integer Gram matrix.
+def gram_inverse(m: int) -> np.ndarray:
+    """Float image of the exact rational inverse of the Gram matrix for ``m`` in {2, 3}.
 
-    Computed once per matrix, on first use rather than at import: the
+    Computed once per ``m``, on first use rather than at import: the
     ``Fraction`` Gauss-Jordan takes milliseconds for ``GRAM_3``.  Every
     caller shares the returned array, so it is read-only.
     """
+    if m not in (2, 3):
+        raise ValueError(f"m must be 2 or 3, got {m}")
+    gram = (GRAM_2 if m == 2 else GRAM_3).tolist()
     n = len(gram)
     aug = [[Fraction(x) for x in row] for row in gram]
     inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -166,11 +169,6 @@ def _exact_inverse(gram: tuple[tuple[int, ...], ...]) -> np.ndarray:
     out = np.array([[float(x) for x in row] for row in inv])
     out.flags.writeable = False
     return out
-
-
-def _solve_exact_rational(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve gram @ X = w with the integer gram inverted in exact rationals."""
-    return _exact_inverse(tuple(map(tuple, gram.tolist()))) @ w
 
 
 class SingularParameterError(ValueError):
@@ -255,7 +253,7 @@ def a_matrix(m: int, lam1: complex, lam2: complex, lam3: complex | None = None):
     else:
         raise ValueError(f"m must be 2 or 3, got {m}")
     w = np.tensordot(powers, _chain_polynomial(m), axes=powers.ndim)
-    return _solve_exact_rational(build_basis(m).gram, w) / gauge
+    return gram_inverse(m) @ w / gauge
 
 
 def a2_closed_form(lam: complex) -> np.ndarray:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -57,22 +58,28 @@ _MATRIX_TOL = 1e-10
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    elif fmt == "text":
-        for section in ("command", "inputs", "results", "diagnostics"):
-            print(f"[{section}]")
-            value = payload[section]
-            if isinstance(value, dict):
-                for k in sorted(value):
-                    print(f"{k} = {value[k]}")
-            else:
-                print(value)
-    else:  # csv, which _usage_error allows for report-table1 only
-        rows = payload["results"]["rows"]
-        print(",".join(rows[0].keys()))
-        for row in rows:
-            print(",".join(str(v) for v in row.values()))
+    """Print the payload; a reader that closes the pipe early is no error."""
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        elif fmt == "text":
+            for section in ("command", "inputs", "results", "diagnostics"):
+                print(f"[{section}]")
+                value = payload[section]
+                if isinstance(value, dict):
+                    for k in sorted(value):
+                        print(f"{k} = {value[k]}")
+                else:
+                    print(value)
+        else:  # csv, which _usage_error allows for report-table1 only
+            rows = payload["results"]["rows"]
+            print(",".join(rows[0].keys()))
+            for row in rows:
+                print(",".join(str(v) for v in row.values()))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit, so send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _payload(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:
@@ -206,10 +213,9 @@ def _cmd_verify_matrices(args) -> int:
 # the reason on stderr, so numpy's floating-point warnings would only add noise
 @np.errstate(all="ignore")
 def _cmd_two_site(args) -> int:
+    from . import twosite
     from .specfun import PoleError
-    from .twosite import TwoSiteSolution
 
-    ts = TwoSiteSolution()
     lam = complex(args.lam)
     if not np.isfinite(lam):
         print(f"usage error: --lambda must be finite, got {args.lam}", file=sys.stderr)
@@ -218,32 +224,25 @@ def _cmd_two_site(args) -> int:
     # 0, +-1, where the check formulas are singular
     check_point = lam if min(abs(lam), abs(lam - 1), abs(lam + 1)) > 1e-3 else 0.4 + 0.3j
     try:
-        res1, res2 = ts.check_difference_equations(check_point)
-        three_term = ts.check_three_term(check_point)
+        res1, res2 = twosite.check_difference_equations(check_point)
+        three_term = twosite.check_three_term(check_point)
     except PoleError as exc:
         print(f"usage error: --lambda: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    results = {
-        "omega33": float(np.real(ts.omega33(lam)))
-        if lam.imag == 0
-        else complex(ts.omega33(lam)),
-        "alpha33": float(np.real(ts.alpha33(lam)))
-        if lam.imag == 0
-        else complex(ts.alpha33(lam)),
-    }
-    if isinstance(results["omega33"], complex):
-        results = {k: [v.real, v.imag] for k, v in results.items()}
+    values = {"omega33": twosite.omega33(lam), "alpha33": twosite.alpha33(lam)}
+    if lam.imag == 0:
+        results = {k: v.real for k, v in values.items()}
+    else:
+        results = {k: [v.real, v.imag] for k, v in values.items()}
     diagnostics = {
         "difference_equation_residuals": [float(res1), float(res2)],
         "three_term_residual": float(three_term),
     }
     if lam == 0:
-        diagnostics["omega33_delta_vs_reference"] = float(
-            np.real(ts.omega33(0.0)) - PAPER_REFERENCE_VALUES["omega33_homogeneous"]
-        )
-        diagnostics["alpha33_delta_vs_reference"] = float(
-            np.real(ts.alpha33(0.0)) - PAPER_REFERENCE_VALUES["alpha33_homogeneous"]
-        )
+        for k in values:
+            diagnostics[f"{k}_delta_vs_reference"] = (
+                values[k].real - PAPER_REFERENCE_VALUES[f"{k}_homogeneous"]
+            )
     payload = _payload(
         "two-site",
         {"lambda": [lam.real, lam.imag]},
@@ -337,8 +336,7 @@ def _cmd_ed(args) -> int:
 
 
 def _cmd_report_table1(args) -> int:
-    from . import threesite
-    from .twosite import TwoSiteSolution
+    from . import threesite, twosite
 
     problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     rows = []
@@ -356,8 +354,7 @@ def _cmd_report_table1(args) -> int:
                 "p12p23_delta": result.observables["p12p23"] - ref[1],
             }
         )
-    ts = TwoSiteSolution()
-    omega_inf = float(np.real(ts.omega33(0.0)))
+    omega_inf = float(np.real(twosite.omega33(0.0)))
     solution = threesite.three_site_correlator(problem)
     rows.append(
         {

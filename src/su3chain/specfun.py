@@ -43,6 +43,19 @@ class PoleError(ValueError):
     """Raised when an argument lies too close to a pole of the function asked for."""
 
 
+def _complex(z) -> np.ndarray:
+    """``z`` as a complex array of at least one dimension: ``np.clongdouble``
+    for long-double input, complex128 for anything else."""
+    z = np.atleast_1d(np.asarray(z))
+    return z.astype(np.promote_types(z.dtype, complex), copy=False)
+
+
+def _like(z, out):
+    """``out`` itself for an array ``z``; for a scalar ``z``, its one value as a
+    python complex."""
+    return out if np.ndim(z) else complex(out[0])
+
+
 @cache
 def real_pi(real) -> np.floating:
     """pi rounded to the real dtype ``real`` (``np.pi`` itself for float64)."""
@@ -79,8 +92,7 @@ def _polygamma(z, orders: tuple[int, ...]) -> list[np.ndarray]:
     Horner passes.  The reflection is written in powers of ``cot``, which
     tends to ``-+i`` where ``sin(pi z)`` overflows (``|Im z| > ~113``).
     """
-    z = np.atleast_1d(np.asarray(z))
-    z = z.astype(np.promote_types(z.dtype, complex), copy=False)
+    z = _complex(z)
     pi = real_pi(z.real.dtype)
     reflect = z.real < 0.5
     zr = np.where(reflect, 1 - z, z)

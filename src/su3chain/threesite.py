@@ -105,18 +105,22 @@ from math import comb
 
 import numpy as np
 
-from .basis import GRAM_2, GRAM_3, _exact_inverse, _solve_exact_rational, reduce_to_physical
-from .twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution, omega33_homogeneous
-from .specfun import BERNOULLI_EVEN, digamma_trigamma_array, hurwitz_zeta_array, real_pi
-
-_TS = TwoSiteSolution()
-
-
-def _arr(z):
-    """``z`` as a complex array of at least one dimension, in complex128 or,
-    for long-double input, in ``np.clongdouble``."""
-    z = np.atleast_1d(np.asarray(z))
-    return z.astype(np.promote_types(z.dtype, complex), copy=False)
+from .basis import a3_closed_form, gram_inverse, reduce_to_physical
+from .specfun import (
+    BERNOULLI_EVEN,
+    _complex,
+    _like,
+    digamma_trigamma_array,
+    hurwitz_zeta_array,
+    real_pi,
+)
+from .twosite import (
+    OMEGA33_HOMOGENEOUS,
+    digamma_parts,
+    omega33,
+    omega33_homogeneous,
+    omega_bar33,
+)
 
 
 def _cot(z):
@@ -129,8 +133,8 @@ def _cot(z):
 
 def phi(lam):
     """Inhomogeneity of the step-3 recursion for G1 (poles at 0, +-1)."""
-    l = _arr(lam)
-    part, part_prime = _TS.digamma_parts(l)
+    l = _complex(lam)
+    part, part_prime = digamma_parts(l)
     s = part - 1 / (l**2 - 1)
     sp = part_prime + 2 * l / (l**2 - 1) ** 2
     om = (l**2 - 1) * s
@@ -141,7 +145,7 @@ def phi(lam):
         + 4 * l / (l**2 - 1) ** 2 * OMEGA33_HOMOGENEOUS
         + 2 * (4 * l**4 + 6 * l**3 - l**2 - 6 * l - 1) / (l**2 * (l**2 - 1) ** 2)
     )
-    return out if np.ndim(lam) else complex(out[0])
+    return _like(lam, out)
 
 
 def _tau_and_slope(l):
@@ -157,8 +161,7 @@ def _tau_and_slope(l):
 
 def tau(lam):
     """Exact 3-periodic part of phi: -4 pi [cot(pi lam/3) - cot(pi(lam-1)/3)]."""
-    out = _tau_and_slope(_arr(lam))[0]
-    return out if np.ndim(lam) else complex(out[0])
+    return _like(lam, _tau_and_slope(_complex(lam))[0])
 
 
 def phi_c(lam, *, periodic=None):
@@ -173,7 +176,7 @@ def phi_c(lam, *, periodic=None):
     The arithmetic, pi and ``OMEGA33_HOMOGENEOUS`` follow the precision of
     ``lam``: long double for ``np.clongdouble`` input, else complex128.
     """
-    l = _arr(lam)
+    l = _complex(lam)
     psi, psi1 = digamma_trigamma_array(np.stack((l / 3, (l - 1) / 3, (l + 4) / 3)))
     t, tp = _tau_and_slope(l) if periodic is None else periodic
     # sigma = s_d - tau/12 and sigma' = s_d' - tau'/12, with the parts s_d,
@@ -189,13 +192,12 @@ def phi_c(lam, *, periodic=None):
         + 4 * l * omega33_homogeneous(l.real.dtype) / (l**2 - 1) ** 2
         + 2 * (4 * l**4 + 6 * l**3 - l**2 - 6 * l - 1) / (l**2 * (l**2 - 1) ** 2)
     )
-    return out if np.ndim(lam) else complex(out[0])
+    return _like(lam, out)
 
 
 def _r_xy(x, y):
     """Three-point inhomogeneity as a function of the parameter differences."""
-    w = _TS.omega33
-    wb = _TS.omega_bar33
+    w, wb = omega33, omega_bar33
     return (
         2 * (-1 + 2 * x**2 + 2 * y**2) / ((x**2 - 1) * (y**2 - 1))
         + 2 * (x + y) / ((x**2 - 1) * (y**2 - 1)) * w(x - y)
@@ -232,16 +234,15 @@ def h_kernel(l: int, z):
     uses expm1 so small |z| keeps full relative accuracy.
     """
     a = _kernel_rate(l)
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
-    pos = z.real > 0
-    zp = z[pos]
-    out[pos] = np.exp((a - 2 * np.pi) * zp) / (1 - np.exp(-2 * np.pi * zp))
-    zn = z[~pos]
-    out[~pos] = np.exp(a * zn) / np.expm1(2 * np.pi * zn)
+    x = _complex(z)
+    out = np.empty_like(x)
+    pos = x.real > 0
+    xp = x[pos]
+    out[pos] = np.exp((a - 2 * np.pi) * xp) / (1 - np.exp(-2 * np.pi * xp))
+    xn = x[~pos]
+    out[~pos] = np.exp(a * xn) / np.expm1(2 * np.pi * xn)
     out *= -2j * np.pi
-    return complex(out[0]) if scalar else out
+    return _like(z, out)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +507,18 @@ class G1Solver:
 
     def comb(self, z):
         """The one-sided comb ``sum_{j>=1} phi_c(z + 3j)``."""
-        return self._comb(_arr(z).astype(np.clongdouble), 1)[0].astype(complex)
+        return self._comb(_complex(z).astype(np.clongdouble), 1)[0].astype(complex)
 
     def k_function(self, z):
         """Particular solution of the step-3 recursion, ``sum_{j>=0} phi_c(z + 3j)
         - (z/3) tau(z)``, formed in long double and rounded to complex128 once.
         """
-        z = _arr(z).astype(np.clongdouble)
+        z = _complex(z).astype(np.clongdouble)
         comb, t = self._comb(z, 0)
         return (comb - z / 3 * t).astype(complex)
 
     def periodic_part(self, z):
-        z = _arr(z)
+        z = _complex(z)
         return sum(
             c * b(z)
             for c, b in zip(self.periodic_coefficients, self.basis_functions)
@@ -525,10 +526,7 @@ class G1Solver:
 
     def value(self, z):
         """G1 at arbitrary points (vectorized)."""
-        scalar = np.ndim(z) == 0
-        z = _arr(z)
-        out = self.k_function(z) + self.periodic_part(z)
-        return complex(out[0]) if scalar else out
+        return _like(z, self.k_function(z) + self.periodic_part(z))
 
     def circle_average(self, center: complex) -> complex:
         """Value at a removable point as the mean over a small circle."""
@@ -551,7 +549,7 @@ class G1Solver:
     def g_transform(self, l: int, lam):
         """g_l(lam) = G1(lam) + w^l G1(lam+1) + w^(2l) G1(lam+2), w = e^(2 pi i/3)."""
         w = np.exp(2j * np.pi / 3)
-        lam = _arr(lam)
+        lam = _complex(lam)
         return (
             self.value(lam)
             + w**l * self.value(lam + 1)
@@ -561,7 +559,7 @@ class G1Solver:
     def g_recursion_residual(self, l: int, lam) -> float:
         """Max residual of g_l(lam) - w^l g_l(lam+1) - phi(lam)."""
         w = np.exp(2j * np.pi / 3)
-        lam = _arr(lam)
+        lam = _complex(lam)
         res = self.g_transform(l, lam) - w**l * self.g_transform(l, lam + 1) - phi(lam)
         return float(np.abs(res).max())
 
@@ -608,15 +606,12 @@ def three_site_correlator(problem: ThreeSiteProblem | None = None) -> ThreeSiteS
 
 def two_site_f_vector(lam: complex) -> np.ndarray:
     """(1, omega(lam), omega_bar(lam - 1)): the two-site singlet amplitudes."""
-    return np.array(
-        [1.0, complex(_TS.omega33(lam)), complex(_TS.omega_bar33(lam - 1))],
-        dtype=complex,
-    )
+    return np.array([1.0, omega33(lam), omega_bar33(lam - 1)], dtype=complex)
 
 
 def density_matrix_two_site(lam: complex = 0.0) -> np.ndarray:
     """Two-site reduced density operator D2(lam, 0) as a 9 x 9 matrix."""
-    rho = _solve_exact_rational(GRAM_2, two_site_f_vector(lam))
+    rho = gram_inverse(2) @ two_site_f_vector(lam)
     d2 = reduce_to_physical(2, rho)
     return d2.real if abs(complex(lam).imag) < 1e-14 else d2
 
@@ -671,8 +666,7 @@ def _inter_matrix(x, y) -> np.ndarray:
 def _inter_rhs(x, y, f1_val, f2_val, f3_val) -> np.ndarray:
     """Right side of the 11-equation system (two-site data and F1..F3)."""
     d = x - y
-    w = lambda a: complex(_TS.omega33(a))
-    wb = lambda a: complex(_TS.omega_bar33(a))
+    w, wb = omega33, omega_bar33
     b = np.zeros(11, dtype=complex)
     b[0] = 1
     b[1] = w(y)
@@ -712,9 +706,7 @@ def _diagonal_chain_solve(lam: complex, g):
     *Accuracy and Stability of Numerical Algorithms*, ch. 20); the residual
     is measured on the unscaled system.
     """
-    from .basis import a3_closed_form
-
-    m_inv = _exact_inverse(tuple(map(tuple, GRAM_3.tolist())))
+    m_inv = gram_inverse(3)
     mat = np.zeros((55, 33), dtype=complex)
     rhs = np.zeros(55, dtype=complex)
     row = 0

@@ -19,11 +19,14 @@ Derived objects:
     alpha33(lam)     = (omega33(lam) - 1/3)/8
     G(lam)           = (omega33(lam) + 1)/(lam^2 - 1)
 
-``omega33`` is computed as ``(lam^2-1)*(digamma part) - 1`` which is regular
-everywhere off the digamma poles; in particular ``omega33(+-1) = -1`` (the
-explicit ``-1/(lam^2-1)`` term of sigma survives the prefactor).
-``omega_bar33`` has a genuine simple pole at ``+1`` and a removable 0/0 point
-at ``-1`` where its value is ``1 + omega33'(-1)``.
+``omega33`` is computed as ``(lam^2-1)*G(lam) - 1``, where ``G`` is exactly
+sigma's digamma part; it is regular everywhere off the digamma poles, and in
+particular ``omega33(+-1) = -1`` (the explicit ``-1/(lam^2-1)`` term of sigma
+survives the prefactor).  ``omega_bar33`` has a genuine simple pole at ``+1``
+and a removable 0/0 point at ``-1`` where its value is ``1 + omega33'(-1)``.
+
+Every evaluator of ``lam`` takes complex scalars or arrays: a scalar gives a
+python complex, an array of any shape an array of the same shape.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import numpy as np
 
 from .specfun import (
     PoleError,
+    _complex,
+    _like,
     digamma_array,
     digamma_trigamma_array,
     hurwitz_zeta_array,
@@ -56,13 +61,9 @@ OMEGA33_HOMOGENEOUS = omega33_homogeneous()
 ALPHA33_HOMOGENEOUS = (2 - np.pi / np.sqrt(3) - 3 * np.log(3)) / 24
 
 
-def _asarray(lam):
-    return np.atleast_1d(np.asarray(lam, dtype=complex))
-
-
 def _stacked_arguments(lam):
     """The four digamma arguments ``1 -+ lam/3`` and ``4/3 +- lam/3`` of sigma, stacked."""
-    third = _asarray(lam) / 3
+    third = _complex(lam) / 3
     return np.stack((1 - third, 1 + third, 4 / 3 + third, 4 / 3 - third))
 
 
@@ -76,137 +77,116 @@ def _part_prime(psi1):
     return (-psi1[0] + psi1[1] - psi1[2] + psi1[3]) / 9
 
 
-class TwoSiteSolution:
-    """Evaluators for the two-site correlation functions and their checks.
+def generating_function(lam):
+    """G(lam) = (omega33(lam) + 1)/(lam^2 - 1): sigma's digamma part, regular at +-1."""
+    return _like(lam, _part(digamma_array(_stacked_arguments(lam))))
 
-    All evaluators accept complex scalars or arrays and return matching
-    shapes; scalar input gives a python complex.
+
+def digamma_part_prime(lam):
+    """G'(lam), the lam-derivative of sigma's digamma part."""
+    return _like(lam, _part_prime(trigamma_array(_stacked_arguments(lam))))
+
+
+def digamma_parts(lam):
+    """``(G, G')`` from one kernel pass, bit for bit the separate values."""
+    psi, psi1 = digamma_trigamma_array(_stacked_arguments(lam))
+    return _like(lam, _part(psi)), _like(lam, _part_prime(psi1))
+
+
+def sigma(lam):
+    """sigma(lam); simple poles at lam = +-1 from the rational term."""
+    l = _complex(lam)
+    return _like(lam, generating_function(l) - 1 / (l**2 - 1))
+
+
+def sigma_prime(lam):
+    l = _complex(lam)
+    return _like(lam, digamma_part_prime(l) + 2 * l / (l**2 - 1) ** 2)
+
+
+def omega33(lam):
+    """omega33(lam) = (lam^2 - 1) sigma(lam), evaluated pole-free."""
+    l = _complex(lam)
+    return _like(lam, (l**2 - 1) * generating_function(l) - 1)
+
+
+def omega33_prime(lam):
+    l = _complex(lam)
+    part, part_prime = digamma_parts(l)
+    return _like(lam, 2 * l * part + (l**2 - 1) * part_prime)
+
+
+def omega_bar33(lam):
+    """omega_bar33 = (lam*omega33(lam) - 1)(lam + 3)/(lam^2 - 1).
+
+    The numerator factors exactly: lam*omega33 - 1
+    = lam(lam^2 - 1) G(lam) - (lam + 1), so dividing by (lam + 1) leaves
+    lam(lam - 1) G(lam) - 1 with no cancellation.  The only genuine pole is
+    at lam = +1; the point lam = -1 is removable with value
+    1 + omega33'(-1).
     """
+    l = _complex(lam)
+    return _like(lam, (l * (l - 1) * generating_function(l) - 1) * (l + 3) / (l - 1))
 
-    # ---- building blocks -------------------------------------------------
 
-    def digamma_part(self, lam):
-        return _part(digamma_array(_stacked_arguments(lam)))
+def alpha33(lam):
+    return _like(lam, (omega33(_complex(lam)) - 1 / 3) / 8)
 
-    def digamma_part_prime(self, lam):
-        return _part_prime(trigamma_array(_stacked_arguments(lam)))
 
-    def digamma_parts(self, lam):
-        """``(digamma_part, digamma_part_prime)`` from one kernel pass, bit for bit."""
-        psi, psi1 = digamma_trigamma_array(_stacked_arguments(lam))
-        return _part(psi), _part_prime(psi1)
+def generating_function_rational_form(lam):
+    """G via (omega33 + 1)/(lam^2 - 1) literally (for cross-checks)."""
+    l = _complex(lam)
+    return _like(lam, (omega33(l) + 1) / (l**2 - 1))
 
-    # ---- primary functions ----------------------------------------------
 
-    def sigma(self, lam):
-        """sigma(lam); simple poles at lam = +-1 from the rational term."""
-        lam = _asarray(lam)
-        out = self.digamma_part(lam) - 1 / (lam**2 - 1)
-        return _maybe_scalar(out)
+# ---- expansions and residual checks --------------------------------------
 
-    def sigma_prime(self, lam):
-        lam = _asarray(lam)
-        out = self.digamma_part_prime(lam) + 2 * lam / (lam**2 - 1) ** 2
-        return _maybe_scalar(out)
+def zeta_expansion(K: int):
+    """Taylor coefficients c_0..c_K of G(lam) in powers of lam^2.
 
-    def omega33(self, lam):
-        """omega33(lam) = (lam^2 - 1) sigma(lam), evaluated pole-free."""
-        lam = _asarray(lam)
-        out = (lam**2 - 1) * self.digamma_part(lam) - 1
-        return _maybe_scalar(out)
+    c_0 = (2/3)[psi0(1) - psi0(4/3)];
+    c_k = -(2/3)[zeta(2k+1, 1) - zeta(2k+1, 4/3)]/3^(2k) for k >= 1,
+    so that G(lam) = sum_k c_k lam^(2k).  The minus sign follows from
+    psi_2k(z) = -(2k)! zeta(2k+1, z) applied to the Taylor series of the
+    digamma form of G.
+    """
+    if K < 0 or K > 20:
+        raise ValueError("K must be in 0..20 (double-precision limit)")
+    a = (1.0, 4 / 3)
+    psi = digamma_array(a).real
+    coeffs = [(2 / 3) * (psi[0] - psi[1])]
+    for k in range(1, K + 1):
+        zeta = hurwitz_zeta_array(2 * k + 1, a).real
+        coeffs.append(-(2 / 3) * (zeta[0] - zeta[1]) / 3 ** (2 * k))
+    return coeffs
 
-    def omega33_prime(self, lam):
-        lam = _asarray(lam)
-        part, part_prime = self.digamma_parts(lam)
-        out = 2 * lam * part + (lam**2 - 1) * part_prime
-        return _maybe_scalar(out)
 
-    def omega_bar33(self, lam):
-        """omega_bar33 = (lam*omega33(lam) - 1)(lam + 3)/(lam^2 - 1).
+def check_difference_equations(lam: complex):
+    """Residuals (res1, res2) of the two coupled difference equations.
 
-        The numerator factors exactly: lam*omega33 - 1
-        = lam(lam^2 - 1)*(digamma part) - (lam + 1), so dividing by (lam + 1)
-        leaves lam(lam - 1)*(digamma part) - 1 with no cancellation.  The only
-        genuine pole is at lam = +1; the point lam = -1 is removable with
-        value 1 + omega33'(-1).
-        """
-        lam = _asarray(lam)
-        out = (lam * (lam - 1) * self.digamma_part(lam) - 1) * (lam + 3) / (lam - 1)
-        return _maybe_scalar(out)
+    res1:  omega33(lam) - (lam^2-1)/(lam(lam+3)) * omega_bar33(lam) - 1/lam
+    res2:  omega_bar33(lam-1) + (lam-1)/lam * omega33(lam+1)
+           + (lam-1)(lam+2)/(lam(lam+3)) * omega_bar33(lam) - (lam-1)/lam
+    """
+    lam = _off_integers(lam, "difference-equation check")
+    w = omega33(lam)
+    wb = omega_bar33(lam)
+    res1 = abs(w - (lam**2 - 1) / (lam * (lam + 3)) * wb - 1 / lam)
+    res2 = abs(
+        omega_bar33(lam - 1)
+        + (lam - 1) * (lam + 3) / (lam * (lam + 3)) * omega33(lam + 1)
+        + (lam - 1) * (lam + 2) / (lam * (lam + 3)) * wb
+        - (lam - 1) / lam
+    )
+    return res1, res2
 
-    def alpha33(self, lam):
-        lam = _asarray(lam)
-        out = (_asarray(self.omega33(lam)) - 1 / 3) / 8
-        return _maybe_scalar(out)
 
-    def generating_function(self, lam):
-        """G(lam) = (omega33(lam) + 1)/(lam^2 - 1), regular at lam = +-1."""
-        lam = _asarray(lam)
-        out = self.digamma_part(lam)
-        return _maybe_scalar(out)
-
-    def generating_function_rational_form(self, lam):
-        """G via (omega33 + 1)/(lam^2 - 1) literally (for cross-checks)."""
-        lam = _asarray(lam)
-        out = (_asarray(self.omega33(lam)) + 1) / (lam**2 - 1)
-        return _maybe_scalar(out)
-
-    def omega(self, lam):
-        """Return the triple (omega33, omega_bar33, alpha33) at ``lam``."""
-        return (self.omega33(lam), self.omega_bar33(lam), self.alpha33(lam))
-
-    # ---- expansions and residual checks ----------------------------------
-
-    def zeta_expansion(self, K: int):
-        """Taylor coefficients c_0..c_K of G(lam) in powers of lam^2.
-
-        c_0 = (2/3)[psi0(1) - psi0(4/3)];
-        c_k = -(2/3)[zeta(2k+1, 1) - zeta(2k+1, 4/3)]/3^(2k) for k >= 1,
-        so that G(lam) = sum_k c_k lam^(2k).  The minus sign follows from
-        psi_2k(z) = -(2k)! zeta(2k+1, z) applied to the Taylor series of the
-        digamma form of G.
-        """
-        if K < 0 or K > 20:
-            raise ValueError("K must be in 0..20 (double-precision limit)")
-        a = (1.0, 4 / 3)
-        psi = digamma_array(a).real
-        coeffs = [(2 / 3) * (psi[0] - psi[1])]
-        for k in range(1, K + 1):
-            zeta = hurwitz_zeta_array(2 * k + 1, a).real
-            coeffs.append(-(2 / 3) * (zeta[0] - zeta[1]) / 3 ** (2 * k))
-        return coeffs
-
-    def check_difference_equations(self, lam: complex):
-        """Residuals (res1, res2) of the two coupled difference equations.
-
-        res1:  omega33(lam) - (lam^2-1)/(lam(lam+3)) * omega_bar33(lam) - 1/lam
-        res2:  omega_bar33(lam-1) + (lam-1)/lam * omega33(lam+1)
-               + (lam-1)(lam+2)/(lam(lam+3)) * omega_bar33(lam) - (lam-1)/lam
-        """
-        lam = _off_integers(lam, "difference-equation check")
-        w = complex(self.omega33(lam))
-        wb = complex(self.omega_bar33(lam))
-        res1 = abs(w - (lam**2 - 1) / (lam * (lam + 3)) * wb - 1 / lam)
-        wb_m = complex(self.omega_bar33(lam - 1))
-        w_p = complex(self.omega33(lam + 1))
-        res2 = abs(
-            wb_m
-            + (lam - 1) * (lam + 3) / (lam * (lam + 3)) * w_p
-            + (lam - 1) * (lam + 2) / (lam * (lam + 3)) * wb
-            - (lam - 1) / lam
-        )
-        return res1, res2
-
-    def check_three_term(self, lam: complex) -> float:
-        """Residual of the three-term equation for sigma at ``lam``."""
-        lam = _off_integers(lam, "three-term check")
-        lhs = (
-            complex(self.sigma(lam + 1))
-            + complex(self.sigma(lam))
-            + complex(self.sigma(lam - 1))
-        )
-        rhs = (lam**2 + 2) / ((lam**2 - 4) * (lam**2 - 1))
-        return abs(lhs - rhs)
+def check_three_term(lam: complex) -> float:
+    """Residual of the three-term equation for sigma at ``lam``."""
+    lam = _off_integers(lam, "three-term check")
+    lhs = sigma(lam + 1) + sigma(lam) + sigma(lam - 1)
+    rhs = (lam**2 + 2) / ((lam**2 - 4) * (lam**2 - 1))
+    return abs(lhs - rhs)
 
 
 def _off_integers(lam, what: str) -> complex:
@@ -222,7 +202,3 @@ def _off_integers(lam, what: str) -> complex:
     if abs(lam - nearest) < 1e-6:
         raise PoleError(f"{what} at {lam} is within 1e-6 of the pole at {nearest:g}")
     return lam
-
-
-def _maybe_scalar(arr):
-    return complex(arr[0]) if arr.shape == (1,) else arr

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from su3chain import ed
+from su3chain import ed, twosite
 from su3chain.basis import (
     GRAM_2,
     GRAM_3,
@@ -21,13 +21,11 @@ from su3chain.basis import (
 from su3chain.cli import main as cli_main
 from su3chain.rmatrix import identity_suite
 from su3chain.threesite import density_matrix_two_site, solve_g_recursion_residual
-from su3chain.twosite import TwoSiteSolution
 
 OMEGA33_REF = -0.703212076746182
 ALPHA33_REF = -0.12956817625994
 P12P23_REF = 0.191368820116674
 
-TS = TwoSiteSolution()
 
 
 def _report(name, ok, detail):
@@ -37,8 +35,8 @@ def _report(name, ok, detail):
 
 def test_criterion_1_two_site_closed_form():
     start = time.perf_counter()
-    omega = complex(TS.omega33(0.0)).real
-    alpha = complex(TS.alpha33(0.0)).real
+    omega = complex(twosite.omega33(0.0)).real
+    alpha = complex(twosite.alpha33(0.0)).real
     elapsed = time.perf_counter() - start
     d_omega = abs(omega - OMEGA33_REF)
     d_alpha = abs(alpha - ALPHA33_REF)
@@ -158,8 +156,8 @@ def test_criterion_6_functional_equation_residuals():
     worst_two_site = 0.0
     for _ in range(100):
         lam = complex(rng.uniform(-2.5, 2.5), rng.uniform(0.2, 2.0))
-        res1, res2 = TS.check_difference_equations(lam)
-        res3 = TS.check_three_term(lam)
+        res1, res2 = twosite.check_difference_equations(lam)
+        res3 = twosite.check_three_term(lam)
         worst_two_site = max(worst_two_site, res1, res2, res3)
     contour_points = 1.6 + 0.08 * np.arange(10) + 0.1j
     worst_g = max(
@@ -187,10 +185,10 @@ def test_criterion_7_structural_invariants(d3):
     ptrace = np.abs(
         d3.reshape(9, 3, 9, 3).trace(axis1=1, axis2=3) - d2
     ).max()
-    coeffs = TS.zeta_expansion(5)
+    coeffs = twosite.zeta_expansion(5)
     r, m = 1.2, 512
     theta = 2 * np.pi * np.arange(m) / m
-    g_values = TS.generating_function(r * np.exp(1j * theta))
+    g_values = twosite.generating_function(r * np.exp(1j * theta))
     zeta_dev = max(
         abs(np.mean(g_values * np.exp(-2j * k * theta)) / r ** (2 * k) - coeffs[k])
         for k in range(1, 6)

@@ -9,12 +9,12 @@ from su3chain.basis import (
     GRAM_3,
     SingularParameterError,
     _chain_polynomial,
-    _solve_exact_rational,
     a2_closed_form,
     a3_closed_form,
     a3_printed_zero_pattern,
     a_matrix,
     build_basis,
+    gram_inverse,
     reduce_to_physical,
 )
 from su3chain.tensors import levi_civita
@@ -167,9 +167,11 @@ def test_reduction_traces_equal_normalization_row():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**16 - 1))
-def test_exact_rational_solver(bits):
+@given(st.sampled_from([(2, GRAM_2), (3, GRAM_3)]), st.integers(0, 2**16 - 1))
+def test_exact_rational_solver(m_gram, bits):
+    m, gram = m_gram
     rng = np.random.default_rng(bits)
-    w = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    x = _solve_exact_rational(GRAM_3, w)
-    assert np.abs(GRAM_3 @ x - w).max() < 1e-12
+    n = len(gram)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = gram_inverse(m) @ w
+    assert np.abs(gram @ x - w).max() < 1e-12

@@ -76,3 +76,11 @@ def test_every_declared_per_layer_metric_can_be_produced(installed):
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     missing = [name for name in declared if name not in producible]
     assert not missing, f"no traced run can report {missing}"
+
+
+def test_every_library_layer_has_a_wrapped_name(installed):
+    # a layer whose names all moved out of the tracer's reach would report
+    # self_s = calls = 0, which reads as a speed-up
+    layers = {name.split(".", 1)[0] for name in installed["wrapped"]}
+    bare = [layer for layer in installed["layers"][1:] if layer not in layers]
+    assert not bare, f"the tracer wraps no name of {bare}"

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -194,6 +195,25 @@ def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
     code, loaded = json.loads(child.stdout)
     assert code == EXIT_OK
     assert not not_loaded & {name.split(".", 1)[1] for name in loaded}
+
+
+def test_closed_stdout_is_no_error():
+    # the read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "su3chain.cli", "two-site"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in child.stderr
+    assert child.stderr == ""
+    assert child.returncode == EXIT_OK
 
 
 @pytest.mark.parametrize("key", ["command", "func", "config"])

@@ -1,14 +1,16 @@
 """Three-site functional equations, transform kernels, density operators."""
 
+import inspect
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3chain.basis import GRAM_3
-from su3chain.twosite import OMEGA33_HOMOGENEOUS, TwoSiteSolution
-from su3chain import threesite
+from su3chain import threesite, twosite
+from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
     G1Solver,
     ThreeSiteProblem,
@@ -27,7 +29,6 @@ from su3chain.threesite import (
     three_site_density_coefficients,
 )
 
-TS = TwoSiteSolution()
 W = np.exp(2j * np.pi / 3)
 
 P12P23_REFERENCE = 0.191368820116674
@@ -40,6 +41,39 @@ def _perm_ops():
             p[3 * b + a, 3 * a + b] = 1
     eye = np.eye(3)
     return np.kron(p, eye), np.kron(eye, p)
+
+
+# every public twosite function of lam; the residual checks take one point only
+_TWOSITE_EVALUATORS = {
+    f"twosite.{name}": f
+    for name, f in vars(twosite).items()
+    if inspect.isfunction(f)
+    and f.__module__ == twosite.__name__
+    and not name.startswith(("_", "check_"))
+    and name != "zeta_expansion"
+}
+_EVALUATORS = {
+    **_TWOSITE_EVALUATORS,
+    "threesite.phi": phi,
+    "threesite.phi_c": phi_c,
+    "threesite.tau": tau,
+    "threesite.h_kernel": partial(h_kernel, 1),
+    "threesite.G1Solver.value": None,  # the session's g1_solver
+}
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_scalar_gives_complex_and_array_gives_same_shape(request, name, shape):
+    f = _EVALUATORS[name] or request.getfixturevalue("g1_solver").value
+    lam = 0.4 + 0.3j  # off every pole
+    scalar, array = f(lam), f(np.full(shape, lam))
+    if not isinstance(scalar, tuple):  # digamma_parts gives a pair
+        scalar, array = (scalar,), (array,)
+    for s, a in zip(scalar, array):
+        assert type(s) is complex
+        assert type(a) is np.ndarray and a.shape == shape
+        assert np.allclose(a, s, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +451,7 @@ def test_two_site_density_matrix_reproduces_omega_at_complex_argument():
     for lam in (0.6 + 0.4j, -1.4 + 0.9j):
         d2 = density_matrix_two_site(lam)
         assert abs(np.trace(d2) - 1) < 1e-12
-        assert abs(np.trace(d2 @ p) - complex(TS.omega33(lam))) < 1e-11
+        assert abs(np.trace(d2 @ p) - complex(twosite.omega33(lam))) < 1e-11
 
 
 def test_three_site_coefficients_diagnostics(g1_solver):
