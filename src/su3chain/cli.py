@@ -22,8 +22,9 @@ invocations and seeds) with the top-level layout
 explicit flags win, options of other subcommands are ignored, and a key that
 no subcommand has is a usage error naming it.  The merged options are checked
 before any work: ``--samples`` and ``--points`` lie in 1..100000, ``--seed``
-is non-negative and ``--comb-terms`` positive; a violation is a usage error
-naming the option.
+is non-negative and ``--comb-terms`` lies in 1..100 (each comb term costs
+about 0.5 MB, and 12 already leave a tail term of 3e-17); a violation is a
+usage error naming the option.
 
 Exit codes: 0 success, 1 verification failure (the failing check is named),
 2 usage error.
@@ -100,9 +101,11 @@ def _fail(fmt: str, payload: dict, message: str) -> int:
 
 
 _MAX_POINTS = 100_000
-#: ``threesite.ThreeSiteProblem().comb_terms``, written out so that building
-#: the parser imports no threesite; a test holds the two together
+#: the ``comb_terms`` default of ``threesite.three_site_correlator``, written
+#: out so that building the parser imports no threesite; a test holds the two
+#: together
 _COMB_TERMS = 12
+_MAX_COMB_TERMS = 100
 _FORMATS = ("json", "text", "csv")
 
 
@@ -120,8 +123,8 @@ def _usage_error(args) -> str | None:
     if seed is not None and seed < 0:
         return f"--seed must be >= 0, got {seed}"
     comb_terms = getattr(args, "comb_terms", None)
-    if comb_terms is not None and comb_terms < 1:
-        return f"--comb-terms must be at least 1, got {comb_terms}"
+    if comb_terms is not None and not 1 <= comb_terms <= _MAX_COMB_TERMS:
+        return f"--comb-terms must be in 1..{_MAX_COMB_TERMS}, got {comb_terms}"
     if args.format not in _FORMATS:
         return f"--format must be one of {', '.join(_FORMATS)}, got {args.format!r}"
     if args.format == "csv" and args.command != "report-table1":
@@ -260,8 +263,7 @@ def _cmd_two_site(args) -> int:
 def _cmd_three_site(args) -> int:
     from . import threesite
 
-    problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
-    solution = threesite.three_site_correlator(problem)
+    solution = threesite.three_site_correlator(comb_terms=args.comb_terms)
     results = {
         "p12p23": solution.p12p23,
         "f1": solution.f1,
@@ -338,7 +340,6 @@ def _cmd_ed(args) -> int:
 def _cmd_report_table1(args) -> int:
     from . import threesite, twosite
 
-    problem = threesite.ThreeSiteProblem(comb_terms=args.comb_terms)
     rows = []
     for L in (3, 6, 9):
         result = ed_mod.ground_state(ed_mod.ChainSpec(L))
@@ -355,7 +356,7 @@ def _cmd_report_table1(args) -> int:
             }
         )
     omega_inf = float(np.real(twosite.omega33(0.0)))
-    solution = threesite.three_site_correlator(problem)
+    solution = threesite.three_site_correlator(comb_terms=args.comb_terms)
     rows.append(
         {
             "length": "thermodynamic",

@@ -9,8 +9,9 @@ H is solved in the zero-momentum block of that sector (Sandvik,
 arXiv:1101.3281, section 4): one basis vector per translation orbit, weighted
 by the orbit sizes, of dimension 2, 16, 188 and 2896 for L = 3, 6, 9, 12.
 Blocks up to 3^6 are solved dense, and for L <= 6 the block's minimum is
-verified against the full-spectrum minimum; the L = 12 block is solved by a
-Lanczos iteration with full reorthogonalization and a fixed seed.  The
+verified against the minimum of ``full_hamiltonian``, the dense matrix on
+all 3^L states; the L = 12 block is solved by a Lanczos iteration with full
+reorthogonalization, a fixed seed and fixed tolerances.  The
 reported degeneracy and gap are those of the block; the chain's lowest
 excitation may lie in another momentum block (at L = 12 the block's gap is
 1.86, the balanced sector's 0.70).
@@ -23,8 +24,9 @@ the configurations of the other L - 3 sites that occur in the sector.  So no
 array of size 3^L is built for L >= 9.
 
 The equivalent spin-1 form ``H = sum_j [S.S + (S.S)^2]`` differs from the
-permutation form by ``L`` times the identity (P = S.S + (S.S)^2 - 1 on a
-bond), which is checked entrywise for small chains.
+permutation form by ``L`` times the identity, because ``S.S + (S.S)^2 = P + 1``
+on a bond; ``spin1_matrices`` gives the spin operators that identity is
+checked with.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ REFERENCE_TABLE1 = {
 _DENSE_LIMIT = 6  # largest L of a dense 3^L x 3^L matrix; blocks up to 3^6 go dense
 _DEGENERACY_TOL = 1e-10
 _LANCZOS_SEED = 7
+_LANCZOS_MAX_ITER = 400
+_LANCZOS_EIG_TOL = 1e-14  # Ritz value movement between iterations
+_LANCZOS_RESID_TOL = 1e-12  # explicit residual norm
 _LANCZOS_BLOCK = 32  # Lanczos basis rows allocated at a time
 
 
@@ -182,49 +187,17 @@ def spin1_matrices():
     sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     return sx, sy, sz
 
-def _spin1_bond() -> np.ndarray:
-    """S.S + (S.S)^2 on two sites (9 x 9); equals P + identity."""
-    ss = sum(np.kron(s, s) for s in spin1_matrices())
-    return (ss + ss @ ss).real
+
+def build_hamiltonian(spec: ChainSpec) -> Hamiltonian:
+    """The matrix-free zero-momentum block of the balanced color sector."""
+    return Hamiltonian(spec.L, balanced_sector(spec.L))
 
 
-def _apply_two_site(op9: np.ndarray, mat: np.ndarray, L: int, j: int) -> np.ndarray:
-    """Apply a two-site operator on sites (j, j+1 mod L) to columns of mat."""
-    k = (j + 1) % L
-    t = mat.reshape((3,) * L + (-1,))
-    t = np.moveaxis(t, (j, k), (0, 1))
-    shape = t.shape
-    t = (op9 @ t.reshape(9, -1)).reshape(shape)
-    t = np.moveaxis(t, (0, 1), (j, k))
-    return t.reshape(3**L, -1)
-
-
-def build_hamiltonian(spec: ChainSpec, form: str = "permutation", sector: str = "balanced"):
-    """Hamiltonian handle: the matrix-free zero-momentum block, or dense.
-
-    The permutation form on the ``"balanced"`` sector is the zero-momentum
-    block of the balanced color sector (a :class:`Hamiltonian`).  On the
-    ``"full"`` space both forms are dense matrices on all 3^L states, for
-    L <= 6 only; the spin-1 form exists on the full space alone.
-    """
-    if form not in ("permutation", "spin1"):
-        raise ValueError(f"unknown form {form!r}")
-    if sector not in ("balanced", "full"):
-        raise ValueError(f"unknown sector {sector!r}")
-    if sector == "balanced":
-        if form == "spin1":
-            raise ValueError('the spin-1 form needs sector="full"')
-        return Hamiltonian(spec.L, balanced_sector(spec.L))
+def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """H as a dense matrix on all 3^L states, for L <= 6 only."""
     if spec.L > _DENSE_LIMIT:
         raise ValueError("the full space is materialized dense, L <= 6 only")
     dim = 3**spec.L
-    if form == "spin1":
-        op = _spin1_bond()
-        h = np.zeros((dim, dim))
-        eye = np.eye(dim)
-        for j in range(spec.L):
-            h += _apply_two_site(op, eye, spec.L, j)
-        return h
     # bond (j, j+1) sends each state to the one with tensor axes j, j+1 swapped
     index = np.arange(dim).reshape((3,) * spec.L)
     rows = np.arange(dim)
@@ -238,24 +211,18 @@ def build_hamiltonian(spec: ChainSpec, form: str = "permutation", sector: str = 
 # eigensolvers
 # ---------------------------------------------------------------------------
 
-def _lanczos_ground(
-    matvec,
-    dim: int,
-    seed: int = _LANCZOS_SEED,
-    max_iter: int = 400,
-    eig_tol: float = 1e-14,
-    resid_tol: float = 1e-12,
-):
+def _lanczos_ground(matvec, dim: int):
     """Lowest eigenpair by Lanczos with full reorthogonalization.
 
-    Converged when the Ritz value moves by less than ``eig_tol`` between
-    iterations and the explicit residual norm is below ``resid_tol``.
+    Converged when the Ritz value moves by less than ``_LANCZOS_EIG_TOL``
+    between iterations and the explicit residual norm is below
+    ``_LANCZOS_RESID_TOL``.
     Returns (eigenvalue, vector, residual, iterations, gap) where ``gap`` is
     the distance to the second Ritz value.  The basis grows by
     ``_LANCZOS_BLOCK`` rows at a time, so its memory follows the iterations
-    run, not ``max_iter``.
+    run, not ``_LANCZOS_MAX_ITER``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LANCZOS_SEED)
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
     basis = np.empty((_LANCZOS_BLOCK, dim))
@@ -263,7 +230,7 @@ def _lanczos_ground(
     alphas: list[float] = []
     betas: list[float] = []
     theta_prev = None
-    for j in range(max_iter):
+    for j in range(_LANCZOS_MAX_ITER):
         w = matvec(basis[j])
         a = float(basis[j] @ w)
         alphas.append(a)
@@ -278,11 +245,15 @@ def _lanczos_ground(
             tri += np.diag(betas, 1) + np.diag(betas, -1)
         evals, evecs = np.linalg.eigh(tri)
         theta = evals[0]
-        if theta_prev is not None and abs(theta - theta_prev) < eig_tol and j >= 2:
+        if (
+            theta_prev is not None
+            and abs(theta - theta_prev) < _LANCZOS_EIG_TOL
+            and j >= 2
+        ):
             x = basis[: j + 1].T @ evecs[:, 0]
             x /= np.linalg.norm(x)
             residual = float(np.linalg.norm(matvec(x) - theta * x))
-            if residual < resid_tol:
+            if residual < _LANCZOS_RESID_TOL:
                 gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
                 return float(theta), x, residual, j + 1, gap
         theta_prev = theta
@@ -300,7 +271,7 @@ def _lanczos_ground(
             basis = grown
         basis[j + 1] = w / b
     raise RuntimeError(
-        f"Lanczos did not converge in {max_iter} iterations "
+        f"Lanczos did not converge in {_LANCZOS_MAX_ITER} iterations "
         f"(last Ritz value {theta_prev})"
     )
 
@@ -319,8 +290,7 @@ def _ground_space(spec: ChainSpec):
     if ham.dim <= 3**_DENSE_LIMIT:
         evals, evecs = np.linalg.eigh(ham.dense())
         if spec.L <= _DENSE_LIMIT:
-            full = build_hamiltonian(spec, "permutation", "full")
-            global_min = float(np.linalg.eigvalsh(full)[0])
+            global_min = float(np.linalg.eigvalsh(full_hamiltonian(spec))[0])
             if abs(global_min - evals[0]) > 1e-10:
                 raise RuntimeError(
                     f"zero-momentum block misses the global minimum: "
@@ -396,14 +366,3 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
             "rdm3": rdm3,
         },
     )
-
-
-def observables(spec: ChainSpec, which: set[str] | None = None) -> dict:
-    """Selected ground-state observables: p12, p12p23, rdm2, rdm3."""
-    allowed = {"p12", "p12p23", "rdm2", "rdm3"}
-    which = set(which) if which is not None else allowed
-    unknown = which - allowed
-    if unknown:
-        raise ValueError(f"unknown observables {sorted(unknown)}")
-    result = ground_state(spec)
-    return {name: result.observables[name] for name in sorted(which)}

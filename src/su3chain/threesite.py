@@ -49,6 +49,10 @@ pure power series ``sum_k a_k l^-k``, which is ``_PHI_SERIES`` (``tau`` and
 
 the last truncated at ``k = 16``; its last term, largest over the sample
 points, is reported as ``tail_bound`` (3e-17 at ``J = 12``).
+``comb_terms`` (default 12) is the one numerical setting a caller chooses,
+a keyword of ``G1Solver`` and ``three_site_correlator``.  The Laurent
+circles, the step and offset of the convolution transform below and the
+Cauchy circle of the density solve are module constants.
 
 The samples of ``K`` are formed in ``np.clongdouble`` and rounded to
 complex128 once.  On the Laurent circles around 0 and -2, ``phi_c`` and
@@ -249,21 +253,10 @@ def h_kernel(l: int, z):
 # numerical parameters and the convolution transform
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ThreeSiteProblem:
-    """Numerical parameters of the three-site solver."""
-
-    #: head length J of the comb; the tail beyond it is summed in closed form
-    comb_terms: int = 12
-    laurent_points: int = 256
-    laurent_radius: float = 0.45
-    #: solve_g: trapezoid step in its asinh coordinate u along the vertical
-    #: contour, which runs conv_offset to the left of the evaluation point
-    conv_step: float = 0.004
-    conv_offset: float = 0.5
-    #: Cauchy circle average recovering the homogeneous density amplitudes
-    circle_radius: float = 0.35
-    circle_points: int = 16
+#: solve_g: trapezoid step in its asinh coordinate u along the vertical
+#: contour, which runs _CONV_OFFSET to the left of the evaluation point
+_CONV_STEP = 0.004
+_CONV_OFFSET = 0.5
 
 
 def _phi_series() -> np.ndarray:
@@ -340,11 +333,11 @@ def _series_tail(m: complex):
     return complex(value), complex(slope), complex(integral)
 
 
-def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> complex:
+def solve_g(l: int, lam: complex) -> complex:
     """Decoupled component g_l by convolution of phi with the kernel h_l.
 
     Evaluates ``g_l(lam) = (1/2 pi) int h_l(-i(lam - mu)) phi(mu) d nu`` over
-    the vertical line ``mu = c + i nu`` with ``c = Re(lam) - conv_offset``.
+    the vertical line ``mu = c + i nu`` with ``c = Re(lam) - _CONV_OFFSET``.
     Under the rotated argument the kernel turns a shift of ``lam`` by +1 into
     multiplication by ``w^l`` (w = e^(2 pi i/3)), so the result satisfies
 
@@ -354,13 +347,13 @@ def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> co
     between the two contours - e.g. throughout ``Re lam in (1.5, 2.5)``.
 
     The trapezoid nodes are uniform in ``u = (asinh(nu) + asinh(nu - s))/2``
-    with ``s = Im lam``, ``conv_step`` apart, with weight ``dnu/du``; the map
+    with ``s = Im lam``, ``_CONV_STEP`` apart, with weight ``dnu/du``; the map
     inverts in closed form, ``nu = sinh(u + asinh(s / (2 cosh u)))``, and is
     ``nu = sinh u`` for real ``lam``.  The integrand's singularities sit
     near two points of the line: the poles of ``phi`` on the imaginary
     ``nu`` axis, at distance ``|p - c|`` for each real pole ``p``, and those
     of the kernel at ``nu = s - i(k + 1/2)``.  The map keeps a node spacing
-    of at most ``2 conv_step`` next to both and widens it as ``|nu|`` and
+    of at most ``2 _CONV_STEP`` next to both and widens it as ``|nu|`` and
     ``|nu - s|`` grow, so the rule converges geometrically with few nodes
     for any ``Im lam``.
 
@@ -372,16 +365,15 @@ def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> co
     where the kernel is that constant to rounding, if higher) and the rest,
     ``i int phi d nu``, is summed exactly from ``phi``'s asymptotic series,
     together with the trapezoid rule's Euler-Maclaurin term at that end,
-    ``-(conv_step^2 / 12) dF/du`` for the integrand ``F`` in ``u``.
+    ``-(_CONV_STEP^2 / 12) dF/du`` for the integrand ``F`` in ``u``.
 
     The transform normalizes the ``l = 0`` zero mode by decay at infinity
     rather than by ``G1 -> 2``, so ``(g_0 + g_1 + g_-1)/3`` differs from the
     comb-constructed ``G1`` by the constant -2 (a useful cross-check).
     """
-    problem = problem or ThreeSiteProblem()
     lam = complex(lam)
-    c = lam.real - problem.conv_offset
-    step = problem.conv_step
+    c = lam.real - _CONV_OFFSET
+    step = _CONV_STEP
     s = lam.imag
     a = _kernel_rate(l)
     lo = s - _KERNEL_CUTOFF / (2 * np.pi - a)
@@ -406,13 +398,11 @@ def solve_g(l: int, lam: complex, problem: ThreeSiteProblem | None = None) -> co
     return complex(out)
 
 
-def solve_g_recursion_residual(
-    l: int, lam: complex, problem: ThreeSiteProblem | None = None
-) -> float:
+def solve_g_recursion_residual(l: int, lam: complex) -> float:
     """|g_l(lam) - w^l g_l(lam+1) - phi(lam)| with g_l from the convolution."""
     w = np.exp(2j * np.pi / 3)
-    g0 = solve_g(l, lam, problem)
-    g1 = solve_g(l, complex(lam) + 1, problem)
+    g0 = solve_g(l, lam)
+    g1 = solve_g(l, complex(lam) + 1)
     return float(abs(g0 - w**l * g1 - phi(complex(lam))))
 
 
@@ -420,9 +410,14 @@ def solve_g_recursion_residual(
 # comb construction of G1
 # ---------------------------------------------------------------------------
 
+#: head length J of the comb; the tail beyond it is summed in closed form
+_COMB_TERMS = 12
 #: Laurent orders kept on the circles around the fit centers
 _KS = np.arange(-4, 7)
 _CENTERS = (0.0, -2.0)
+#: points and radius of those circles
+_LAURENT_POINTS = 256
+_LAURENT_RADIUS = 0.45
 #: analyticity of G1 as vanishing Laurent coefficients: orders -3..1 at 0
 #: (the double zero) and -3..-1 at -2 (regularity)
 _VANISHING = np.array([(_KS >= -3) & (_KS <= 1), (_KS >= -3) & (_KS <= -1)])
@@ -465,12 +460,12 @@ class G1Solver:
     the last term kept in the series of the comb's tail.
     """
 
-    def __init__(self, problem: ThreeSiteProblem | None = None):
-        self.problem = problem or ThreeSiteProblem()
-        if self.problem.comb_terms < 1:
-            raise ValueError(f"comb_terms must be >= 1, got {self.problem.comb_terms}")
+    def __init__(self, *, comb_terms: int = _COMB_TERMS):
+        if comb_terms < 1:
+            raise ValueError(f"comb_terms must be >= 1, got {comb_terms}")
+        self.comb_terms = comb_terms
         self.basis_functions = _cot_basis()
-        n, r = self.problem.laurent_points, self.problem.laurent_radius
+        n, r = _LAURENT_POINTS, _LAURENT_RADIUS
         th = 2 * np.pi * np.arange(n) / n
         z = np.array(_CENTERS)[:, None] + r * np.exp(1j * th)
         dft = np.exp(-1j * np.outer(th, _KS)) / (n * r**_KS)
@@ -483,12 +478,14 @@ class G1Solver:
         x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         self.periodic_coefficients = x
         self.consistency_residual = float(np.abs(mat @ x - rhs).max())
-        tail_x = z / 3 + (self.problem.comb_terms + 1)
+        tail_x = z / 3 + (comb_terms + 1)
         last = len(_PHI_SERIES) - 1
         self.tail_bound = float(np.abs(_series_term(last, tail_x)).max())
 
     def taylor_coefficient(self, k: int) -> complex:
         """Laurent/Taylor coefficient of G1 around 0 (k in -4..6)."""
+        if not _KS[0] <= k <= _KS[-1]:
+            raise ValueError(f"k must be in {_KS[0]}..{_KS[-1]}, got {k}")
         i = k - _KS[0]
         x = self.periodic_coefficients
         return complex(self._k_coef[0, i] + self._b_coef[:, 0, i] @ x)
@@ -499,7 +496,7 @@ class G1Solver:
         The terms ``j = start..J`` are one broadcast in long double; the tail
         beyond ``J`` is added in complex128.
         """
-        terms = self.problem.comb_terms
+        terms = self.comb_terms
         t, tp = _tau_and_slope(z)
         j3 = 3 * np.arange(start, terms + 1)
         head = phi_c(z[..., None] + j3, periodic=(t[..., None], tp[..., None]))
@@ -530,8 +527,7 @@ class G1Solver:
 
     def circle_average(self, center: complex) -> complex:
         """Value at a removable point as the mean over a small circle."""
-        n = self.problem.laurent_points
-        r = self.problem.laurent_radius
+        n, r = _LAURENT_POINTS, _LAURENT_RADIUS
         th = 2 * np.pi * np.arange(n) / n
         return complex(self.value(center + r * np.exp(1j * th)).mean())
 
@@ -577,16 +573,16 @@ class ThreeSiteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def three_site_correlator(problem: ThreeSiteProblem | None = None) -> ThreeSiteSolution:
+def three_site_correlator(*, comb_terms: int = _COMB_TERMS) -> ThreeSiteSolution:
     """<P12 P23> and the boundary values F1, F2, F3 from the comb-built G1.
 
     Diagnostics: the head length of the comb, the fit defects (one list
     entry, the periodic fit's), ``|Im c2|`` and the comb's ``tail_bound``.
     """
-    solver = G1Solver(problem)
+    solver = G1Solver(comb_terms=comb_terms)
     c2 = solver.taylor_coefficient(2)
     diag = {
-        "comb_terms": solver.problem.comb_terms,
+        "comb_terms": solver.comb_terms,
         "lstsq_residuals": [solver.consistency_residual],
         "c2_imag": float(abs(c2.imag)),
         "tail_bound": solver.tail_bound,
@@ -727,26 +723,26 @@ def _diagonal_chain_solve(lam: complex, g):
     return m_inv @ sol[:11], residual
 
 
-def three_site_density_coefficients(
-    solver: G1Solver,
-    center: complex = 0.0,
-):
+#: Cauchy circle around 0 averaging the homogeneous density amplitudes
+_CIRCLE_POINTS = 16
+_CIRCLE_RADIUS = 0.35
+
+
+def three_site_density_coefficients(solver: G1Solver):
     """Singlet amplitudes rho of the homogeneous three-site density operator.
 
     The chain solve degenerates at ``lam = 0`` (the F-weights have poles
-    there), but the amplitudes themselves are analytic, so their value at
-    ``center`` is recovered as the mean of ``_diagonal_chain_solve`` over a
-    small circle - the Cauchy integral, converging geometrically in the
-    number of circle points.  ``G1`` is evaluated at every point the chain
+    there), but the amplitudes themselves are analytic, so their value at 0
+    is recovered as the mean of ``_diagonal_chain_solve`` over a small
+    circle - the Cauchy integral, converging geometrically in the number of
+    circle points.  ``G1`` is evaluated at every point the chain
     solves need in one call.  Returns ``(rho, diagnostics)`` with the
     discarded imaginary part and the worst least-squares defect as quality
     measures.
     """
-    problem = solver.problem
-    n = problem.circle_points
-    radius = problem.circle_radius
+    n, radius = _CIRCLE_POINTS, _CIRCLE_RADIUS
     angles = 2 * np.pi * (np.arange(n) + 0.5) / n
-    lams = center + radius * np.exp(1j * angles)
+    lams = radius * np.exp(1j * angles)
     g = solver.value(lams[:, None] + np.arange(5))
     rhos, residuals = zip(*(_diagonal_chain_solve(lam, gl) for lam, gl in zip(lams, g)))
     rho0 = np.mean(rhos, axis=0)

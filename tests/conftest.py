@@ -6,7 +6,6 @@ import pytest
 from su3chain import ed
 from su3chain.threesite import (
     G1Solver,
-    ThreeSiteProblem,
     density_matrix_three_site,
     three_site_correlator,
 )
@@ -84,12 +83,7 @@ def three_site_pair():
     head length, so the acceptance suite can also check the runtime budget.
     """
     import time
-    from dataclasses import replace
 
     start = time.perf_counter()
-    default = ThreeSiteProblem()
-    solutions = {
-        J: three_site_correlator(replace(default, comb_terms=J))
-        for J in (default.comb_terms, 2 * default.comb_terms)
-    }
+    solutions = {J: three_site_correlator(comb_terms=J) for J in (12, 24)}
     return solutions, time.perf_counter() - start

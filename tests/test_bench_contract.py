@@ -11,6 +11,7 @@ benchmark's files are only read.
 
 import ast
 import json
+import math
 import re
 import subprocess
 import sys
@@ -84,3 +85,20 @@ def test_every_library_layer_has_a_wrapped_name(installed):
     layers = {name.split(".", 1)[0] for name in installed["wrapped"]}
     bare = [layer for layer in installed["layers"][1:] if layer not in layers]
     assert not bare, f"the tracer wraps no name of {bare}"
+
+
+def test_contour_pass_runs_on_the_library(monkeypatch):
+    # the contour workload calls the library in process; a signature it
+    # relies on that changes fails here, not only in the benchmark's run
+    import importlib.util
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("contour_pass", PERFBENCH / "contour_pass.py")
+    contour_pass = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(contour_pass)
+    out = contour_pass.run_pass(1)
+    assert set(out) == {"d2", "g_residuals"}
+    assert all(math.isfinite(v) for v in out["d2"].values())
+    residuals = [row["residual"] for row in out["g_residuals"]]
+    assert len(residuals) == 9
+    assert all(math.isfinite(r) for r in residuals)

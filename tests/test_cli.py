@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from su3chain import ed as ed_mod
 from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _build_parser, main
-from su3chain.threesite import ThreeSiteProblem
+from su3chain.threesite import G1Solver, three_site_correlator
 
 
 def run(capsys, argv):
@@ -163,7 +164,9 @@ def test_config_names_an_option_by_its_flag(tmp_path, capsys):
 def test_comb_terms_default_is_the_library_default():
     parser = _build_parser()
     for command in ("three-site", "report-table1"):
-        assert parser.parse_args([command]).comb_terms == ThreeSiteProblem().comb_terms
+        for fn in (G1Solver, three_site_correlator):
+            default = inspect.signature(fn).parameters["comb_terms"].default
+            assert parser.parse_args([command]).comb_terms == default
 
 
 _LOADED = """
@@ -355,6 +358,9 @@ def test_ed_nan_residual_fails_closed(monkeypatch, capsys):
         (["verify-matrices"], "format = csv", "--format"),
         (["verify-matrices"], "format = xml", "--format"),
         (["three-site"], "comb_terms = 0", "--comb-terms"),
+        (["three-site", "--comb-terms", "101"], None, "--comb-terms"),
+        (["report-table1", "--comb-terms", "101"], None, "--comb-terms"),
+        (["three-site"], "comb_terms = 101", "--comb-terms"),
     ],
 )
 def test_out_of_range_options_fail_closed(tmp_path, capsys, argv, config, option):

@@ -145,22 +145,6 @@ def test_hamiltonian_hermitian_and_matvec_consistent():
     assert np.allclose(ham.matvec(v), dense @ v)
 
 
-def test_spin1_form_differs_by_identity():
-    spec = ed.ChainSpec(3)
-    h_spin1 = ed.build_hamiltonian(spec, form="spin1", sector="full")
-    h_perm = ed.build_hamiltonian(spec, form="permutation", sector="full")
-    assert np.abs(h_spin1 - h_perm - 3 * np.eye(27)).max() < 1e-12
-
-
-@pytest.mark.parametrize(
-    "form, sector",
-    [("permutation", "nonsense"), ("spin1", "nonsense"), ("spin1", "balanced")],
-)
-def test_unknown_or_unsupported_sector_rejected(form, sector):
-    with pytest.raises(ValueError):
-        ed.build_hamiltonian(ed.ChainSpec(3), form=form, sector=sector)
-
-
 def test_spin1_bond_equals_permutation_plus_identity():
     ss = sum(np.kron(s, s) for s in ed.spin1_matrices())
     bond = (ss + ss @ ss).real
@@ -174,7 +158,7 @@ def test_spin1_bond_equals_permutation_plus_identity():
 def test_color_count_conservation():
     # H commutes with each color-number operator (block structure on L=3)
     spec = ed.ChainSpec(3)
-    h = ed.build_hamiltonian(spec, sector="full")
+    h = ed.full_hamiltonian(spec)
     states = np.arange(27)
     digits = (states[:, None] // 3 ** np.arange(2, -1, -1)) % 3
     for color in range(3):
@@ -192,7 +176,7 @@ def test_l3_ground_state(ed_results):
 
 def test_l3_singlet_is_antisymmetric():
     # ground state of the 3-site ring is the totally antisymmetric singlet
-    h = ed.build_hamiltonian(ed.ChainSpec(3), sector="full")
+    h = ed.full_hamiltonian(ed.ChainSpec(3))
     evals, evecs = np.linalg.eigh(h)
     psi = evecs[:, 0]
     p = np.zeros((9, 9))
@@ -331,9 +315,3 @@ def test_lanczos_agrees_with_dense_on_l6():
     assert residual < 1e-12
     assert gap > 1
 
-
-def test_observables_selection(ed_results):
-    out = ed.observables(ed.ChainSpec(3), {"p12"})
-    assert set(out) == {"p12"}
-    with pytest.raises(ValueError):
-        ed.observables(ed.ChainSpec(3), {"nonsense"})

@@ -13,7 +13,6 @@ from su3chain import threesite, twosite
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
     G1Solver,
-    ThreeSiteProblem,
     density_matrix_two_site,
     density_matrix_three_site,
     h_kernel,
@@ -212,10 +211,11 @@ def test_solve_g_recursion_residuals(l):
     assert worst < 1e-8, f"l = {l}: residual {worst}"
 
 
-def test_solve_g_grid_self_convergence():
+def test_solve_g_grid_self_convergence(monkeypatch):
     lam = 1.9 + 0.1j
-    coarse = solve_g(0, lam, ThreeSiteProblem(conv_step=0.008))
-    fine = solve_g(0, lam, ThreeSiteProblem(conv_step=0.004))
+    fine = solve_g(0, lam)
+    monkeypatch.setattr(threesite, "_CONV_STEP", 0.008)
+    coarse = solve_g(0, lam)
     assert abs(coarse - fine) < 1e-8
 
 
@@ -346,7 +346,7 @@ def test_extrapolate_recovers_limit(comb_terms):
     # the closed-form tail extrapolates a head of J terms to the infinite
     # sum; both nsum points lie on the Laurent circles, so the error stays
     # within the reported tail_bound even at heads far below the default
-    solver = G1Solver(ThreeSiteProblem(comb_terms=comb_terms))
+    solver = G1Solver(comb_terms=comb_terms)
     z = np.array(list(NSUM_COMB))
     err = np.abs(solver.comb(z) - np.array(list(NSUM_COMB.values())))
     assert err.max() <= solver.tail_bound
@@ -355,13 +355,13 @@ def test_extrapolate_recovers_limit(comb_terms):
 
 
 def test_comb_head_length_converged(g1_solver):
-    doubled = G1Solver(ThreeSiteProblem(comb_terms=2 * g1_solver.problem.comb_terms))
+    doubled = G1Solver(comb_terms=2 * g1_solver.comb_terms)
     assert abs(doubled.taylor_coefficient(2) - g1_solver.taylor_coefficient(2)) <= 1e-14
 
 
 def test_tail_bound_below_rounding_and_falls_with_head_length(g1_solver):
     assert g1_solver.tail_bound < 1e-16
-    bounds = [G1Solver(ThreeSiteProblem(comb_terms=J)).tail_bound for J in (4, 8, 16)]
+    bounds = [G1Solver(comb_terms=J).tail_bound for J in (4, 8, 16)]
     assert bounds[0] > bounds[1] > g1_solver.tail_bound > bounds[2]
 
 
@@ -377,7 +377,13 @@ def test_correlator_defaults(default_correlator):
 @pytest.mark.parametrize("comb_terms", [0, -7])
 def test_invalid_comb_terms_rejected(comb_terms):
     with pytest.raises(ValueError, match="comb_terms"):
-        G1Solver(ThreeSiteProblem(comb_terms=comb_terms))
+        G1Solver(comb_terms=comb_terms)
+
+
+@pytest.mark.parametrize("k", [-5, 7])
+def test_taylor_coefficient_outside_kept_orders_rejected(g1_solver, k):
+    with pytest.raises(ValueError, match="-4..6"):
+        g1_solver.taylor_coefficient(k)
 
 
 #: <P12 P23>, F2 and F3 at 30 digits from tests/correlator_reference.py
