@@ -13,9 +13,13 @@ Kronecker deltas:
 * ``m = 3``: 11 elements on legs ``(i1, i2, i3, r1, r2, s1, s2)``; each is
   ``eps`` over three of the five lower legs, with the remaining two paired
   with ``(s1, s2)`` either in order (pairing 0) or swapped (pairing 1).  The
-  ordering below is the unique assignment (up to a global sign) that
-  reproduces *both* the integer Gram matrix and the closed-form difference
-  equation matrix A3.
+  ordering of ``_BASIS_SPEC`` is the unique assignment (up to a global sign)
+  that reproduces *both* the integer Gram matrix and the closed-form
+  difference equation matrix A3.
+
+One table, ``_BASIS_SPEC``, lists both bases as ``(eps slots, pairing)``
+entries; :func:`build_basis` turns each entry into one ``einsum`` of ``eps``
+and ``m - 1`` deltas and checks the result against ``GRAM_m``.
 
 The difference-equation matrix ``A`` is computed from first principles as
 ``A = M^{-1} W / gauge`` where ``W_{jk} = <P_j, T P_k>`` and ``T`` is the
@@ -28,9 +32,6 @@ so that row is a left eigenvector of ``A`` with eigenvalue 1.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -62,111 +63,80 @@ GRAM_3 = np.array(
     dtype=np.int64,
 )
 
-# m=3 basis: (epsilon slots among [i1, i2, i3, r1, r2] = [0..4], pairing)
-_BASIS3_SPEC = [
-    ((0, 1, 2), 0),
-    ((0, 1, 3), 0),
-    ((0, 1, 2), 1),
-    ((0, 1, 4), 1),
-    ((0, 1, 3), 1),
-    ((0, 1, 4), 0),
-    ((1, 2, 3), 0),
-    ((0, 3, 4), 0),
-    ((1, 2, 4), 1),
-    ((1, 2, 3), 1),
-    ((1, 2, 4), 0),
-]
+#: each element as (epsilon slots among the lower legs, pairing): the lower
+#: legs left over are joined to the upper legs by deltas, in order (pairing 0)
+#: or swapped (pairing 1)
+_BASIS_SPEC = {
+    2: [((0, 1, 2), 0), ((0, 1, 3), 0), ((3, 1, 2), 0)],
+    3: [
+        ((0, 1, 2), 0),
+        ((0, 1, 3), 0),
+        ((0, 1, 2), 1),
+        ((0, 1, 4), 1),
+        ((0, 1, 3), 1),
+        ((0, 1, 4), 0),
+        ((1, 2, 3), 0),
+        ((0, 3, 4), 0),
+        ((1, 2, 4), 1),
+        ((1, 2, 3), 1),
+        ((1, 2, 4), 0),
+    ],
+}
+_GRAM = {2: GRAM_2, 3: GRAM_3}
+#: the least common denominator of the entries of GRAM_m^-1
+_GRAM_DENOMINATOR = {2: 24, 3: 360}
 
 
-@dataclass(frozen=True)
-class SingletBasis:
-    m: int
-    elements: tuple[np.ndarray, ...]  # read-only, legs as in the module doc
-    gram: np.ndarray  # exact integers
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-
-def _element3(eps_slots: tuple[int, int, int], pairing: int) -> np.ndarray:
-    """Build eps over ``eps_slots`` of the 5 lower legs, deltas to (s1, s2)."""
-    rem = [x for x in range(5) if x not in eps_slots]
-    a, b = rem
-    arr = np.zeros((N,) * 7)
-    for vals in itertools.product(range(N), repeat=7):
-        e = _EPS[vals[eps_slots[0]], vals[eps_slots[1]], vals[eps_slots[2]]]
-        if e == 0:
-            continue
-        if pairing == 0:
-            dd = (vals[a] == vals[5]) and (vals[b] == vals[6])
-        else:
-            dd = (vals[a] == vals[6]) and (vals[b] == vals[5])
-        if dd:
-            arr[vals] = e
-    return arr
+def _element(m: int, eps_slots: tuple[int, int, int], pairing: int) -> np.ndarray:
+    """One basis element: eps over ``eps_slots``, deltas to the upper legs."""
+    lower, upper = "abcde"[: m + 2], "vw"[: m - 1]
+    rest = [leg for k, leg in enumerate(lower) if k not in eps_slots]
+    deltas = [leg + up for leg, up in zip(rest, upper[::-1] if pairing else upper)]
+    eps = "".join(lower[k] for k in eps_slots)
+    spec = ",".join([eps, *deltas]) + "->" + lower + upper
+    return np.einsum(spec, _EPS, *[_EYE] * (m - 1))
 
 
-_CACHE: dict[int, SingletBasis] = {}
+_CACHE: dict[int, np.ndarray] = {}
 
 
-def build_basis(m: int) -> SingletBasis:
-    """Return the (memoized) singlet basis for ``m`` in {2, 3}."""
+def build_basis(m: int) -> np.ndarray:
+    """The singlet basis for ``m`` in {2, 3}, as a ``(dim, 3, ..., 3)`` array.
+
+    Element ``j`` is ``basis[j]``, with legs as in the module doc.  Built once
+    per ``m`` and shared, so it is read-only; it raises unless the elements'
+    contraction reproduces the integer Gram matrix exactly.
+    """
     if m in _CACHE:
         return _CACHE[m]
-    if m == 2:
-        d = _EYE
-        arrs = [
-            np.einsum("abc,de->abcde", _EPS, d),
-            np.einsum("abd,ce->abcde", _EPS, d),
-            np.einsum("dbc,ae->abcde", _EPS, d),
-        ]
-        expected_gram = GRAM_2
-    elif m == 3:
-        arrs = [_element3(slots, pairing) for slots, pairing in _BASIS3_SPEC]
-        expected_gram = GRAM_3
-    else:
+    if m not in _BASIS_SPEC:
         raise ValueError(f"m must be 2 or 3, got {m}")
-    # brute-force contraction must reproduce the integer Gram matrix exactly
-    exact = np.array([[np.vdot(a, b).real for b in arrs] for a in arrs])
-    if not np.array_equal(exact, expected_gram):
+    basis = np.array([_element(m, *entry) for entry in _BASIS_SPEC[m]])
+    flat = basis.reshape(len(basis), -1)
+    if not np.array_equal(flat @ flat.T, _GRAM[m]):
         raise AssertionError("singlet-basis Gram matrix mismatch")
-    gram = exact.astype(np.int64)
-    elements = tuple(np.asarray(a, dtype=complex) for a in arrs)
-    for element in elements:
-        element.flags.writeable = False
-    basis = SingletBasis(m=m, elements=elements, gram=gram)
+    basis.flags.writeable = False
     _CACHE[m] = basis
     return basis
 
 
 @cache
 def gram_inverse(m: int) -> np.ndarray:
-    """Float image of the exact rational inverse of the Gram matrix for ``m`` in {2, 3}.
+    """The exact inverse of the Gram matrix for ``m`` in {2, 3}, as floats.
 
-    Computed once per ``m``, on first use rather than at import: the
-    ``Fraction`` Gauss-Jordan takes milliseconds for ``GRAM_3``.  Every
-    caller shares the returned array, so it is read-only.
+    Every entry is an integer over ``D = 24`` (m = 2) or ``D = 360``
+    (m = 3): the float inverse times ``D``, rounded, must give ``GRAM @ S =
+    D I`` exactly in integers, and ``S / D`` is the correctly rounded image
+    of the rational inverse.  Every caller shares the returned array, so it
+    is read-only.
     """
-    if m not in (2, 3):
+    if m not in _GRAM:
         raise ValueError(f"m must be 2 or 3, got {m}")
-    gram = (GRAM_2 if m == 2 else GRAM_3).tolist()
-    n = len(gram)
-    aug = [[Fraction(x) for x in row] for row in gram]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = np.array([[float(x) for x in row] for row in inv])
+    gram, d = _GRAM[m], _GRAM_DENOMINATOR[m]
+    scaled = np.rint(np.linalg.inv(gram) * d).astype(np.int64)
+    if not np.array_equal(gram @ scaled, d * np.eye(len(gram), dtype=np.int64)):
+        raise AssertionError(f"GRAM_{m}^-1 is not an integer matrix over {d}")
+    out = scaled / d
     out.flags.writeable = False
     return out
 
@@ -193,8 +163,7 @@ def _chain_polynomial(m: int) -> np.ndarray:
     ``(t + 3)P - E -> (3P - E, P)``: one contraction per basis element gives
     every product of parts, and the products are summed by degree.
     """
-    basis = build_basis(m)
-    elements = np.array([element.real for element in basis.elements])
+    elements = build_basis(m)
     ff = np.stack([_I4, _P4])  # I + t P
     mx = np.stack([3 * _P4 - _E4, _P4])  # (t + 3) P - E
     # deg[d, a, b] = 1 where a + b = d: sums the parts' powers by degree
@@ -208,7 +177,7 @@ def _chain_polynomial(m: int) -> np.ndarray:
         factors = (ff, ff, mx, mx)
         by_degree, degs = "pBC,qAD,ABCDjk->pqjk", (deg, deg)
         gauge = np.multiply.outer(gauge, gauge)
-    flat = elements.reshape(basis.dim, -1)
+    flat = elements.reshape(len(elements), -1)
     parts = []
     for pk in elements:  # one at a time: a batched contraction raises the peak memory
         image = np.einsum(chain, *factors, pk, optimize=True)
@@ -218,7 +187,7 @@ def _chain_polynomial(m: int) -> np.ndarray:
     # e_0, so row 0 of W must be the gauge times GRAM[0]
     if not (
         np.array_equal(coef, np.rint(coef))
-        and np.array_equal(coef[..., 0, :], np.multiply.outer(gauge, basis.gram[0]))
+        and np.array_equal(coef[..., 0, :], np.multiply.outer(gauge, _GRAM[m][0]))
     ):
         raise AssertionError("chain polynomial is not integral or breaks the gauge")
     exact = coef.astype(np.int64)

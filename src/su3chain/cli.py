@@ -112,8 +112,8 @@ _FORMATS = ("json", "text", "csv")
 def _usage_error(args) -> str | None:
     """Why the merged options are invalid, checked before any work is done.
 
-    Config values bypass argparse's types and choices, so every rule is
-    applied here, after the merge.
+    Argparse casts config values with each option's type but does not check
+    them against its choices, so every rule is applied here, after the merge.
     """
     for name in ("samples", "points"):
         value = getattr(args, name, None)
@@ -400,21 +400,38 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Every subcommand option, under each key a config file may name it by.
+def _preload_config(parser: argparse.ArgumentParser, path: str) -> str | None:
+    """Make a config file's values the subcommands' defaults, or say why not.
 
-    The keys are the option's flag without its dashes and its destination,
-    with ``-`` read as ``_`` (``comb_terms``; ``lambda`` and ``lam``).
+    A key names an option by its flag without its dashes or by its
+    destination, with ``-`` read as ``_`` (``comb_terms``; ``lambda`` and
+    ``lam``).  The values stay strings: argparse casts a string default with
+    the option's type, and a flag given on the command line, abbreviated or
+    not, wins over it.  An option of another subcommand is ignored.
     """
+    try:
+        values = _load_config(path)
+    except (OSError, ValueError) as exc:
+        return str(exc)
+    # the subcommand, its handler and the config file come from argv only
+    for key in ("command", "func", "config"):
+        if key in values:
+            return f"{key!r} cannot be set in a config file"
     (commands,) = (a for a in parser._actions if a.dest == "command")
-    options = {}
+    known = set()
     for sub in commands.choices.values():
-        for action in sub._actions:
-            if action.default is argparse.SUPPRESS:  # --help
-                continue
-            for name in (action.dest, *action.option_strings):
-                options[name.lstrip("-").replace("-", "_")] = action
-    return options
+        dests = {
+            name.lstrip("-").replace("-", "_"): action.dest
+            for action in sub._actions
+            if action.default is not argparse.SUPPRESS  # --help
+            for name in (action.dest, *action.option_strings)
+        }
+        sub.set_defaults(**{dests[k]: v for k, v in values.items() if k in dests})
+        known |= dests.keys()
+    unknown = [key for key in values if key not in known]
+    if unknown:
+        return f"unknown key {unknown[0]!r}: no subcommand has this option"
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -468,40 +485,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is not None and args.config:
+            error = _preload_config(parser, args.config)
+            if error:
+                print(f"config error: {error}", file=sys.stderr)
+                return EXIT_USAGE
+            args = parser.parse_args(argv)  # with the file's values as defaults
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if args.config:
-        try:
-            overrides = _load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        options = _config_options(parser)
-        raw = argv if argv is not None else sys.argv[1:]
-        flags = (t[2:].split("=", 1)[0].replace("-", "_") for t in raw if t.startswith("--"))
-        explicit = {options[flag].dest for flag in flags if flag in options}
-        for key, val in overrides.items():
-            # the subcommand, its handler and the config file come from argv only
-            if key in ("command", "func", "config"):
-                print(f"config error: {key!r} cannot be set in a config file",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            action = options.get(key)
-            if action is None:
-                print(f"config error: unknown key {key!r}: no subcommand has this option",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            # an option of another subcommand is ignored
-            if action.dest in explicit or not hasattr(args, action.dest):
-                continue
-            try:
-                setattr(args, action.dest, (action.type or str)(val))
-            except (TypeError, ValueError):
-                print(f"config error: bad value for {key}: {val!r}", file=sys.stderr)
-                return EXIT_USAGE
     usage = _usage_error(args)
     if usage:
         print(f"usage error: {usage}", file=sys.stderr)

@@ -102,9 +102,10 @@ def test_criterion_3_table1(ed_results, l9_full_space_energy):
 
 
 def test_criterion_4_matrix_verification():
-    gram_ok = np.array_equal(build_basis(2).gram, GRAM_2) and np.array_equal(
-        build_basis(3).gram, GRAM_3
-    )
+    gram_ok = True
+    for m, gram in ((2, GRAM_2), (3, GRAM_3)):
+        flat = build_basis(m).reshape(len(gram), -1)
+        gram_ok = gram_ok and np.array_equal(flat @ flat.T, gram)
     rng = np.random.default_rng(29)
 
     def draw():

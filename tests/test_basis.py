@@ -1,5 +1,7 @@
 """Singlet bases, Gram matrices, difference-equation matrices, reduction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from su3chain.basis import (
     GRAM_2,
     GRAM_3,
     SingularParameterError,
+    _BASIS_SPEC,
     _chain_polynomial,
     a2_closed_form,
     a3_closed_form,
@@ -32,10 +35,48 @@ def _random_points(rng, count, forbidden_radius=0.2):
 
 
 def test_gram_matrices_exact():
-    # build_basis recomputes each Gram entry by brute-force contraction and
-    # raises on any deviation from the integer matrices; assert equality too
-    assert np.array_equal(build_basis(2).gram, GRAM_2)
-    assert np.array_equal(build_basis(3).gram, GRAM_3)
+    # build_basis contracts the elements it builds and raises on any
+    # deviation from the integer matrices; assert equality here too
+    for m, gram in ((2, GRAM_2), (3, GRAM_3)):
+        basis = build_basis(m)
+        flat = basis.reshape(len(basis), -1)
+        assert np.array_equal(flat @ flat.T, gram)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_elements_match_the_slot_definition(m):
+    # the loop the einsum replaced: eps over the slots, the remaining lower
+    # legs equal to the upper legs in order (pairing 0) or swapped (pairing 1)
+    lower = m + 2
+    for element, (slots, pairing) in zip(build_basis(m), _BASIS_SPEC[m]):
+        rest = [k for k in range(lower) if k not in slots]
+        upper = list(range(lower, lower + m - 1))
+        if pairing:
+            upper.reverse()
+        expected = np.zeros(element.shape)
+        for index in itertools.product(range(3), repeat=element.ndim):
+            if all(index[r] == index[u] for r, u in zip(rest, upper)):
+                expected[index] = EPS[tuple(index[k] for k in slots)]
+        assert np.array_equal(element, expected)
+
+
+def test_basis_is_shared_and_read_only():
+    for m in (2, 3):
+        basis = build_basis(m)
+        assert basis is build_basis(m)
+        assert basis.shape == (len(basis),) + (3,) * (2 * m + 1)
+        assert not basis.flags.writeable
+
+
+@pytest.mark.parametrize("m, d", [(2, 24), (3, 360)])
+def test_gram_inverse_is_exact_over_its_denominator(m, d):
+    gram = GRAM_2 if m == 2 else GRAM_3
+    inverse = gram_inverse(m)
+    scaled = np.rint(inverse * d)
+    assert np.array_equal(inverse, scaled / d)
+    product = gram @ scaled.astype(np.int64)
+    assert np.array_equal(product, d * np.eye(len(gram), dtype=np.int64))
+    assert not inverse.flags.writeable
 
 
 def test_gram_matrices_symmetric_integer():
@@ -46,8 +87,8 @@ def test_gram_matrices_symmetric_integer():
 
 
 def test_basis_sizes():
-    assert len(build_basis(2).elements) == 3
-    assert len(build_basis(3).elements) == 11
+    assert len(build_basis(2)) == 3
+    assert len(build_basis(3)) == 11
     with pytest.raises(ValueError):
         build_basis(4)
 
@@ -139,14 +180,12 @@ def test_reduction_matches_wing_contraction():
     D[(a, r...), (b, s...)] = eps(b, c, d) v[c, d, a, r..., s...].  This
     pins every coefficient of reduce_to_physical independently.
     """
-    basis2 = build_basis(2)
-    for j, element in enumerate(basis2.elements):
+    for j, element in enumerate(build_basis(2)):
         wing = np.einsum("bcd,cdars->arbs", EPS, element).reshape(9, 9)
         unit = np.zeros(3)
         unit[j] = 1
         assert np.abs(wing - reduce_to_physical(2, unit)).max() < 1e-13
-    basis3 = build_basis(3)
-    for j, element in enumerate(basis3.elements):
+    for j, element in enumerate(build_basis(3)):
         wing = np.einsum(
             "bcd,cdarxsy->arxbsy", EPS, element
         ).reshape(27, 27)

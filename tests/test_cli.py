@@ -123,6 +123,33 @@ def test_flags_win_over_config(tmp_path, capsys):
     assert json.loads(out)["inputs"]["seed"] == 7
 
 
+def test_abbreviated_flag_wins_over_config(tmp_path, capsys):
+    # argparse accepts a unique prefix of a flag; it must win like the full name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    argv = ["--config", str(cfg), "verify-algebra", "--se", "9", "--samples", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["seed"] == 9
+
+
+def test_abbreviated_comb_terms_wins_over_config(tmp_path, capsys, monkeypatch):
+    from su3chain import threesite
+
+    seen = []
+
+    def correlator(comb_terms):
+        seen.append(comb_terms)
+        raise RuntimeError("stopped before the comb")
+
+    monkeypatch.setattr(threesite, "three_site_correlator", correlator)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("comb_terms = 3\n")
+    code, _, _ = run(capsys, ["--config", str(cfg), "three-site", "--comb", "5"])
+    assert code == EXIT_VERIFY
+    assert seen == [5]
+
+
 def test_malformed_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("this is not a key value line\n")
@@ -354,6 +381,7 @@ def test_ed_nan_residual_fails_closed(monkeypatch, capsys):
         (["verify-algebra"], "samples = -1", "--samples"),
         (["verify-algebra"], "samples = 100000000000", "--samples"),
         (["verify-algebra"], "seed = -1", "--seed"),
+        (["verify-algebra"], "seed = x", "--seed"),
         (["verify-matrices"], "points = 0", "--points"),
         (["verify-matrices"], "format = csv", "--format"),
         (["verify-matrices"], "format = xml", "--format"),

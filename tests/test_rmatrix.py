@@ -7,23 +7,45 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3chain.rmatrix import (
-    RKind,
+    LINE_TRIPLES,
+    _ybe_name,
     check_fusion,
     check_unitarity,
     check_yang_baxter,
     identity_suite,
     r_operator,
-    special_kind_triples,
-    standard_kind_triples,
 )
 
 TOL = 1e-12
 
 finite = st.floats(-3, 3, allow_nan=False)
 
+UNSHIFTED = ("FFF", "FFA", "FAA", "AAA", "AAF", "AFF")
+SHIFTED = ("FAF", "AFA")
+
+
+def test_line_triples_split_by_the_shift_rule():
+    # line 3 like line 1 and line 2 opposite: exactly the two shifted triples
+    assert set(LINE_TRIPLES) == {a + b + c for a in "FA" for b in "FA" for c in "FA"}
+    assert LINE_TRIPLES == UNSHIFTED + SHIFTED
+    assert [_ybe_name(t) for t in SHIFTED] == ["ybe_special_FAFFAF", "ybe_special_AFAAFA"]
+    assert _ybe_name("FFA") == "ybe_FFFAFA"
+
+
+@pytest.mark.parametrize("kind", ["FFF", "F", "fa", "FB", ("F", "A"), ""])
+def test_r_operator_rejects_unknown_kinds(kind):
+    with pytest.raises(ValueError):
+        r_operator(kind, 0.5)
+
+
+@pytest.mark.parametrize("lines", ["FF", "FFFF", "FFB", "faf", ("F", "A", "F")])
+def test_yang_baxter_rejects_unknown_lines(lines):
+    with pytest.raises(ValueError):
+        check_yang_baxter(lines, 0.1, 0.2, 0.3)
+
 
 def test_regularity_ff_at_zero_is_identity():
-    assert np.allclose(r_operator(RKind.FF, 3, 0.0), np.eye(9))
+    assert np.allclose(r_operator("FF", 0.0), np.eye(9))
 
 
 def test_ff_operator_form():
@@ -32,7 +54,7 @@ def test_ff_operator_form():
     for a in range(3):
         for b in range(3):
             p[3 * b + a, 3 * a + b] = 1
-    assert np.allclose(r_operator(RKind.FF, 3, lam), np.eye(9) + lam * p)
+    assert np.allclose(r_operator("FF", lam), np.eye(9) + lam * p)
 
 
 def test_identity_suite_all_below_tolerance():
@@ -46,67 +68,51 @@ def test_identity_suite_all_below_tolerance():
 @given(finite, finite, finite, finite, finite, finite)
 def test_standard_ybe_property(a, b, c, d, e, f):
     lam, mu, nu = complex(a, b), complex(c, d), complex(e, f)
-    for triple in standard_kind_triples():
-        assert check_yang_baxter(*triple, lam, mu, nu) < 1e-10
+    for lines in UNSHIFTED:
+        assert check_yang_baxter(lines, lam, mu, nu) < 1e-10
 
 
 def test_special_ybe_needs_the_shift():
     lam, mu, nu = 0.37 + 0.11j, -0.82 + 0.4j, 0.05 - 0.6j
-    for triple in special_kind_triples():
-        shifted = check_yang_baxter(*triple, lam, mu, nu)
-        unshifted = check_yang_baxter(*triple, lam, mu, nu, shift=0)
+    for lines in SHIFTED:
+        shifted = check_yang_baxter(lines, lam, mu, nu)
+        unshifted = check_yang_baxter(lines, lam, mu, nu, shift=0)
         assert shifted < TOL
         assert unshifted > 1e-2, "unshifted special YBE unexpectedly holds"
 
 
-@pytest.mark.parametrize("kind,scalar_fn", [
-    ("standard", lambda d: 1 - d**2),
-    ("special-1", lambda d: (-d) * (d + 3)),
-    ("special-2", lambda d: d * (-d + 3)),
-])
-def test_unitarity_scalars(kind, scalar_fn):
-    lam, mu = 1.3 - 0.7j, -0.4 + 0.2j
-    residual, scalar = check_unitarity(kind, 3, lam, mu)
-    assert residual < TOL
-    assert abs(scalar - scalar_fn(lam - mu)) < TOL
+@pytest.mark.parametrize("kind", ["standard", "special-1", "special-2"])
+def test_unitarity(kind):
+    # the residual is taken against the relation's scalar times the identity
+    assert check_unitarity(kind, 1.3 - 0.7j, -0.4 + 0.2j) < TOL
 
 
-@pytest.mark.parametrize("direction,scalar_fn", [
-    ("up", lambda lam, mu: (lam + 2 - mu) * (1 - (lam - mu) ** 2)),
-    ("down", lambda lam, mu: (mu - lam) * (1 - (lam + 2 - mu) ** 2)),
-])
-def test_fusion_scalars(direction, scalar_fn):
-    lam, mu = 0.9 + 0.3j, -1.1 - 0.5j
-    residual, scalar = check_fusion(3, lam, mu, direction)
-    assert residual < TOL
-    assert abs(scalar - scalar_fn(lam, mu)) < TOL
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_fusion(direction):
+    assert check_fusion(0.9 + 0.3j, -1.1 - 0.5j, direction) < TOL
 
 
-def test_fusion_rejects_other_n():
-    with pytest.raises(ValueError):
-        check_fusion(2, 0.1, 0.2, "up")
-
-
-def test_unitarity_reports_degenerate_scalar():
-    # at lam = mu the standard scalar is 1 and the product is the identity
-    residual, scalar = check_unitarity("standard", 3, 0.5, 0.5)
-    assert scalar == 1
-    assert residual < TOL
+def test_unitarity_holds_at_degenerate_scalar():
+    # at lam = mu the special scalars vanish, and so does the product itself
+    assert check_unitarity("standard", 0.5, 0.5) < TOL
+    assert check_unitarity("special-1", 0.5, 0.5) < TOL
+    assert np.abs(r_operator("FA", 0.0) @ r_operator("AF", 3.0)).max() < TOL
 
 
 def _all_checks():
     """The 13 checks of the identity suite, each as ``f(lam, mu, nu)``."""
     checks = {}
-    for t in standard_kind_triples() + special_kind_triples():
-        name = "ybe_" + "".join(k.value for k in t)
-        checks[name] = lambda lam, mu, nu, t=t: check_yang_baxter(*t, lam, mu, nu)
+    for lines in LINE_TRIPLES:
+        checks[_ybe_name(lines)] = (
+            lambda lam, mu, nu, lines=lines: check_yang_baxter(lines, lam, mu, nu)
+        )
     for kind in ("standard", "special-1", "special-2"):
         checks["unitarity_" + kind] = (
-            lambda lam, mu, nu, kind=kind: check_unitarity(kind, 3, lam, mu)[0]
+            lambda lam, mu, nu, kind=kind: check_unitarity(kind, lam, mu)
         )
     for direction in ("up", "down"):
         checks["fusion_" + direction] = (
-            lambda lam, mu, nu, d=direction: check_fusion(3, lam, mu, d)[0]
+            lambda lam, mu, nu, d=direction: check_fusion(lam, mu, d)
         )
     return checks
 
@@ -121,17 +127,19 @@ def test_array_checks_match_scalar_calls():
         scalar = max(check(*point) for point in zip(lam, mu, nu))
         assert abs(batched - scalar) < 1e-13, name
         assert batched < TOL and scalar < TOL, name
-    for triple in special_kind_triples():
-        assert check_yang_baxter(*triple, lam, mu, nu, shift=0) > 1e-2
+    for lines in SHIFTED:
+        assert check_yang_baxter(lines, lam, mu, nu, shift=0) > 1e-2
 
 
-def test_array_scalars_have_parameter_shape():
+def test_r_operator_stacks_array_parameters():
     lam = np.array([1.3 - 0.7j, 0.2 + 0.1j])
-    _, scalar = check_unitarity("standard", 3, lam, 0.0)
-    assert np.allclose(scalar, 1 - lam**2)
-    _, scalar = check_fusion(3, lam, 0.0, "down")
-    assert np.allclose(scalar, -lam * (1 - (lam + 2) ** 2))
-    assert r_operator(RKind.FA, 3, lam.reshape(2, 1)).shape == (2, 1, 9, 9)
+    assert r_operator("FA", lam.reshape(2, 1)).shape == (2, 1, 9, 9)
+
+
+def test_identity_suite_names_in_order():
+    # the names are the CLI's output keys, and their order breaks ties of the
+    # worst identity
+    assert list(identity_suite(seed=7, samples=2))[:13] == list(_all_checks())
 
 
 def test_identity_suite_memory_is_blocked():
