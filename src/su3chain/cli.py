@@ -26,6 +26,14 @@ is non-negative and ``--comb-terms`` lies in 1..100 (each comb term costs
 about 0.5 MB, and 12 already leave a tail term of 3e-17); a violation is a
 usage error naming the option.
 
+Each handler returns ``(inputs, results, diagnostics, checks)``, a check
+being ``(passed, reason)`` written so that NaN fails (``value <= tol``), and
+raises ``_UsageError`` for an input it finds outside its domain.  ``main``
+alone turns that into output and an exit code: it names the first failed
+check on stderr as ``verification failed: <reason>`` before it emits the
+payload, and exits 1, NaN included (strict JSON then refuses the payload, so
+stdout stays empty and ``error: ...`` follows).
+
 Exit codes: 0 success, 1 verification failure (the failing check is named),
 2 usage error.
 """
@@ -72,7 +80,7 @@ def _emit(payload: dict, fmt: str) -> None:
                         print(f"{k} = {value[k]}")
                 else:
                     print(value)
-        else:  # csv, which _usage_error allows for report-table1 only
+        else:  # csv, which _check_options allows for report-table1 only
             rows = payload["results"]["rows"]
             print(",".join(rows[0].keys()))
             for row in rows:
@@ -83,21 +91,8 @@ def _emit(payload: dict, fmt: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _payload(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "diagnostics": diagnostics,
-        "paper_reference_values": PAPER_REFERENCE_VALUES,
-    }
-
-
-def _fail(fmt: str, payload: dict, message: str) -> int:
-    # named first: a non-finite value makes _emit itself raise
-    print(f"verification failed: {message}", file=sys.stderr)
-    _emit(payload, fmt)
-    return EXIT_VERIFY
+class _UsageError(ValueError):
+    """A usage error found after parsing, by the option checks or a handler: exit 2."""
 
 
 _MAX_POINTS = 100_000
@@ -109,8 +104,8 @@ _MAX_COMB_TERMS = 100
 _FORMATS = ("json", "text", "csv")
 
 
-def _usage_error(args) -> str | None:
-    """Why the merged options are invalid, checked before any work is done.
+def _check_options(args) -> None:
+    """Raise a usage error naming the first invalid merged option, before any work.
 
     Argparse casts config values with each option's type but does not check
     them against its choices, so every rule is applied here, after the merge.
@@ -118,42 +113,40 @@ def _usage_error(args) -> str | None:
     for name in ("samples", "points"):
         value = getattr(args, name, None)
         if value is not None and not 1 <= value <= _MAX_POINTS:
-            return f"--{name} must be in 1..{_MAX_POINTS}, got {value}"
+            raise _UsageError(f"--{name} must be in 1..{_MAX_POINTS}, got {value}")
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
-        return f"--seed must be >= 0, got {seed}"
+        raise _UsageError(f"--seed must be >= 0, got {seed}")
     comb_terms = getattr(args, "comb_terms", None)
     if comb_terms is not None and not 1 <= comb_terms <= _MAX_COMB_TERMS:
-        return f"--comb-terms must be in 1..{_MAX_COMB_TERMS}, got {comb_terms}"
+        raise _UsageError(
+            f"--comb-terms must be in 1..{_MAX_COMB_TERMS}, got {comb_terms}"
+        )
     if args.format not in _FORMATS:
-        return f"--format must be one of {', '.join(_FORMATS)}, got {args.format!r}"
+        raise _UsageError(
+            f"--format must be one of {', '.join(_FORMATS)}, got {args.format!r}"
+        )
     if args.format == "csv" and args.command != "report-table1":
-        return "--format csv is only available for report-table1"
-    return None
+        raise _UsageError("--format csv is only available for report-table1")
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_verify_algebra(args) -> int:
+def _cmd_verify_algebra(args):
     from . import rmatrix
 
     residuals = rmatrix.identity_suite(seed=args.seed, samples=args.samples)
-    worst = max(residuals, key=residuals.get)
-    results = {name: float(res) for name, res in sorted(residuals.items())}
-    payload = _payload(
-        "verify-algebra",
+    # argmax picks the first NaN, where max(key=...) would skip it
+    worst = list(residuals)[int(np.argmax(list(residuals.values())))]
+    res = float(residuals[worst])
+    return (
         {"seed": args.seed, "samples": args.samples, "tolerance": _ALGEBRA_TOL},
-        results,
-        {"worst_identity": worst, "worst_residual": float(residuals[worst])},
+        {name: float(value) for name, value in sorted(residuals.items())},
+        {"worst_identity": worst, "worst_residual": res},
+        [(res <= _ALGEBRA_TOL, f"identity {worst!r} residual {res:.3e}")],
     )
-    if not (residuals[worst] <= _ALGEBRA_TOL):
-        return _fail(
-            args.format, payload, f"identity {worst!r} residual {residuals[worst]:.3e}"
-        )
-    _emit(payload, args.format)
-    return EXIT_OK
 
 
 def _random_points(rng, count):
@@ -166,21 +159,18 @@ def _random_points(rng, count):
     return pts
 
 
-def _cmd_verify_matrices(args) -> int:
+def _cmd_verify_matrices(args):
     from . import basis as basis_mod
 
     rng = np.random.default_rng(args.seed)
-    diagnostics: dict = {}
     # Gram matrices: build_basis raises if contraction != printed integers
     for m in (2, 3):
         basis_mod.build_basis(m)
-    results: dict = {"gram_2_exact": True, "gram_3_exact": True}
-    dev2 = 0.0
-    for lam in _random_points(rng, args.points):
-        a = basis_mod.a_matrix(2, lam, 0.0)
-        dev2 = max(dev2, float(np.abs(a - basis_mod.a2_closed_form(lam)).max()))
-    dev3 = 0.0
-    zero_dev = 0.0
+    dev2 = [
+        np.abs(basis_mod.a_matrix(2, lam, 0.0) - basis_mod.a2_closed_form(lam)).max()
+        for lam in _random_points(rng, args.points)
+    ]
+    dev3, zero_dev = [], []
     zero_pattern = basis_mod.a3_printed_zero_pattern()
     for x in _random_points(rng, args.points):
         y = _random_points(rng, 1)[0]
@@ -188,41 +178,32 @@ def _cmd_verify_matrices(args) -> int:
         while abs(x - y) < 0.2:
             y = _random_points(rng, 1)[0]
         a = basis_mod.a_matrix(3, x, x - y, x - x)
-        closed = basis_mod.a3_closed_form(x, y)
-        dev3 = max(dev3, float(np.abs(a - closed).max()))
-        zero_dev = max(zero_dev, float(np.abs(a[zero_pattern]).max()))
-    results.update(
-        {
-            "a2_max_deviation": dev2,
-            "a3_max_deviation": dev3,
-            "a3_zero_entries_max": zero_dev,
-        }
-    )
-    diagnostics["points_per_matrix"] = args.points
-    payload = _payload(
-        "verify-matrices",
+        dev3.append(np.abs(a - basis_mod.a3_closed_form(x, y)).max())
+        zero_dev.append(np.abs(a[zero_pattern]).max())
+    # np.max keeps a NaN deviation, which then fails its check
+    deviations = {
+        "a2_max_deviation": float(np.max(dev2)),
+        "a3_max_deviation": float(np.max(dev3)),
+        "a3_zero_entries_max": float(np.max(zero_dev)),
+    }
+    return (
         {"seed": args.seed, "points": args.points, "tolerance": _MATRIX_TOL},
-        results,
-        diagnostics,
+        {"gram_2_exact": True, "gram_3_exact": True, **deviations},
+        {"points_per_matrix": args.points},
+        [(v <= _MATRIX_TOL, f"{k} = {v:.3e}") for k, v in deviations.items()],
     )
-    for name in ("a2_max_deviation", "a3_max_deviation", "a3_zero_entries_max"):
-        if not (results[name] <= _MATRIX_TOL):
-            return _fail(args.format, payload, f"{name} = {results[name]:.3e}")
-    _emit(payload, args.format)
-    return EXIT_OK
 
 
 # a non-finite value fails the residual gate or the strict JSON emit, with
 # the reason on stderr, so numpy's floating-point warnings would only add noise
 @np.errstate(all="ignore")
-def _cmd_two_site(args) -> int:
+def _cmd_two_site(args):
     from . import twosite
     from .specfun import PoleError
 
     lam = complex(args.lam)
     if not np.isfinite(lam):
-        print(f"usage error: --lambda must be finite, got {args.lam}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--lambda must be finite, got {args.lam}")
     # the residuals are checked at lam itself, except at the physical points
     # 0, +-1, where the check formulas are singular
     check_point = lam if min(abs(lam), abs(lam - 1), abs(lam + 1)) > 1e-3 else 0.4 + 0.3j
@@ -230,8 +211,7 @@ def _cmd_two_site(args) -> int:
         res1, res2 = twosite.check_difference_equations(check_point)
         three_term = twosite.check_three_term(check_point)
     except PoleError as exc:
-        print(f"usage error: --lambda: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--lambda: {exc}") from exc
     values = {"omega33": twosite.omega33(lam), "alpha33": twosite.alpha33(lam)}
     if lam.imag == 0:
         results = {k: v.real for k, v in values.items()}
@@ -246,56 +226,40 @@ def _cmd_two_site(args) -> int:
             diagnostics[f"{k}_delta_vs_reference"] = (
                 values[k].real - PAPER_REFERENCE_VALUES[f"{k}_homogeneous"]
             )
-    payload = _payload(
-        "two-site",
+    return (
         {"lambda": [lam.real, lam.imag]},
         results,
         diagnostics,
+        [(
+            res1 <= 1e-11 and res2 <= 1e-11,
+            f"difference-equation residuals {res1:.3e}, {res2:.3e}",
+        )],
     )
-    if not (res1 <= 1e-11 and res2 <= 1e-11):
-        return _fail(
-            args.format, payload, f"difference-equation residuals {res1:.3e}, {res2:.3e}"
-        )
-    _emit(payload, args.format)
-    return EXIT_OK
 
 
-def _cmd_three_site(args) -> int:
+def _cmd_three_site(args):
     from . import threesite
 
     solution = threesite.three_site_correlator(comb_terms=args.comb_terms)
-    results = {
-        "p12p23": solution.p12p23,
-        "f1": solution.f1,
-        "f2": solution.f2,
-        "f3": solution.f3,
-    }
-    diagnostics = dict(solution.diagnostics)
-    diagnostics["p12p23_delta_vs_reference"] = float(
-        solution.p12p23 - PAPER_REFERENCE_VALUES["p12p23_thermodynamic"]
-    )
-    payload = _payload(
-        "three-site",
+    delta = float(solution.p12p23 - PAPER_REFERENCE_VALUES["p12p23_thermodynamic"])
+    return (
         {"comb_terms": args.comb_terms},
-        results,
-        diagnostics,
+        {
+            "p12p23": solution.p12p23,
+            "f1": solution.f1,
+            "f2": solution.f2,
+            "f3": solution.f3,
+        },
+        {**solution.diagnostics, "p12p23_delta_vs_reference": delta},
+        [(abs(delta) <= 1e-6, f"p12p23 off reference by {delta:.3e}")],
     )
-    if not (abs(diagnostics["p12p23_delta_vs_reference"]) <= 1e-6):
-        return _fail(
-            args.format,
-            payload,
-            f"p12p23 off reference by {diagnostics['p12p23_delta_vs_reference']:.3e}",
-        )
-    _emit(payload, args.format)
-    return EXIT_OK
 
 
-def _cmd_ed(args) -> int:
+def _cmd_ed(args):
     try:
         spec = ed_mod.ChainSpec(args.L)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from exc
     result = ed_mod.ground_state(spec)
     rdm2 = result.observables["rdm2"]
     trace_defect = float(abs(np.trace(rdm2) - 1))
@@ -324,20 +288,21 @@ def _cmd_ed(args) -> int:
         diagnostics["p12p23_delta_vs_reference"] = float(
             result.observables["p12p23"] - ref[1]
         )
-    payload = _payload("ed", {"L": args.L}, results, diagnostics)
-    if not (result.residual_norm <= 1e-10):
-        return _fail(args.format, payload, f"eigenresidual {result.residual_norm:.3e}")
-    if not (trace_defect <= 1e-12 and min_eig >= -1e-12):
-        return _fail(
-            args.format,
-            payload,
-            f"rdm2 trace defect {trace_defect:.3e}, min eigenvalue {min_eig:.3e}",
-        )
-    _emit(payload, args.format)
-    return EXIT_OK
+    return (
+        {"L": args.L},
+        results,
+        diagnostics,
+        [
+            (result.residual_norm <= 1e-10, f"eigenresidual {result.residual_norm:.3e}"),
+            (
+                trace_defect <= 1e-12 and min_eig >= -1e-12,
+                f"rdm2 trace defect {trace_defect:.3e}, min eigenvalue {min_eig:.3e}",
+            ),
+        ],
+    )
 
 
-def _cmd_report_table1(args) -> int:
+def _cmd_report_table1(args):
     from . import threesite, twosite
 
     rows = []
@@ -370,16 +335,14 @@ def _cmd_report_table1(args) -> int:
             - PAPER_REFERENCE_VALUES["p12p23_thermodynamic"],
         }
     )
-    payload = _payload(
-        "report-table1",
+    return (
         {"comb_terms": args.comb_terms},
         {"rows": rows},
         {"three_site_diagnostics": {
             "tail_bound": solution.diagnostics["tail_bound"],
         }},
+        [],
     )
-    _emit(payload, args.format)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +459,28 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    usage = _usage_error(args)
-    if usage:
-        print(f"usage error: {usage}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return args.func(args)
+        _check_options(args)
+        inputs, results, diagnostics, checks = args.func(args)
+        failed = [reason for passed, reason in checks if not passed]
+        if failed:
+            # named first: a non-finite value makes _emit itself raise
+            print(f"verification failed: {failed[0]}", file=sys.stderr)
+        payload = {
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "diagnostics": diagnostics,
+            "paper_reference_values": PAPER_REFERENCE_VALUES,
+        }
+        _emit(payload, args.format)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -201,7 +201,8 @@ def identity_suite(seed: int = 7, samples: int = 50) -> dict[str, float]:
     res: dict[str, float] = {}
 
     def record(name, value):
-        res[name] = max(res.get(name, 0.0), float(value))
+        # np.maximum keeps a NaN, which the builtin max(0.0, nan) would drop
+        res[name] = float(np.maximum(res.get(name, 0.0), value))
 
     for start in range(0, len(lam), _BLOCK):
         block = slice(start, start + _BLOCK)

@@ -531,34 +531,6 @@ class G1Solver:
         th = 2 * np.pi * np.arange(n) / n
         return complex(self.value(center + r * np.exp(1j * th)).mean())
 
-    def one_sided_pole_data(self) -> dict[int, complex]:
-        """Laurent coefficients k=-2..1 of the bare one-sided construction.
-
-        Without the 3-periodic correction the particular solution
-        ``k_function`` violates the O(lam^2) normalization at 0; the returned
-        coefficients quantify the violation (they all vanish for the
-        corrected G1)."""
-        return {k: complex(self._k_coef[0, k - _KS[0]]) for k in (-2, -1, 0, 1)}
-
-    # -- derived objects ---------------------------------------------------
-
-    def g_transform(self, l: int, lam):
-        """g_l(lam) = G1(lam) + w^l G1(lam+1) + w^(2l) G1(lam+2), w = e^(2 pi i/3)."""
-        w = np.exp(2j * np.pi / 3)
-        lam = _complex(lam)
-        return (
-            self.value(lam)
-            + w**l * self.value(lam + 1)
-            + w ** (2 * l) * self.value(lam + 2)
-        )
-
-    def g_recursion_residual(self, l: int, lam) -> float:
-        """Max residual of g_l(lam) - w^l g_l(lam+1) - phi(lam)."""
-        w = np.exp(2j * np.pi / 3)
-        lam = _complex(lam)
-        res = self.g_transform(l, lam) - w**l * self.g_transform(l, lam + 1) - phi(lam)
-        return float(np.abs(res).max())
-
 
 # ---------------------------------------------------------------------------
 # correlators

@@ -43,7 +43,6 @@ from .specfun import (
     digamma_trigamma_array,
     hurwitz_zeta_array,
     real_pi,
-    trigamma_array,
 )
 
 
@@ -72,36 +71,23 @@ def _part(psi):
     return (psi[0] + psi[1] - psi[2] - psi[3]) / 3
 
 
-def _part_prime(psi1):
-    """The lam-derivative of the digamma part from psi' at the same arguments."""
-    return (-psi1[0] + psi1[1] - psi1[2] + psi1[3]) / 9
-
-
 def generating_function(lam):
     """G(lam) = (omega33(lam) + 1)/(lam^2 - 1): sigma's digamma part, regular at +-1."""
     return _like(lam, _part(digamma_array(_stacked_arguments(lam))))
 
 
-def digamma_part_prime(lam):
-    """G'(lam), the lam-derivative of sigma's digamma part."""
-    return _like(lam, _part_prime(trigamma_array(_stacked_arguments(lam))))
-
-
 def digamma_parts(lam):
-    """``(G, G')`` from one kernel pass, bit for bit the separate values."""
+    """``(G, G')`` from one kernel pass; G is bit for bit ``generating_function``."""
     psi, psi1 = digamma_trigamma_array(_stacked_arguments(lam))
-    return _like(lam, _part(psi)), _like(lam, _part_prime(psi1))
+    # each argument moves by -+lam/3, so G' takes psi' at the same four with 1/9
+    part_prime = (-psi1[0] + psi1[1] - psi1[2] + psi1[3]) / 9
+    return _like(lam, _part(psi)), _like(lam, part_prime)
 
 
 def sigma(lam):
     """sigma(lam); simple poles at lam = +-1 from the rational term."""
     l = _complex(lam)
     return _like(lam, generating_function(l) - 1 / (l**2 - 1))
-
-
-def sigma_prime(lam):
-    l = _complex(lam)
-    return _like(lam, digamma_part_prime(l) + 2 * l / (l**2 - 1) ** 2)
 
 
 def omega33(lam):

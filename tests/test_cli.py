@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from su3chain import ed as ed_mod
@@ -346,20 +347,79 @@ def test_three_site_other_orders(capsys, comb_terms):
     assert abs(diagnostics["p12p23_delta_vs_reference"]) <= 1e-6
 
 
-def test_ed_nan_residual_fails_closed(monkeypatch, capsys):
+def _nan_unitarity(monkeypatch):
+    from su3chain import rmatrix
+
+    monkeypatch.setattr(rmatrix, "check_unitarity", lambda *args: float("nan"))
+
+
+def _nan_a_matrix_at_second_point(monkeypatch):
+    from su3chain import basis
+
+    real_a_matrix, calls = basis.a_matrix, []
+
+    def a_matrix(*args):
+        calls.append(args)
+        return real_a_matrix(*args) * (np.nan if len(calls) == 2 else 1)
+
+    monkeypatch.setattr(basis, "a_matrix", a_matrix)
+
+
+def _nan_difference_residual(monkeypatch):
+    from su3chain import twosite
+
+    monkeypatch.setattr(
+        twosite, "check_difference_equations", lambda lam: (0.0, float("nan"))
+    )
+
+
+def _nan_p12p23(monkeypatch):
+    from su3chain import threesite
+
+    real_correlator = threesite.three_site_correlator
+
+    def correlator(**kwargs):
+        solution = real_correlator(**kwargs)
+        solution.p12p23 = float("nan")
+        return solution
+
+    monkeypatch.setattr(threesite, "three_site_correlator", correlator)
+
+
+def _nan_eigenresidual(monkeypatch):
     real_ground_state = ed_mod.ground_state
 
-    def nan_residual(spec):
+    def ground_state(spec):
         result = real_ground_state(spec)
         result.residual_norm = float("nan")
         return result
 
-    monkeypatch.setattr(ed_mod, "ground_state", nan_residual)
-    code, out, err = run(capsys, ["ed", "--L", "3"])
+    monkeypatch.setattr(ed_mod, "ground_state", ground_state)
+
+
+@pytest.mark.parametrize(
+    "argv, make_nan, check",
+    [
+        (["verify-algebra", "--samples", "3"], _nan_unitarity, "unitarity_standard"),
+        (["verify-matrices", "--points", "3"], _nan_a_matrix_at_second_point,
+         "a2_max_deviation"),
+        (["two-site"], _nan_difference_residual, "difference-equation residuals"),
+        (["three-site", "--comb-terms", "4"], _nan_p12p23, "p12p23 off reference"),
+        (["ed", "--L", "3"], _nan_eigenresidual, "eigenresidual"),
+    ],
+    ids=["verify-algebra", "verify-matrices", "two-site", "three-site", "ed"],
+)
+def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check):
+    # a NaN compares false with every tolerance, so its check fails and is
+    # named, even where it is not the first value a maximum is taken over
+    make_nan(monkeypatch)
+    code, out, err = run(capsys, argv)
     assert code == EXIT_VERIFY
-    assert "eigenresidual" in err
+    assert err.startswith("verification failed: ")
+    assert check in err.splitlines()[0]
     assert "Traceback" not in err
-    assert "NaN" not in out
+    if out:
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
 
 
 @pytest.mark.parametrize(

@@ -316,16 +316,21 @@ def test_g1_normalization(g1_solver):
 
 def test_one_sided_comb_violates_normalization(g1_solver):
     # the bare one-sided sum solves the recursion with the wrong boundary
-    # behavior; its pole data at 0 is the documented evidence
-    pole_data = g1_solver.one_sided_pole_data()
-    assert max(abs(v) for v in pole_data.values()) > 1e-2
+    # behavior: its Laurent coefficients k=-2..1 at 0, as circle means, are
+    # the documented evidence (they all vanish for the corrected G1)
+    n, r = 256, 0.45
+    th = 2 * np.pi * np.arange(n) / n
+    bare = g1_solver.k_function(r * np.exp(1j * th))
+    pole_data = [np.mean(bare * np.exp(-1j * k * th)) / r**k for k in (-2, -1, 0, 1)]
+    assert max(abs(v) for v in pole_data) > 1e-2
 
 
-def test_g_transform_recursion(g1_solver):
+def test_g1_step3_recursion(g1_solver):
+    # G1(lam) - G1(lam+3) = phi(lam), which every g_l recursion telescopes to
     pts = np.array([0.4 + 0.3j, -0.9 + 0.6j, 1.7 - 0.2j])
-    for l in (0, 1, -1):
-        # limited by the comb truncation of the underlying G1
-        assert g1_solver.g_recursion_residual(l, pts) < 1e-7
+    res = g1_solver.value(pts) - g1_solver.value(pts + 3) - phi(pts)
+    # limited by the comb truncation of the underlying G1
+    assert np.abs(res).max() < 1e-7
 
 
 #: sum_{j>=1} phi_c(z + 3j) by mpmath nsum at 30 digits (see ROADMAP)

@@ -90,23 +90,24 @@ def test_zeta_expansion_bounds():
         twosite.zeta_expansion(21)
 
 
-def test_sigma_prime_matches_stencil():
+def test_digamma_part_derivative_matches_stencil():
+    # G', the derivative phi takes from digamma_parts, against a five-point
+    # stencil of G itself
     lam = 0.45 + 0.35j
     h = 1e-4
     stencil = (
-        complex(twosite.sigma(lam - 2 * h))
-        - 8 * complex(twosite.sigma(lam - h))
-        + 8 * complex(twosite.sigma(lam + h))
-        - complex(twosite.sigma(lam + 2 * h))
+        complex(twosite.generating_function(lam - 2 * h))
+        - 8 * complex(twosite.generating_function(lam - h))
+        + 8 * complex(twosite.generating_function(lam + h))
+        - complex(twosite.generating_function(lam + 2 * h))
     ) / (12 * h)
-    assert abs(stencil - complex(twosite.sigma_prime(lam))) < 1e-9
+    assert abs(stencil - twosite.digamma_parts(lam)[1]) < 1e-9
 
 
 def test_digamma_parts_are_bit_identical_to_the_separate_parts():
-    # each kernel order is computed on its own, so one pass for both parts
-    # (what threesite.phi uses) changes no bit of either
+    # each kernel order is computed on its own, so taking G' from the same
+    # pass (what threesite.phi does) changes no bit of G
     rng = np.random.default_rng(2024)
     lam = rng.uniform(-6, 6, 20_000) + 1j * rng.uniform(-6, 6, 20_000)
-    part, part_prime = twosite.digamma_parts(lam)
+    part, _ = twosite.digamma_parts(lam)
     assert np.array_equal(part, twosite.generating_function(lam))
-    assert np.array_equal(part_prime, twosite.digamma_part_prime(lam))
