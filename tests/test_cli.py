@@ -353,6 +353,19 @@ def _nan_unitarity(monkeypatch):
     monkeypatch.setattr(rmatrix, "check_unitarity", lambda *args: float("nan"))
 
 
+def _nan_fusion_down(monkeypatch):
+    # one identity NaN among finite ones: the runner must name that one
+    from su3chain import rmatrix
+
+    real_check_fusion = rmatrix.check_fusion
+
+    def check_fusion(lam, mu, direction):
+        value = real_check_fusion(lam, mu, direction)
+        return float("nan") if direction == "down" else value
+
+    monkeypatch.setattr(rmatrix, "check_fusion", check_fusion)
+
+
 def _nan_a_matrix_at_second_point(monkeypatch):
     from su3chain import basis
 
@@ -363,6 +376,20 @@ def _nan_a_matrix_at_second_point(monkeypatch):
         return real_a_matrix(*args) * (np.nan if len(calls) == 2 else 1)
 
     monkeypatch.setattr(basis, "a_matrix", a_matrix)
+
+
+def _nan_a3_closed_form(monkeypatch):
+    # a NaN in the second of three checks: the first failed one is named
+    from su3chain import basis
+
+    real_a3_closed_form = basis.a3_closed_form
+
+    def a3_closed_form(x, y):
+        a = real_a3_closed_form(x, y)
+        a[0, 0] = np.nan  # a nonzero entry, so the printed zero pattern stays
+        return a
+
+    monkeypatch.setattr(basis, "a3_closed_form", a3_closed_form)
 
 
 def _nan_difference_residual(monkeypatch):
@@ -403,11 +430,22 @@ def _nan_eigenresidual(monkeypatch):
         (["verify-algebra", "--samples", "3"], _nan_unitarity, "unitarity_standard"),
         (["verify-matrices", "--points", "3"], _nan_a_matrix_at_second_point,
          "a2_max_deviation"),
+        (["verify-algebra", "--samples", "3"], _nan_fusion_down, "fusion_down"),
+        (["verify-matrices", "--points", "3"], _nan_a3_closed_form,
+         "a3_max_deviation"),
         (["two-site"], _nan_difference_residual, "difference-equation residuals"),
         (["three-site", "--comb-terms", "4"], _nan_p12p23, "p12p23 off reference"),
         (["ed", "--L", "3"], _nan_eigenresidual, "eigenresidual"),
     ],
-    ids=["verify-algebra", "verify-matrices", "two-site", "three-site", "ed"],
+    ids=[
+        "verify-algebra",
+        "verify-matrices",
+        "verify-algebra-one-identity",
+        "verify-matrices-a3",
+        "two-site",
+        "three-site",
+        "ed",
+    ],
 )
 def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check):
     # a NaN compares false with every tolerance, so its check fails and is
