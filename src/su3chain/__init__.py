@@ -13,12 +13,15 @@ tensors    the structural tensors (P, I, E, epsilon) as plain arrays
 rmatrix    rational R-matrices and identity checks batched over parameters
 specfun    one kernel for digamma and its first two derivatives, Hurwitz zeta,
            and the scalar/array rule the evaluators share
-twosite    closed-form two-site functions: sigma, omega33, alpha33, zeta expansion
+twosite    closed-form two-site functions (sigma, omega33, omega_bar33, alpha33,
+           G and its zeta expansion) and their difference-equation residuals
 basis      singlet bases for two and three sites, Gram matrices, their exact
            inverses and the A matrices
-threesite  functional-equation solver for <P12 P23> and the three-site density matrix
-ed         exact diagonalization (dense + Lanczos) of finite chains
-cli        command-line interface
+threesite  comb-built G1 and <P12 P23>, the convolution transform that
+           checks it, and the two- and three-site density matrices
+ed         exact diagonalization (dense + Lanczos) of finite chains in the
+           zero-momentum block
+cli        command-line interface; it sets no numerical parameter
 """
 
 __version__ = "0.1.0"

@@ -20,11 +20,12 @@ invocations and seeds) with the top-level layout
 ``--format text`` gives key: value lines, and ``report-table1`` also supports
 ``--format csv``.  A plain ``key = value`` config file can preload any option;
 explicit flags win, options of other subcommands are ignored, and a key that
-no subcommand has is a usage error naming it.  The merged options are checked
-before any work: ``--samples`` and ``--points`` lie in 1..100000, ``--seed``
-is non-negative and ``--comb-terms`` lies in 1..100 (each comb term costs
-about 0.5 MB, and 12 already leave a tail term of 3e-17); a violation is a
-usage error naming the option.
+no subcommand has, or two lines that set one option, is a usage error
+naming the key.  The merged options are checked before any work:
+``--samples`` and ``--points`` lie in 1..100000 and ``--seed`` is
+non-negative; a violation is a usage error naming the option.  No option sets
+a numerical parameter: ``three-site`` and ``report-table1`` run the
+library's defaults.
 
 Each handler returns ``(inputs, results, diagnostics, checks)``, a check
 being ``(passed, reason)`` written so that NaN fails (``value <= tol``), and
@@ -96,11 +97,6 @@ class _UsageError(ValueError):
 
 
 _MAX_POINTS = 100_000
-#: the ``comb_terms`` default of ``threesite.three_site_correlator``, written
-#: out so that building the parser imports no threesite; a test holds the two
-#: together
-_COMB_TERMS = 12
-_MAX_COMB_TERMS = 100
 _FORMATS = ("json", "text", "csv")
 
 
@@ -117,11 +113,6 @@ def _check_options(args) -> None:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {seed}")
-    comb_terms = getattr(args, "comb_terms", None)
-    if comb_terms is not None and not 1 <= comb_terms <= _MAX_COMB_TERMS:
-        raise _UsageError(
-            f"--comb-terms must be in 1..{_MAX_COMB_TERMS}, got {comb_terms}"
-        )
     if args.format not in _FORMATS:
         raise _UsageError(
             f"--format must be one of {', '.join(_FORMATS)}, got {args.format!r}"
@@ -240,10 +231,10 @@ def _cmd_two_site(args):
 def _cmd_three_site(args):
     from . import threesite
 
-    solution = threesite.three_site_correlator(comb_terms=args.comb_terms)
+    solution = threesite.three_site_correlator()
     delta = float(solution.p12p23 - PAPER_REFERENCE_VALUES["p12p23_thermodynamic"])
     return (
-        {"comb_terms": args.comb_terms},
+        {},
         {
             "p12p23": solution.p12p23,
             "f1": solution.f1,
@@ -321,7 +312,7 @@ def _cmd_report_table1(args):
             }
         )
     omega_inf = float(np.real(twosite.omega33(0.0)))
-    solution = threesite.three_site_correlator(comb_terms=args.comb_terms)
+    solution = threesite.three_site_correlator()
     rows.append(
         {
             "length": "thermodynamic",
@@ -336,7 +327,7 @@ def _cmd_report_table1(args):
         }
     )
     return (
-        {"comb_terms": args.comb_terms},
+        {},
         {"rows": rows},
         {"three_site_diagnostics": {
             "tail_bound": solution.diagnostics["tail_bound"],
@@ -349,8 +340,9 @@ def _cmd_report_table1(args):
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _load_config(path: str) -> list[tuple[str, str]]:
+    """The file's ``(key, value)`` pairs in order, a repeated key kept twice."""
+    values = []
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -359,7 +351,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+            values.append((key.replace("-", "_"), val))
     return values
 
 
@@ -367,18 +359,19 @@ def _preload_config(parser: argparse.ArgumentParser, path: str) -> str | None:
     """Make a config file's values the subcommands' defaults, or say why not.
 
     A key names an option by its flag without its dashes or by its
-    destination, with ``-`` read as ``_`` (``comb_terms``; ``lambda`` and
-    ``lam``).  The values stay strings: argparse casts a string default with
-    the option's type, and a flag given on the command line, abbreviated or
-    not, wins over it.  An option of another subcommand is ignored.
+    destination, with ``-`` read as ``_`` (``lambda`` and ``lam``).  An
+    option may be set once, under either name.  The values stay strings:
+    argparse casts a string default with the option's type, and a flag given
+    on the command line, abbreviated or not, wins over it.  An option of
+    another subcommand is ignored.
     """
     try:
         values = _load_config(path)
     except (OSError, ValueError) as exc:
         return str(exc)
     # the subcommand, its handler and the config file come from argv only
-    for key in ("command", "func", "config"):
-        if key in values:
+    for key, _ in values:
+        if key in ("command", "func", "config"):
             return f"{key!r} cannot be set in a config file"
     (commands,) = (a for a in parser._actions if a.dest == "command")
     known = set()
@@ -389,9 +382,19 @@ def _preload_config(parser: argparse.ArgumentParser, path: str) -> str | None:
             if action.default is not argparse.SUPPRESS  # --help
             for name in (action.dest, *action.option_strings)
         }
-        sub.set_defaults(**{dests[k]: v for k, v in values.items() if k in dests})
+        keys = {}  # option destination -> the key that set it
+        for key, value in values:
+            if key not in dests:
+                continue
+            dest = dests[key]
+            if dest in keys:
+                if keys[dest] == key:
+                    return f"key {key!r} is set twice"
+                return f"keys {keys[dest]!r} and {key!r} set the same option"
+            keys[dest] = key
+            sub.set_defaults(**{dest: value})
         known |= dests.keys()
-    unknown = [key for key in values if key not in known]
+    unknown = [key for key, _ in values if key not in known]
     if unknown:
         return f"unknown key {unknown[0]!r}: no subcommand has this option"
     return None
@@ -426,8 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_two_site)
 
     p = sub.add_parser("three-site", help="<P12 P23> from the functional equations")
-    p.add_argument("--comb-terms", type=int, default=_COMB_TERMS,
-                   help="comb terms summed before the closed-form tail")
     common(p)
     p.set_defaults(func=_cmd_three_site)
 
@@ -437,8 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ed)
 
     p = sub.add_parser("report-table1", help="finite-size comparison table")
-    p.add_argument("--comb-terms", type=int, default=_COMB_TERMS,
-                   help="comb terms summed before the closed-form tail")
     common(p)
     p.set_defaults(func=_cmd_report_table1)
     return parser
@@ -448,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is not None and args.config:
+        if args.command is not None and args.config is not None:
             error = _preload_config(parser, args.config)
             if error:
                 print(f"config error: {error}", file=sys.stderr)

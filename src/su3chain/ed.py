@@ -25,8 +25,7 @@ array of size 3^L is built for L >= 9.
 
 The equivalent spin-1 form ``H = sum_j [S.S + (S.S)^2]`` differs from the
 permutation form by ``L`` times the identity, because ``S.S + (S.S)^2 = P + 1``
-on a bond; ``spin1_matrices`` gives the spin operators that identity is
-checked with.
+on a bond (checked in the tests).
 """
 
 from __future__ import annotations
@@ -178,14 +177,6 @@ class Hamiltonian:
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Amplitudes on ``states`` of the block vector ``v``."""
         return v[self.orbit] / np.sqrt(self.size[self.orbit])
-
-
-def spin1_matrices():
-    """Spin-1 operators (Sx, Sy, Sz) in the Sz eigenbasis."""
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
-    sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2)
-    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    return sx, sy, sz
 
 
 def build_hamiltonian(spec: ChainSpec) -> Hamiltonian:

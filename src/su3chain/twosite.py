@@ -96,12 +96,6 @@ def omega33(lam):
     return _like(lam, (l**2 - 1) * generating_function(l) - 1)
 
 
-def omega33_prime(lam):
-    l = _complex(lam)
-    part, part_prime = digamma_parts(l)
-    return _like(lam, 2 * l * part + (l**2 - 1) * part_prime)
-
-
 def omega_bar33(lam):
     """omega_bar33 = (lam*omega33(lam) - 1)(lam + 3)/(lam^2 - 1).
 
@@ -117,12 +111,6 @@ def omega_bar33(lam):
 
 def alpha33(lam):
     return _like(lam, (omega33(_complex(lam)) - 1 / 3) / 8)
-
-
-def generating_function_rational_form(lam):
-    """G via (omega33 + 1)/(lam^2 - 1) literally (for cross-checks)."""
-    l = _complex(lam)
-    return _like(lam, (omega33(l) + 1) / (l**2 - 1))
 
 
 # ---- expansions and residual checks --------------------------------------

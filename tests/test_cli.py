@@ -1,6 +1,5 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
-import inspect
 import json
 import os
 import subprocess
@@ -12,8 +11,7 @@ import numpy as np
 import pytest
 
 from su3chain import ed as ed_mod
-from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _build_parser, main
-from su3chain.threesite import G1Solver, three_site_correlator
+from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run(capsys, argv):
@@ -134,21 +132,34 @@ def test_abbreviated_flag_wins_over_config(tmp_path, capsys):
     assert json.loads(out)["inputs"]["seed"] == 9
 
 
-def test_abbreviated_comb_terms_wins_over_config(tmp_path, capsys, monkeypatch):
-    from su3chain import threesite
+def test_empty_config_path_is_usage_error(capsys):
+    # an empty path is a path that cannot be opened, not "no config file"
+    code, out, err = run(capsys, ["--config", "", "verify-algebra"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("config error: ")
 
-    seen = []
 
-    def correlator(comb_terms):
-        seen.append(comb_terms)
-        raise RuntimeError("stopped before the comb")
-
-    monkeypatch.setattr(threesite, "three_site_correlator", correlator)
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("verify-algebra", "seed = 3\nseed = 4\n", "'seed'"),
+        # --lambda stores to "lam": two names of one option
+        ("two-site", "lam = 0.5\nlambda = 0.25\n", "'lambda'"),
+    ],
+    ids=["same-key", "two-names"],
+)
+def test_config_setting_an_option_twice_is_usage_error(
+    tmp_path, capsys, command, config, key
+):
+    # the last value would otherwise win without a word
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("comb_terms = 3\n")
-    code, _, _ = run(capsys, ["--config", str(cfg), "three-site", "--comb", "5"])
-    assert code == EXIT_VERIFY
-    assert seen == [5]
+    cfg.write_text(config)
+    code, out, err = run(capsys, ["--config", str(cfg), command])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert key in err
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):
@@ -172,7 +183,7 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 9\ncomb-terms = 4\npoints = 3\nsamples = 5\n")
+    cfg.write_text("L = 9\nlambda = 0.5\npoints = 3\nsamples = 5\n")
     code, out, _ = run(capsys, ["--config", str(cfg), "verify-algebra", "--samples", "2"])
     assert code == EXIT_OK
     assert json.loads(out)["inputs"]["samples"] == 2
@@ -187,14 +198,6 @@ def test_config_names_an_option_by_its_flag(tmp_path, capsys):
     assert json.loads(out)["inputs"]["lambda"] == [0.5, 0.0]
     code, out, _ = run(capsys, ["--config", str(cfg), "two-site", "--lambda", "0.25"])
     assert json.loads(out)["inputs"]["lambda"] == [0.25, 0.0]
-
-
-def test_comb_terms_default_is_the_library_default():
-    parser = _build_parser()
-    for command in ("three-site", "report-table1"):
-        for fn in (G1Solver, three_site_correlator):
-            default = inspect.signature(fn).parameters["comb_terms"].default
-            assert parser.parse_args([command]).comb_terms == default
 
 
 _LOADED = """
@@ -299,54 +302,6 @@ def test_report_table1_json_and_csv(capsys):
     assert len(lines) == 5
 
 
-@pytest.mark.parametrize(
-    "argv, option",
-    [
-        (["--comb-terms", "0"], "--comb-terms"),
-        (["--levels", "5"], "--levels"),
-        (["--comb-terms", "2.5"], "--comb-terms"),
-        (["--comb-terms", "-7"], "--comb-terms"),
-    ],
-)
-def test_three_site_rejects_invalid_ladder(capsys, argv, option):
-    # rejected before any comb work, with the option named; --levels no
-    # longer exists, so argparse rejects it
-    code, out, err = run(capsys, ["three-site", *argv])
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert option in err
-
-
-def test_report_table1_rejects_short_comb(capsys):
-    code, out, err = run(capsys, ["report-table1", "--comb-terms", "0"])
-    assert code == EXIT_USAGE
-    assert "--comb-terms" in err
-
-
-def test_three_site_short_comb_fails_gate(capsys):
-    # a one-term head leaves the tail series outside its range: off by
-    # ~1.7e-4, so the 1e-6 gate gives exit 1
-    code, out, err = run(capsys, ["three-site", "--comb-terms", "1"])
-    assert code == EXIT_VERIFY
-    payload = json.loads(out)
-    assert payload["inputs"] == {"comb_terms": 1}
-    assert "p12p23 off reference" in err
-
-
-@pytest.mark.parametrize("comb_terms", ["4", "6"])
-def test_three_site_other_orders(capsys, comb_terms):
-    # shorter comb heads still pass the 1e-6 gate, and the JSON reports the
-    # head length and its tail bound
-    code, out, _ = run(capsys, ["three-site", "--comb-terms", comb_terms])
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    diagnostics = payload["diagnostics"]
-    assert payload["inputs"] == {"comb_terms": int(comb_terms)}
-    assert diagnostics["comb_terms"] == int(comb_terms)
-    assert diagnostics["tail_bound"] < 1e-9
-    assert abs(diagnostics["p12p23_delta_vs_reference"]) <= 1e-6
-
-
 def _nan_unitarity(monkeypatch):
     from su3chain import rmatrix
 
@@ -434,7 +389,7 @@ def _nan_eigenresidual(monkeypatch):
         (["verify-matrices", "--points", "3"], _nan_a3_closed_form,
          "a3_max_deviation"),
         (["two-site"], _nan_difference_residual, "difference-equation residuals"),
-        (["three-site", "--comb-terms", "4"], _nan_p12p23, "p12p23 off reference"),
+        (["three-site"], _nan_p12p23, "p12p23 off reference"),
         (["ed", "--L", "3"], _nan_eigenresidual, "eigenresidual"),
     ],
     ids=[
@@ -483,10 +438,10 @@ def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check
         (["verify-matrices"], "points = 0", "--points"),
         (["verify-matrices"], "format = csv", "--format"),
         (["verify-matrices"], "format = xml", "--format"),
-        (["three-site"], "comb_terms = 0", "--comb-terms"),
-        (["three-site", "--comb-terms", "101"], None, "--comb-terms"),
-        (["report-table1", "--comb-terms", "101"], None, "--comb-terms"),
-        (["three-site"], "comb_terms = 101", "--comb-terms"),
+        # the comb length is no option: both commands run the library's default
+        (["three-site", "--comb-terms", "12"], None, "--comb-terms"),
+        (["report-table1", "--comb-terms", "12"], None, "--comb-terms"),
+        (["three-site"], "comb_terms = 12", "'comb_terms'"),
     ],
 )
 def test_out_of_range_options_fail_closed(tmp_path, capsys, argv, config, option):

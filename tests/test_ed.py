@@ -145,8 +145,16 @@ def test_hamiltonian_hermitian_and_matvec_consistent():
     assert np.allclose(ham.matvec(v), dense @ v)
 
 
+def spin1_matrices():
+    """Spin-1 operators (Sx, Sy, Sz) in the Sz eigenbasis."""
+    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
+    sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2)
+    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    return sx, sy, sz
+
+
 def test_spin1_bond_equals_permutation_plus_identity():
-    ss = sum(np.kron(s, s) for s in ed.spin1_matrices())
+    ss = sum(np.kron(s, s) for s in spin1_matrices())
     bond = (ss + ss @ ss).real
     p = np.zeros((9, 9))
     for a in range(3):

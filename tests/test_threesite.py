@@ -20,10 +20,8 @@ from su3chain.threesite import (
     partial_trace_last_site,
     phi,
     phi_c,
-    r_inhom,
     solve_g,
     solve_g_recursion_residual,
-    tau,
     three_site_correlator,
     three_site_density_coefficients,
 )
@@ -55,7 +53,6 @@ _EVALUATORS = {
     **_TWOSITE_EVALUATORS,
     "threesite.phi": phi,
     "threesite.phi_c": phi_c,
-    "threesite.tau": tau,
     "threesite.h_kernel": partial(h_kernel, 1),
     "threesite.G1Solver.value": None,  # the session's g1_solver
 }
@@ -78,6 +75,28 @@ def test_scalar_gives_complex_and_array_gives_same_shape(request, name, shape):
 # ---------------------------------------------------------------------------
 # inhomogeneities
 # ---------------------------------------------------------------------------
+
+def _r_xy(x, y):
+    """Three-point inhomogeneity as a function of the parameter differences."""
+    w, wb = twosite.omega33, twosite.omega_bar33
+    return (
+        2 * (-1 + 2 * x**2 + 2 * y**2) / ((x**2 - 1) * (y**2 - 1))
+        + 2 * (x + y) / ((x**2 - 1) * (y**2 - 1)) * w(x - y)
+        + 2
+        * (-1 + 3 * x + x**2 - 3 * y - 2 * x * y + y**2 - 3 * x * y**2 + 3 * y**3)
+        / (x * (x + 3) * (x - y) * (y**2 - 1))
+        * wb(x)
+        - 2
+        * (-1 - 3 * x + x**2 + 3 * x**3 + 3 * y - 2 * x * y - 3 * x**2 * y + y**2)
+        / ((x**2 - 1) * (x - y) * y * (y + 3))
+        * wb(y)
+    )
+
+
+def r_inhom(lam1, lam2, lam3):
+    """Inhomogeneous three-point combination; phi(lam) is its lam2, lam3 -> 0 limit."""
+    return _r_xy(lam1 - lam3, lam1 - lam2)
+
 
 def test_phi_is_diagonal_limit_of_r():
     # r(lam1, lam2, lam3) -> phi(lam) as lam2, lam3 -> 0 with lam1 = lam
@@ -117,7 +136,8 @@ def test_phi_schwarz_reflection(re, im):
 
 def test_phi_c_plus_tau_is_phi():
     for lam in (0.45 + 0.3j, -1.2 + 0.7j, 3.8 - 0.2j):
-        assert abs(phi_c(lam) + tau(lam) - phi(lam)) < 1e-10
+        tau, _ = threesite._tau_and_slope(np.complex128(lam))
+        assert abs(phi_c(lam) + tau - phi(lam)) < 1e-10
 
 
 def _phi_c_mp(lam):

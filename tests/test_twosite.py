@@ -55,9 +55,11 @@ def test_difference_equation_check_guards_poles():
 
 
 def test_omega_bar_removable_point():
-    # omega_bar33 at -1 equals 1 + omega33'(-1); cross-check by circle mean
+    # omega_bar33 at -1 equals 1 + omega33'(-1); with omega33 = (lam^2 - 1) G - 1
+    # that derivative is 2 lam G + (lam^2 - 1) G', which is -2 G(-1) at -1;
+    # cross-check by circle mean
     direct = complex(twosite.omega_bar33(-1.0))
-    expected = 1 + complex(twosite.omega33_prime(-1.0))
+    expected = 1 - 2 * complex(twosite.generating_function(-1.0))
     theta = 2 * np.pi * np.arange(64) / 64
     circle = np.mean(twosite.omega_bar33(-1.0 + 0.05 * np.exp(1j * theta)))
     assert abs(direct - expected) < 1e-12
@@ -67,7 +69,7 @@ def test_omega_bar_removable_point():
 def test_generating_function_forms_agree():
     for lam in (0.4 + 0.2j, 2.2 - 1.0j, -0.7 + 0.9j):
         a = complex(twosite.generating_function(lam))
-        b = complex(twosite.generating_function_rational_form(lam))
+        b = (complex(twosite.omega33(lam)) + 1) / (lam**2 - 1)
         assert abs(a - b) < 1e-12
 
 
