@@ -12,6 +12,7 @@ import pytest
 
 from su3chain import ed as ed_mod
 from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from su3chain.threesite import three_site_correlator
 
 
 def run(capsys, argv):
@@ -146,8 +147,18 @@ def test_empty_config_path_is_usage_error(capsys):
         ("verify-algebra", "seed = 3\nseed = 4\n", "'seed'"),
         # --lambda stores to "lam": two names of one option
         ("two-site", "lam = 0.5\nlambda = 0.25\n", "'lambda'"),
+        ("two-site", "lambda = 0.25\nlam = 0.5\n", "'lam'"),
+        # a repeat is an error even when the values agree
+        ("verify-algebra", "seed = 3\nseed = 3\n", "'seed'"),
+        # every subcommand shares --format
+        ("verify-matrices", "format = json\nformat = text\n", "'format'"),
+        # the whole file is checked, not only the chosen subcommand's keys
+        ("verify-algebra", "L = 3\nL = 6\n", "'L'"),
     ],
-    ids=["same-key", "two-names"],
+    ids=[
+        "same-key", "two-names", "two-names-reversed", "same-value",
+        "shared-option", "other-subcommand",
+    ],
 )
 def test_config_setting_an_option_twice_is_usage_error(
     tmp_path, capsys, command, config, key
@@ -284,10 +295,25 @@ def test_two_site_overflow_fails_without_traceback(capsys):
     assert err.startswith("error: ")
 
 
+def test_three_site_runs_the_library_comb(capsys):
+    # no option reaches the comb: the command reports the library's own solve
+    code, out, _ = run(capsys, ["three-site"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["inputs"] == {}
+    solution = three_site_correlator()
+    assert payload["results"]["p12p23"] == solution.p12p23
+    diagnostics = payload["diagnostics"]
+    assert diagnostics["comb_terms"] == solution.diagnostics["comb_terms"] == 12
+    assert diagnostics["tail_bound"] < 1e-9
+    assert abs(diagnostics["p12p23_delta_vs_reference"]) <= 1e-6
+
+
 def test_report_table1_json_and_csv(capsys):
     argv = ["report-table1"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
+    assert json.loads(out)["inputs"] == {}
     rows = json.loads(out)["results"]["rows"]
     assert [row["length"] for row in rows] == [
         "L=3", "L=6", "L=9", "thermodynamic",
@@ -442,6 +468,9 @@ def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check
         (["three-site", "--comb-terms", "12"], None, "--comb-terms"),
         (["report-table1", "--comb-terms", "12"], None, "--comb-terms"),
         (["three-site"], "comb_terms = 12", "'comb_terms'"),
+        (["report-table1"], "comb_terms = 12", "'comb_terms'"),
+        # a key read by its flag's spelling is no more known
+        (["three-site"], "comb-terms = 12", "'comb_terms'"),
     ],
 )
 def test_out_of_range_options_fail_closed(tmp_path, capsys, argv, config, option):

@@ -10,6 +10,8 @@ belongs in the tests.
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 #: public names without a caller yet, each waiting on the ROADMAP item that
@@ -36,9 +38,9 @@ def _references(node: ast.AST, with_strings: bool) -> set[str]:
     return names
 
 
-def _unreferenced_public_names() -> set[str]:
-    library = sorted((ROOT / "src" / "su3chain").glob("*.py"))
-    bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+def _unreferenced_public_names(library_dir: Path, bench_dir: Path) -> set[str]:
+    library = sorted(library_dir.glob("*.py"))
+    bench = [p for p in sorted(bench_dir.glob("*.py"))
              if not p.name.startswith("test_")]
     defined, referenced = set(), set()
     for path in library + bench:
@@ -55,7 +57,7 @@ def _unreferenced_public_names() -> set[str]:
 
 
 def test_every_public_name_is_used_or_pending():
-    unused = _unreferenced_public_names()
+    unused = _unreferenced_public_names(ROOT / "src" / "su3chain", ROOT / "perfbench")
     assert not unused - PENDING.keys(), (
         f"public names that no result uses: {sorted(unused - PENDING.keys())}; "
         "call them from the library or move them into the tests"
@@ -64,3 +66,39 @@ def test_every_public_name_is_used_or_pending():
     assert not PENDING.keys() - unused, (
         f"no longer pending: {sorted(PENDING.keys() - unused)}"
     )
+
+
+_F = "def f():\n    return 0\n"
+
+
+@pytest.mark.parametrize(
+    "files, flagged",
+    [
+        ({"src/a.py": _F, "src/b.py": "def _g():\n    return f()\n"}, set()),
+        ({"src/a.py": _F, "src/b.py": "import a\n\n\ndef _g():\n    return a.f()\n"},
+         set()),
+        ({"src/a.py": _F, "src/b.py": "from a import f as _h\n"}, set()),
+        ({"src/a.py": _F, "bench/run.py": "import a\n\na.f()\n"}, set()),
+        ({"src/a.py": _F, "bench/run.py": "KERNELS = ['f']\n"}, set()),
+        # only the benchmark's strings name functions
+        ({"src/a.py": _F, "src/b.py": "KERNELS = ['f']\n"}, {"f"}),
+        # a call from its own body is no use
+        ({"src/a.py": "def f(n):\n    return f(n - 1) if n else 0\n"}, {"f"}),
+        ({"src/a.py": "class C:\n    pass\n"}, {"C"}),
+        ({"src/a.py": "def _f():\n    return 0\n"}, set()),
+        # the benchmark's own tests count no more than the library's
+        ({"src/a.py": _F, "bench/test_run.py": "import a\n\na.f()\n"}, {"f"}),
+    ],
+    ids=[
+        "name", "attribute", "import-alias", "bench-attribute", "bench-string",
+        "library-string", "own-body-only", "unused-class", "private",
+        "bench-test-file",
+    ],
+)
+def test_scan_counts_each_kind_of_reference(tmp_path, files, flagged):
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    (tmp_path / "bench").mkdir(exist_ok=True)
+    assert _unreferenced_public_names(tmp_path / "src", tmp_path / "bench") == flagged
