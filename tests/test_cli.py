@@ -12,7 +12,6 @@ import pytest
 
 from su3chain import ed as ed_mod
 from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from su3chain.threesite import three_site_correlator
 
 
 def run(capsys, argv):
@@ -295,13 +294,13 @@ def test_two_site_overflow_fails_without_traceback(capsys):
     assert err.startswith("error: ")
 
 
-def test_three_site_runs_the_library_comb(capsys):
+def test_three_site_runs_the_library_comb(capsys, three_site_pair):
     # no option reaches the comb: the command reports the library's own solve
     code, out, _ = run(capsys, ["three-site"])
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["inputs"] == {}
-    solution = three_site_correlator()
+    solution = three_site_pair[0][12]
     assert payload["results"]["p12p23"] == solution.p12p23
     diagnostics = payload["diagnostics"]
     assert diagnostics["comb_terms"] == solution.diagnostics["comb_terms"] == 12
@@ -439,6 +438,88 @@ def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check
     assert "Traceback" not in err
     if out:
         json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+
+
+def _off_unitarity(monkeypatch):
+    from su3chain import rmatrix
+
+    monkeypatch.setattr(rmatrix, "check_unitarity", lambda *args: 1e-9)
+
+
+def _off_a3_closed_form(monkeypatch):
+    from su3chain import basis
+
+    real_a3_closed_form = basis.a3_closed_form
+
+    def a3_closed_form(x, y):
+        a = real_a3_closed_form(x, y)
+        a[0, 0] += 1e-6
+        return a
+
+    monkeypatch.setattr(basis, "a3_closed_form", a3_closed_form)
+
+
+def _off_difference_residual(monkeypatch):
+    from su3chain import twosite
+
+    monkeypatch.setattr(twosite, "check_difference_equations", lambda lam: (0.0, 1e-9))
+
+
+def _off_p12p23(monkeypatch):
+    # what a one-term comb head gave: the tail series outside its range
+    from su3chain import threesite
+
+    real_correlator = threesite.three_site_correlator
+
+    def correlator(**kwargs):
+        solution = real_correlator(**kwargs)
+        solution.p12p23 += 1.7e-4
+        return solution
+
+    monkeypatch.setattr(threesite, "three_site_correlator", correlator)
+
+
+def _off_eigenresidual(monkeypatch):
+    real_ground_state = ed_mod.ground_state
+
+    def ground_state(spec):
+        result = real_ground_state(spec)
+        result.residual_norm = 1e-8
+        return result
+
+    monkeypatch.setattr(ed_mod, "ground_state", ground_state)
+
+
+@pytest.mark.parametrize(
+    "argv, make_off, inputs, reason",
+    [
+        (["verify-algebra", "--samples", "3"], _off_unitarity,
+         {"seed": 7, "samples": 3, "tolerance": 1e-12},
+         "identity 'unitarity_standard' residual 1.000e-09"),
+        (["verify-matrices", "--points", "3"], _off_a3_closed_form,
+         {"seed": 7, "points": 3, "tolerance": 1e-10},
+         "a3_max_deviation = 1.000e-06"),
+        (["two-site"], _off_difference_residual, {"lambda": [0.0, 0.0]},
+         "difference-equation residuals 0.000e+00, 1.000e-09"),
+        (["three-site"], _off_p12p23, {}, "p12p23 off reference by 1.700e-04"),
+        (["ed", "--L", "3"], _off_eigenresidual, {"L": 3}, "eigenresidual 1.000e-08"),
+    ],
+    ids=["verify-algebra", "verify-matrices", "two-site", "three-site", "ed"],
+)
+def test_finite_gate_failure_still_emits_payload(
+    monkeypatch, capsys, argv, make_off, inputs, reason
+):
+    # a finite value over its tolerance: exit 1, the check named first on
+    # stderr, and the whole payload on stdout as strict JSON
+    make_off(monkeypatch)
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_VERIFY
+    assert err.splitlines() == [f"verification failed: {reason}"]
+    payload = json.loads(
+        out, parse_constant=lambda name: pytest.fail(f"{name} in JSON")
+    )
+    assert payload["command"] == argv[0]
+    assert payload["inputs"] == inputs
 
 
 @pytest.mark.parametrize(
