@@ -89,17 +89,20 @@ differently from the normalization ``G1 -> 2`` at imaginary infinity; the
 constant offset between the two constructions is itself a strong
 cross-check that no genuinely periodic ambiguity is left.
 
-The density operator at the homogeneous point is assembled from the full
-11-equation linear system.  On the diagonal of spectral parameters the
-single-point system is rank-deficient (rank 9: two pairs of equations
-coincide there), so the solver couples three consecutive diagonal points
-``lam, lam+1, lam+2`` through the difference-equation matrix ``A3`` into a
-55 x 33 full-rank least-squares problem.  The amplitudes are analytic at
-``lam = 0``, so their value there is recovered as the mean over a small
-circle (the Cauchy integral), which converges geometrically in the number
-of circle points.  Trace one, Hermiticity, positivity and the partial-trace
-collapse onto the two-site operator are all *emergent* here - none of them
-is imposed - and serve as end-to-end validation.
+The density operator at the homogeneous point is assembled from the
+eleven functional equations for its singlet amplitudes.  It is only ever
+needed on the diagonal of spectral parameters, where two pairs of the
+eleven coincide, so the solver writes down the nine distinct diagonal
+equations.  A single point gives rank 9 in the eleven amplitudes; the
+solver couples three consecutive diagonal points ``lam, lam+1, lam+2``
+through the difference-equation matrix ``A3`` into a 49 x 33 full-rank
+least-squares problem.  The amplitudes are analytic at ``lam = 0``, so
+their value there is recovered as the mean over a small circle (the Cauchy
+integral), which converges geometrically in the number of circle points;
+the systems of all circle points are solved as one stack.  Trace one,
+Hermiticity, positivity and the partial-trace collapse onto the two-site
+operator are all *emergent* here - none of them is imposed - and serve as
+end-to-end validation.
 """
 
 from __future__ import annotations
@@ -397,13 +400,11 @@ _LAURENT_RADIUS = 0.45
 _VANISHING = np.array([(_KS >= -3) & (_KS <= 1), (_KS >= -3) & (_KS <= -1)])
 
 
-def _cot_basis():
-    """1, cot and cot^2 around the 0- and 1-chains of poles (period 3)."""
-    fns = [lambda z: np.ones_like(z)]
-    for m in (1, 2):
-        fns.append(lambda z, m=m: _cot(np.pi * z / 3) ** m)
-        fns.append(lambda z, m=m: _cot(np.pi * (z - 1) / 3) ** m)
-    return fns
+def _cot_basis(z):
+    """1, cot and cot^2 around the 0- and 1-chains of poles (period 3), stacked
+    along a new first axis."""
+    ca, cb = _cot(np.pi * z / 3), _cot(np.pi * (z - 1) / 3)
+    return np.stack((np.ones_like(z), ca, cb, ca**2, cb**2))
 
 
 def _series_term(k: int, x):
@@ -442,14 +443,14 @@ class G1Solver:
         if comb_terms < 1:
             raise ValueError(f"comb_terms must be >= 1, got {comb_terms}")
         self.comb_terms = comb_terms
-        self.basis_functions = _cot_basis()
         n, r = _LAURENT_POINTS, _LAURENT_RADIUS
         th = 2 * np.pi * np.arange(n) / n
-        z = np.array(_CENTERS)[:, None] + r * np.exp(1j * th)
+        self._circle = r * np.exp(1j * th)
+        z = np.array(_CENTERS)[:, None] + self._circle
         dft = np.exp(-1j * np.outer(th, _KS)) / (n * r**_KS)
         # Laurent coefficients (center, k) of the particular solution
         self._k_coef = self.k_function(z) @ dft
-        self._b_coef = np.array([b(z) for b in self.basis_functions]) @ dft
+        self._b_coef = _cot_basis(z) @ dft
         # least-squares cotangent coefficients cancelling the forbidden data
         mat = self._b_coef[:, _VANISHING].T
         rhs = -self._k_coef[_VANISHING]
@@ -480,10 +481,6 @@ class G1Solver:
         head = phi_c(z[..., None] + j3, periodic=(t[..., None], tp[..., None]))
         return head.sum(axis=-1) + _comb_tail(z, t, tp, terms), t
 
-    def comb(self, z):
-        """The one-sided comb ``sum_{j>=1} phi_c(z + 3j)``."""
-        return self._comb(_complex(z).astype(np.clongdouble), 1)[0].astype(complex)
-
     def k_function(self, z):
         """Particular solution of the step-3 recursion, ``sum_{j>=0} phi_c(z + 3j)
         - (z/3) tau(z)``, formed in long double and rounded to complex128 once.
@@ -492,22 +489,15 @@ class G1Solver:
         comb, t = self._comb(z, 0)
         return (comb - z / 3 * t).astype(complex)
 
-    def periodic_part(self, z):
-        z = _complex(z)
-        return sum(
-            c * b(z)
-            for c, b in zip(self.periodic_coefficients, self.basis_functions)
-        )
-
     def value(self, z):
         """G1 at arbitrary points (vectorized)."""
-        return _like(z, self.k_function(z) + self.periodic_part(z))
+        basis = _cot_basis(_complex(z))
+        periodic = sum(c * b for c, b in zip(self.periodic_coefficients, basis))
+        return _like(z, self.k_function(z) + periodic)
 
     def circle_average(self, center: complex) -> complex:
-        """Value at a removable point as the mean over a small circle."""
-        n, r = _LAURENT_POINTS, _LAURENT_RADIUS
-        th = 2 * np.pi * np.arange(n) / n
-        return complex(self.value(center + r * np.exp(1j * th)).mean())
+        """Value at a removable point as the mean over the Laurent circle around it."""
+        return complex(self.value(center + self._circle).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -564,115 +554,60 @@ def density_matrix_two_site(lam: complex = 0.0) -> np.ndarray:
     return d2.real if abs(complex(lam).imag) < 1e-14 else d2
 
 
-def _inter_matrix(x, y) -> np.ndarray:
-    """Coefficient matrix of the 11 equations for the singlet amplitudes f."""
-    d = x - y
-    A = np.zeros((11, 11), dtype=complex)
-    A[0, 0] = 1
-    A[1, 1] = 1
-    A[2, 6] = 1
-    A[3, 2] = 1
-    A[3, 5] = y
-    A[3, 4] = -y
-    A[3, 3] = -(y**2)
-    A[4, 6] = 1
-    A[4, 9] = -(y + 2)
-    A[4, 10] = y - 1
-    A[4, 8] = -(y - 1) * (y + 2)
-    A[5, 2] = 1 - d**2
-    A[5, 3] = x * (x - 2 * y)
-    A[5, 4] = x * (-1 + x * y - y**2)
-    A[5, 5] = x * (1 - x * y + y**2)
-    A[5, 1] = x * d * (-2 + x**2 - x * y)
-    A[6, 6] = 1 - (-1 + x) * d - (2 + x) * d + (-1 + x) * (2 + x) * d**2
-    A[6, 8] = 2 - y - y**2
-    A[6, 9] = (2 + y) * (-1 + x**2 + y - x * (1 + y))
-    A[6, 10] = (-1 + y) * (1 - x**2 + x * (-2 + y) + 2 * y)
-    A[7, 2] = 1
-    A[8, 0] = 2 * x * (2 + x) * y * (2 + y)
-    A[8, 1] = 2 * x * (2 + x) * (2 + y)
-    A[8, 3] = 2 * (2 + x) * y * (2 + y)
-    A[8, 4] = 2 * (2 + x) * (2 + y)
-    A[9, 0] = 2 * (-2 - y - x * (2 + y) + x * (2 + x) * y * (2 + y))
-    A[9, 1] = -2 * (-1 + x + x**2) * (2 + y)
-    A[9, 2] = 2 * (1 + x) * (2 + y)
-    A[9, 3] = 2 * (1 + x + (2 + x) * y - (2 + x) * y * (2 + y))
-    A[9, 4] = -2 * (1 + x + 2 * y + x * y)
-    A[9, 5] = 2 * (2 + y)
-    A[9, 6] = -2 * (-2 - y + x * y + x**2 * (1 + y))
-    A[9, 7] = 2 * (1 + x - y)
-    A[9, 8] = -2 * (1 + x) * (-2 + y + y**2)
-    A[9, 9] = -2 * (1 + x) * (2 + y)
-    A[9, 10] = -2 * x
-    A[10, 0] = 2 * (x**2 - 1) * (y**2 - 1)
-    A[10, 6] = 2 * (x**2 - 1) * (1 + y)
-    A[10, 8] = 2 * (1 + x) * (y**2 - 1)
-    A[10, 9] = 2 * (1 + x) * (1 + y)
-    return A
+def _diagonal_equations(x, g):
+    """The nine distinct equations for the singlet amplitudes f at diagonal points.
 
-
-def _inter_rhs(x, y, f1_val, f2_val, f3_val) -> np.ndarray:
-    """Right side of the 11-equation system (two-site data and F1..F3)."""
-    d = x - y
-    w, wb = omega33, omega_bar33
-    b = np.zeros(11, dtype=complex)
-    b[0] = 1
-    b[1] = w(y)
-    b[2] = wb(y - 1)
-    b[3] = w(x) * (1 - y**2)
-    b[4] = wb(x - 1) * (1 - y) * (2 + y)
-    b[5] = w(y) * (1 - x**2) * (1 - d**2)
-    b[6] = wb(y - 1) * (1 - x) * (2 + x) * (1 - d**2)
-    b[7] = w(d)
-    b[8] = f1_val
-    b[9] = f2_val
-    b[10] = f3_val
-    return b
-
-
-def _boundary_values(g, lam: complex):
-    """F1, F2, F3 at the diagonal point (lam, lam) from ``g = G1(lam + (0, 1, 2))``."""
-    pref = (lam**2 - 1) ** 2 * (lam + 2) ** 2
-    return (
-        g[0] * pref / lam**2,
-        g[1] * pref / (lam + 1) ** 2,
-        g[2] * (lam**2 - 1) ** 2,
-    )
-
-
-def _diagonal_chain_solve(lam: complex, g):
-    """Amplitudes rho at a diagonal point by coupling lam, lam+1, lam+2.
-
-    ``g`` holds ``G1`` at ``lam, lam + 1, ..., lam + 4``.  The 11-equation
-    system is rank 9 at a single diagonal point (two pairs of equations
-    coincide there).  Stacking the systems at three consecutive points and
-    linking neighbours through the difference-equation matrix
-    ``f(lam) = M A3(lam, lam) M^(-1) f(lam+1)`` gives a full-rank 55 x 33
-    least-squares problem whose residual is a solvability diagnostic.  The
-    rows differ in norm by two orders of magnitude, so each row and its
-    right side are divided by the row's 2-norm before the solve (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 20); the residual
-    is measured on the unscaled system.
+    The eleven printed equations in two spectral parameters ``(x, y)``,
+    taken at ``y = x``: there the two pairs (5, 3) and (6, 4) coincide, so
+    only rows 0-4 and 7-10 are kept, in that order.  ``x`` has any shape and
+    ``g`` holds ``G1(x + (0, 1, 2))`` along one more, last axis; it gives the
+    boundary values F1, F2, F3 of rows 8-10.  Returns the coefficients,
+    shape ``x.shape + (9, 11)``, and the right sides, ``x.shape + (9,)``,
+    with each two-site function evaluated once over all of ``x``.
     """
-    m_inv = gram_inverse(3)
-    mat = np.zeros((55, 33), dtype=complex)
-    rhs = np.zeros(55, dtype=complex)
-    row = 0
-    for k in range(3):
-        x = lam + k
-        mat[row : row + 11, 11 * k : 11 * k + 11] = _inter_matrix(x, x)
-        rhs[row : row + 11] = _inter_rhs(x, x, *_boundary_values(g[k : k + 3], x))
-        row += 11
-    for k in range(2):
-        x = lam + k
-        a3 = a3_closed_form(x, x)
-        mat[row : row + 11, 11 * k : 11 * k + 11] = m_inv
-        mat[row : row + 11, 11 * (k + 1) : 11 * (k + 1) + 11] = -a3 @ m_inv
-        row += 11
-    norms = np.linalg.norm(mat, axis=1)
-    sol, *_ = np.linalg.lstsq(mat / norms[:, None], rhs / norms, rcond=None)
-    residual = float(np.linalg.norm(mat @ sol - rhs))
-    return m_inv @ sol[:11], residual
+    x = np.asarray(x, dtype=complex)
+    A = np.zeros(x.shape + (9, 11), dtype=complex)
+    A[..., 0, 0] = 1
+    A[..., 1, 1] = 1
+    A[..., 2, 6] = 1
+    A[..., 3, 2] = 1
+    A[..., 3, 5] = x
+    A[..., 3, 4] = -x
+    A[..., 3, 3] = -(x**2)
+    A[..., 4, 6] = 1
+    A[..., 4, 9] = -(x + 2)
+    A[..., 4, 10] = x - 1
+    A[..., 4, 8] = -(x - 1) * (x + 2)
+    # the printed rows 7-10
+    A[..., 5, 2] = 1
+    A[..., 6, 0] = 2 * x * (2 + x) * x * (2 + x)
+    A[..., 6, 1] = 2 * x * (2 + x) * (2 + x)
+    A[..., 6, 3] = 2 * (2 + x) * x * (2 + x)
+    A[..., 6, 4] = 2 * (2 + x) * (2 + x)
+    A[..., 7, 0] = 2 * (-2 - x - x * (2 + x) + x * (2 + x) * x * (2 + x))
+    A[..., 7, 1] = -2 * (-1 + x + x**2) * (2 + x)
+    A[..., 7, 2] = 2 * (1 + x) * (2 + x)
+    A[..., 7, 3] = 2 * (1 + x + (2 + x) * x - (2 + x) * x * (2 + x))
+    A[..., 7, 4] = -2 * (1 + x + 2 * x + x * x)
+    A[..., 7, 5] = 2 * (2 + x)
+    A[..., 7, 6] = -2 * (-2 - x + x * x + x**2 * (1 + x))
+    A[..., 7, 7] = 2
+    A[..., 7, 8] = -2 * (1 + x) * (-2 + x + x**2)
+    A[..., 7, 9] = -2 * (1 + x) * (2 + x)
+    A[..., 7, 10] = -2 * x
+    A[..., 8, 0] = 2 * (x**2 - 1) * (x**2 - 1)
+    A[..., 8, 6] = 2 * (x**2 - 1) * (1 + x)
+    A[..., 8, 8] = 2 * (1 + x) * (x**2 - 1)
+    A[..., 8, 9] = 2 * (1 + x) * (1 + x)
+    # right sides: the two-site data of rows 0-5, then F1, F2, F3
+    w, wb = omega33(x), omega_bar33(x - 1)
+    one = np.ones_like(x)
+    pref = (x**2 - 1) ** 2 * (x + 2) ** 2
+    f1 = g[..., 0] * pref / x**2
+    f2 = g[..., 1] * pref / (x + 1) ** 2
+    f3 = g[..., 2] * (x**2 - 1) ** 2
+    b = (one, w, wb, w * (1 - x**2), wb * (1 - x) * (2 + x), OMEGA33_HOMOGENEOUS * one)
+    return A, np.stack(b + (f1, f2, f3), axis=-1)
 
 
 #: Cauchy circle around 0 averaging the homogeneous density amplitudes
@@ -683,24 +618,50 @@ _CIRCLE_RADIUS = 0.35
 def three_site_density_coefficients(solver: G1Solver):
     """Singlet amplitudes rho of the homogeneous three-site density operator.
 
-    The chain solve degenerates at ``lam = 0`` (the F-weights have poles
-    there), but the amplitudes themselves are analytic, so their value at 0
-    is recovered as the mean of ``_diagonal_chain_solve`` over a small
-    circle - the Cauchy integral, converging geometrically in the number of
-    circle points.  ``G1`` is evaluated at every point the chain
-    solves need in one call.  Returns ``(rho, diagnostics)`` with the
-    discarded imaginary part and the worst least-squares defect as quality
-    measures.
+    At one diagonal point the nine distinct equations have rank 9 in the
+    eleven amplitudes, so the points ``lam, lam + 1, lam + 2`` are coupled,
+    neighbours linked by ``f(lam) = M A3(lam, lam) M^(-1) f(lam+1)``, into a
+    full-rank 49 x 33 least-squares problem: 27 equation rows, 22 link rows.
+    The rows differ in norm by two orders of magnitude, so each row and its
+    right side are divided by the row's 2-norm before the solve (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 20); the residual
+    is measured on the unscaled system.
+
+    The solve degenerates at ``lam = 0`` (the F-weights have poles there),
+    but the amplitudes are analytic, so their value at 0 is the mean of the
+    solutions over a small circle - the Cauchy integral, converging
+    geometrically in the number of circle points.  All circle points are
+    solved as one stack through the SVD-based pseudo-inverse, with ``G1``
+    and each two-site function evaluated in one call.  Returns
+    ``(rho, diagnostics)`` with the discarded imaginary part and the worst
+    least-squares defect as quality measures.
     """
     n, radius = _CIRCLE_POINTS, _CIRCLE_RADIUS
     angles = 2 * np.pi * (np.arange(n) + 0.5) / n
     lams = radius * np.exp(1j * angles)
     g = solver.value(lams[:, None] + np.arange(5))
-    rhos, residuals = zip(*(_diagonal_chain_solve(lam, gl) for lam, gl in zip(lams, g)))
-    rho0 = np.mean(rhos, axis=0)
+    # the three coupled points of each chain, with G1 at each one's x + (0, 1, 2)
+    x = lams[:, None] + np.arange(3)
+    g_windows = np.lib.stride_tricks.sliding_window_view(g, 3, axis=1)
+    eqs, eq_rhs = _diagonal_equations(x, g_windows)
+    a3 = np.array([[a3_closed_form(xk, xk) for xk in xs] for xs in x[:, :2]])
+    m_inv = gram_inverse(3)
+    mat = np.zeros((n, 49, 33), dtype=complex)
+    rhs = np.zeros((n, 49, 1), dtype=complex)
+    for k in range(3):
+        mat[:, 9 * k : 9 * k + 9, 11 * k : 11 * k + 11] = eqs[:, k]
+        rhs[:, 9 * k : 9 * k + 9, 0] = eq_rhs[:, k]
+    for k in range(2):
+        row = 27 + 11 * k
+        mat[:, row : row + 11, 11 * k : 11 * k + 11] = m_inv
+        mat[:, row : row + 11, 11 * (k + 1) : 11 * (k + 1) + 11] = -a3[:, k] @ m_inv
+    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
+    sol = np.linalg.pinv(mat / norms) @ (rhs / norms)
+    residuals = np.linalg.norm(mat @ sol - rhs, axis=(1, 2))
+    rho0 = (m_inv @ sol[:, :11]).mean(axis=0)[:, 0]
     diagnostics = {
         "max_imag": float(np.abs(rho0.imag).max()),
-        "max_lstsq_residual": float(max(residuals)),
+        "max_lstsq_residual": float(residuals.max()),
         "circle_points": n,
         "circle_radius": radius,
     }

@@ -1,9 +1,12 @@
-"""Every public module-level function and class of the library serves a result.
+"""Every public function, class and method of the library serves a result.
 
-A public name counts as used when the library or the benchmark refers to it
-outside its own definition: as a name, an attribute or an imported name, or,
-in ``perfbench/``, as a string constant (the tracer names the special-function
-kernels in strings).  The tests do not count: a function only they call
+A public module-level name counts as used when the library or the benchmark
+refers to it outside its own definition: as a name, an attribute or an
+imported name, or, in ``perfbench/``, as a string constant (the tracer names
+the special-function kernels in strings).  A public method of a library class
+counts as used only through an attribute (``solver.value``) outside its own
+body: a bare name of the same spelling is another object, as ``math.comb`` is
+beside a method ``comb``.  The tests do not count: a function only they call
 belongs in the tests.
 """
 
@@ -38,11 +41,18 @@ def _references(node: ast.AST, with_strings: bool) -> set[str]:
     return names
 
 
+def _attributes(nodes) -> set[str]:
+    return {sub.attr for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)}
+
+
 def _unreferenced_public_names(library_dir: Path, bench_dir: Path) -> set[str]:
+    """Unused public module-level names, and unused public methods as ``Class.name``."""
     library = sorted(library_dir.glob("*.py"))
     bench = [p for p in sorted(bench_dir.glob("*.py"))
              if not p.name.startswith("test_")]
     defined, referenced = set(), set()
+    methods, attributes = set(), set()
     for path in library + bench:
         with_strings = path in bench
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
@@ -53,7 +63,19 @@ def _unreferenced_public_names(library_dir: Path, bench_dir: Path) -> set[str]:
                 if path in library and not stmt.name.startswith("_"):
                     defined.add(stmt.name)
             referenced |= refs
-    return defined - referenced
+            if not isinstance(stmt, ast.ClassDef):
+                attributes |= _attributes([stmt])
+                continue
+            attributes |= _attributes(stmt.bases + stmt.keywords + stmt.decorator_list)
+            for item in stmt.body:
+                found = _attributes([item])
+                if isinstance(item, ast.FunctionDef):
+                    found.discard(item.name)
+                    if path in library and not item.name.startswith("_"):
+                        methods.add((stmt.name, item.name))
+                attributes |= found
+    unused_methods = {f"{cls}.{name}" for cls, name in methods if name not in attributes}
+    return (defined - referenced) | unused_methods
 
 
 def test_every_public_name_is_used_or_pending():
@@ -69,6 +91,7 @@ def test_every_public_name_is_used_or_pending():
 
 
 _F = "def f():\n    return 0\n"
+_C = "class C:\n    def m(self):\n        {}\n\n\n"
 
 
 @pytest.mark.parametrize(
@@ -81,8 +104,14 @@ _F = "def f():\n    return 0\n"
         ({"src/a.py": "def f(n):\n    return f(n - 1) if n else 0\n"}, {"f"}),
         # the benchmark's own tests count no more than the library's
         ({"src/a.py": _F, "bench/test_run.py": "import a\n\na.f()\n"}, {"f"}),
+        # a method is used through an attribute, and only so
+        ({"src/a.py": _C.format("return 0") + "C().m()\n"}, set()),
+        ({"src/a.py": "from math import m\n\n" + _C.format("return m(1)") + "C()\n"},
+         {"C.m"}),
+        ({"src/a.py": _C.format("return self.m()") + "C()\n"}, {"C.m"}),
     ],
-    ids=["bench-string", "library-string", "own-body-only", "bench-test-file"],
+    ids=["bench-string", "library-string", "own-body-only", "bench-test-file",
+         "method-attribute", "method-bare-name", "method-own-body-only"],
 )
 def test_scan_reference_rules(tmp_path, files, flagged):
     for name, text in files.items():

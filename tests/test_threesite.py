@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su3chain.basis import GRAM_3
+from su3chain.basis import GRAM_3, a3_closed_form, gram_inverse
 from su3chain import threesite, twosite
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
@@ -360,10 +360,16 @@ NSUM_COMB = {
 }
 
 
+def _one_sided_comb(solver, z):
+    """``sum_{j>=1} phi_c(z + 3j)`` through the solver's long-double comb."""
+    z = np.atleast_1d(z).astype(np.clongdouble)
+    return solver._comb(z, 1)[0].astype(complex)
+
+
 @pytest.mark.parametrize("z", NSUM_COMB)
 def test_comb_matches_nsum(g1_solver, z):
     # head of J terms plus the closed-form tail against the infinite sum
-    assert abs(g1_solver.comb(z)[0] - NSUM_COMB[z]) <= 1e-14
+    assert abs(_one_sided_comb(g1_solver, z)[0] - NSUM_COMB[z]) <= 1e-14
 
 
 @pytest.mark.parametrize("comb_terms", range(1, 7))
@@ -373,10 +379,11 @@ def test_extrapolate_recovers_limit(comb_terms):
     # within the reported tail_bound even at heads far below the default
     solver = G1Solver(comb_terms=comb_terms)
     z = np.array(list(NSUM_COMB))
-    err = np.abs(solver.comb(z) - np.array(list(NSUM_COMB.values())))
+    comb = _one_sided_comb(solver, z)
+    err = np.abs(comb - np.array(list(NSUM_COMB.values())))
     assert err.max() <= solver.tail_bound
     # pointwise over the sample shape
-    assert all(solver.comb(zi)[0] == ci for zi, ci in zip(z, solver.comb(z)))
+    assert all(_one_sided_comb(solver, zi)[0] == ci for zi, ci in zip(z, comb))
 
 
 def test_comb_head_length_converged(g1_solver):
@@ -485,6 +492,153 @@ def test_two_site_density_matrix_reproduces_omega_at_complex_argument():
         assert abs(np.trace(d2 @ p) - complex(twosite.omega33(lam))) < 1e-11
 
 
+# The eleven printed equations for the singlet amplitudes f in two spectral
+# parameters (x, y), as the library held them before it kept only the nine
+# distinct ones at x = y: the oracle of that transcription.
+
+def _inter_matrix(x, y) -> np.ndarray:
+    """Coefficient matrix of the 11 equations for the singlet amplitudes f."""
+    d = x - y
+    A = np.zeros((11, 11), dtype=complex)
+    A[0, 0] = 1
+    A[1, 1] = 1
+    A[2, 6] = 1
+    A[3, 2] = 1
+    A[3, 5] = y
+    A[3, 4] = -y
+    A[3, 3] = -(y**2)
+    A[4, 6] = 1
+    A[4, 9] = -(y + 2)
+    A[4, 10] = y - 1
+    A[4, 8] = -(y - 1) * (y + 2)
+    A[5, 2] = 1 - d**2
+    A[5, 3] = x * (x - 2 * y)
+    A[5, 4] = x * (-1 + x * y - y**2)
+    A[5, 5] = x * (1 - x * y + y**2)
+    A[5, 1] = x * d * (-2 + x**2 - x * y)
+    A[6, 6] = 1 - (-1 + x) * d - (2 + x) * d + (-1 + x) * (2 + x) * d**2
+    A[6, 8] = 2 - y - y**2
+    A[6, 9] = (2 + y) * (-1 + x**2 + y - x * (1 + y))
+    A[6, 10] = (-1 + y) * (1 - x**2 + x * (-2 + y) + 2 * y)
+    A[7, 2] = 1
+    A[8, 0] = 2 * x * (2 + x) * y * (2 + y)
+    A[8, 1] = 2 * x * (2 + x) * (2 + y)
+    A[8, 3] = 2 * (2 + x) * y * (2 + y)
+    A[8, 4] = 2 * (2 + x) * (2 + y)
+    A[9, 0] = 2 * (-2 - y - x * (2 + y) + x * (2 + x) * y * (2 + y))
+    A[9, 1] = -2 * (-1 + x + x**2) * (2 + y)
+    A[9, 2] = 2 * (1 + x) * (2 + y)
+    A[9, 3] = 2 * (1 + x + (2 + x) * y - (2 + x) * y * (2 + y))
+    A[9, 4] = -2 * (1 + x + 2 * y + x * y)
+    A[9, 5] = 2 * (2 + y)
+    A[9, 6] = -2 * (-2 - y + x * y + x**2 * (1 + y))
+    A[9, 7] = 2 * (1 + x - y)
+    A[9, 8] = -2 * (1 + x) * (-2 + y + y**2)
+    A[9, 9] = -2 * (1 + x) * (2 + y)
+    A[9, 10] = -2 * x
+    A[10, 0] = 2 * (x**2 - 1) * (y**2 - 1)
+    A[10, 6] = 2 * (x**2 - 1) * (1 + y)
+    A[10, 8] = 2 * (1 + x) * (y**2 - 1)
+    A[10, 9] = 2 * (1 + x) * (1 + y)
+    return A
+
+
+def _inter_rhs(x, y, f1_val, f2_val, f3_val) -> np.ndarray:
+    """Right side of the 11-equation system (two-site data and F1..F3)."""
+    d = x - y
+    w, wb = twosite.omega33, twosite.omega_bar33
+    b = np.zeros(11, dtype=complex)
+    b[0] = 1
+    b[1] = w(y)
+    b[2] = wb(y - 1)
+    b[3] = w(x) * (1 - y**2)
+    b[4] = wb(x - 1) * (1 - y) * (2 + y)
+    b[5] = w(y) * (1 - x**2) * (1 - d**2)
+    b[6] = wb(y - 1) * (1 - x) * (2 + x) * (1 - d**2)
+    b[7] = w(d)
+    b[8] = f1_val
+    b[9] = f2_val
+    b[10] = f3_val
+    return b
+
+
+def _boundary_values(g, lam: complex):
+    """F1, F2, F3 at the diagonal point (lam, lam) from ``g = G1(lam + (0, 1, 2))``."""
+    pref = (lam**2 - 1) ** 2 * (lam + 2) ** 2
+    return (
+        g[0] * pref / lam**2,
+        g[1] * pref / (lam + 1) ** 2,
+        g[2] * (lam**2 - 1) ** 2,
+    )
+
+
+#: complex diagonal points, shape (2, 4): two circle points of the density
+#: solve with the shifts by 1 and 2 that its chain couples, and two points
+#: away from the circle
+_DIAGONAL_POINTS = np.append(
+    0.35 * np.exp(1j * np.pi * np.array([1, 23]) / 16)[:, None] + np.arange(3),
+    [0.4 + 0.3j, -1.4 + 0.9j],
+).reshape(2, 4)
+
+
+def _equation_gap(a, b):
+    """Largest difference of two stacks of equations, each an augmented row
+    (coefficients, then right side), relative to the row's largest entry."""
+    return float((np.abs(a - b).max(axis=-1) / np.abs(b).max(axis=-1)).max())
+
+
+def _augmented(x, g):
+    """The oracle's eleven equations at ``(x, x)`` as an 11 x 12 array."""
+    rhs = _inter_rhs(x, x, *_boundary_values(g, x))
+    return np.column_stack((_inter_matrix(x, x), rhs))
+
+
+def test_diagonal_equations_are_the_printed_rows_at_x_equals_y():
+    # row 7's right side is OMEGA33_HOMOGENEOUS where the oracle evaluates
+    # omega33(0), 3.5 ulp away; every other entry agrees to about 1 ulp
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+    eqs, rhs = threesite._diagonal_equations(_DIAGONAL_POINTS, g)
+    assert eqs.shape == (2, 4, 9, 11) and rhs.shape == (2, 4, 9)
+    ours = np.concatenate((eqs, rhs[..., None]), axis=-1).reshape(-1, 9, 12)
+    kept = [0, 1, 2, 3, 4, 7, 8, 9, 10]
+    for x, gx, eq in zip(_DIAGONAL_POINTS.ravel(), g.reshape(-1, 3), ours):
+        assert _equation_gap(eq, _augmented(x, gx)[kept]) <= 1e-15
+
+
+def test_printed_rows_5_and_6_repeat_rows_3_and_4_at_x_equals_y():
+    # the fact that lets the density solve drop rows 5 and 6
+    for x in _DIAGONAL_POINTS.ravel():
+        full = _augmented(x, np.ones(3))
+        assert _equation_gap(full[5:7], full[3:5]) <= 1e-15
+
+
+def _per_point_rho(solver):
+    """rho from the oracle's eleven equations, one row-scaled 55 x 33 lstsq
+    per circle point, averaged: the solve that the stacked one replaced."""
+    n, radius = threesite._CIRCLE_POINTS, threesite._CIRCLE_RADIUS
+    lams = radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    m_inv, zero = gram_inverse(3), np.zeros((11, 11))
+    rhos = []
+    for lam, g in zip(lams, solver.value(lams[:, None] + np.arange(5))):
+        aug = [_augmented(lam + k, g[k : k + 3]) for k in range(3)]
+        a3 = [a3_closed_form(lam + k, lam + k) for k in range(2)]
+        mat = np.zeros((55, 33), dtype=complex)
+        for k in range(3):
+            mat[11 * k : 11 * k + 11, 11 * k : 11 * k + 11] = aug[k][:, :11]
+        mat[33:] = np.block([[m_inv, -a3[0] @ m_inv, zero], [zero, m_inv, -a3[1] @ m_inv]])
+        rhs = np.concatenate([a[:, 11] for a in aug] + [np.zeros(22)])
+        norms = np.linalg.norm(mat, axis=1)
+        sol, *_ = np.linalg.lstsq(mat / norms[:, None], rhs / norms, rcond=None)
+        rhos.append(m_inv @ sol[:11])
+    return np.mean(rhos, axis=0)
+
+
+def test_stacked_solve_matches_per_point_solve(g1_solver):
+    rho, _ = three_site_density_coefficients(g1_solver)
+    assert np.abs(rho - _per_point_rho(g1_solver)).max() <= 1e-14
+
+
 def test_three_site_coefficients_diagnostics(g1_solver):
     rho, diagnostics = three_site_density_coefficients(g1_solver)
     assert rho.shape == (11,)
@@ -528,3 +682,14 @@ def test_partial_traces_at_circle_knee(d3):
     d2 = density_matrix_two_site(0.0)
     assert np.abs(partial_trace_last_site(d3) - d2).max() <= 1e-13
     assert np.abs(partial_trace_first_site(d3) - d2).max() <= 1e-13
+
+
+#: <P13> at the defaults from the per-point 55 x 33 solve that the stacked
+#: 49 x 33 solve replaced: a regression pin, not an oracle.  ROADMAP item 1's
+#: mpmath solve of D3 is to replace it.
+P13_PIN = 0.04470820335774554
+
+
+def test_three_site_density_matrix_p13_pin(d3):
+    p12, p23 = _perm_ops()
+    assert abs(np.trace(d3 @ p12 @ p23 @ p12) - P13_PIN) <= 5e-14
