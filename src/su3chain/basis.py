@@ -246,138 +246,150 @@ def a2_closed_form(lam: complex) -> np.ndarray:
     )
 
 
-def a3_closed_form(x: complex, y: complex) -> np.ndarray:
-    """The printed closed form of A for m = 3 (entries not listed are zero)."""
-    A = np.zeros((11, 11), dtype=complex)
-    A[0, 0] = (-1 + 3 * x + x**2) * (-1 + 3 * y + y**2) / (x * (3 + x) * y * (3 + y))
-    A[0, 1] = (-1 + 3 * x + x**2) * (-2 + 2 * y + y**2) / (x * (3 + x) * y * (3 + y))
-    A[0, 2] = -3 / (x * (3 + x) * y * (3 + y))
-    A[0, 3] = (1 + y) * (-8 + 3 * x + 2 * x**2 - 2 * y + 2 * x * y + x**2 * y) / (
+def a3_closed_form(x, y) -> np.ndarray:
+    """The printed closed form of A for m = 3 (entries not listed are zero).
+
+    ``x`` and ``y`` broadcast against each other, and the matrices fill the
+    last two axes: arrays of points give shape ``x.shape + (11, 11)``.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    # at least one dimension, so that one point takes the array arithmetic of
+    # a batch, bit for bit: scalar complex products round differently
+    x, y = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (x, y))
+    A = np.zeros(np.broadcast_shapes(x.shape, y.shape) + (11, 11), dtype=complex)
+    A[..., 0, 0] = (-1 + 3 * x + x**2) * (-1 + 3 * y + y**2) / (
         x * (3 + x) * y * (3 + y)
     )
-    A[0, 4] = (1 + y) * (-7 + x**2 - 3 * y - x * y) / (x * (3 + x) * y * (3 + y))
-    A[0, 5] = (-3 + y + y**2) / (x * (3 + x) * y * (3 + y))
-    A[0, 6] = (-1 + 3 * x + x**2) / (x * (3 + x) * (3 + y))
-    A[0, 7] = (-1 + 3 * x + x**2 + y + 3 * x * y + x**2 * y) / (
+    A[..., 0, 1] = (-1 + 3 * x + x**2) * (-2 + 2 * y + y**2) / (
         x * (3 + x) * y * (3 + y)
     )
-    A[0, 8] = (1 + 3 * x + x * y) / (x * (3 + x) * (3 + y))
-    A[0, 9] = -(-1 + x**2 - x * y) / (x * (3 + x) * y * (3 + y))
-    A[0, 10] = -y / (x * (3 + x) * (3 + y))
-    A[1, 0] = 3 * (-1 + 3 * x + x**2) / (x * (3 + x) * y * (3 + y))
-    A[1, 1] = -(-1 + 3 * x + x**2) * (-3 + y + y**2) / (x * (3 + x) * y * (3 + y))
-    A[1, 2] = -(-1 + 3 * y + y**2) / (x * (3 + x) * y * (3 + y))
-    A[1, 3] = 2 * (1 + y) / (x * (3 + x) * y * (3 + y))
-    A[1, 4] = (1 + y) ** 2 / (x * (3 + x) * y * (3 + y))
-    A[1, 5] = -(-2 + 2 * y + y**2) / (x * (3 + x) * y * (3 + y))
-    A[1, 6] = (-1 + 3 * x + x**2) * y / (x * (3 + x) * (3 + y))
-    A[1, 7] = -(-1 + y) / (x * (3 + x) * y * (3 + y))
-    A[1, 8] = (1 + 3 * x + x * y) / (x * (3 + x) * y * (3 + y))
-    A[1, 9] = -(-1 + x**2 - x * y) / (x * (3 + x) * (3 + y))
-    A[1, 10] = -1 / (x * (3 + x) * (3 + y))
-    A[2, 0] = -3 / (x * (3 + x) * y * (3 + y))
-    A[2, 1] = -3 * (2 + y) / (x * (3 + x) * y * (3 + y))
-    A[2, 2] = (
+    A[..., 0, 2] = -3 / (x * (3 + x) * y * (3 + y))
+    A[..., 0, 3] = (1 + y) * (-8 + 3 * x + 2 * x**2 - 2 * y + 2 * x * y + x**2 * y) / (
+        x * (3 + x) * y * (3 + y)
+    )
+    A[..., 0, 4] = (1 + y) * (-7 + x**2 - 3 * y - x * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 0, 5] = (-3 + y + y**2) / (x * (3 + x) * y * (3 + y))
+    A[..., 0, 6] = (-1 + 3 * x + x**2) / (x * (3 + x) * (3 + y))
+    A[..., 0, 7] = (-1 + 3 * x + x**2 + y + 3 * x * y + x**2 * y) / (
+        x * (3 + x) * y * (3 + y)
+    )
+    A[..., 0, 8] = (1 + 3 * x + x * y) / (x * (3 + x) * (3 + y))
+    A[..., 0, 9] = -(-1 + x**2 - x * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 0, 10] = -y / (x * (3 + x) * (3 + y))
+    A[..., 1, 0] = 3 * (-1 + 3 * x + x**2) / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 1] = -(-1 + 3 * x + x**2) * (-3 + y + y**2) / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 2] = -(-1 + 3 * y + y**2) / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 3] = 2 * (1 + y) / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 4] = (1 + y) ** 2 / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 5] = -(-2 + 2 * y + y**2) / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 6] = (-1 + 3 * x + x**2) * y / (x * (3 + x) * (3 + y))
+    A[..., 1, 7] = -(-1 + y) / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 8] = (1 + 3 * x + x * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 1, 9] = -(-1 + x**2 - x * y) / (x * (3 + x) * (3 + y))
+    A[..., 1, 10] = -1 / (x * (3 + x) * (3 + y))
+    A[..., 2, 0] = -3 / (x * (3 + x) * y * (3 + y))
+    A[..., 2, 1] = -3 * (2 + y) / (x * (3 + x) * y * (3 + y))
+    A[..., 2, 2] = (
         -3 * x - 3 * y + 7 * x * y + 3 * x**2 * y + 3 * x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[2, 3] = -(-6 + 6 * x + 3 * x**2 - 6 * y - 2 * x * y) / (
+    A[..., 2, 3] = -(-6 + 6 * x + 3 * x**2 - 6 * y - 2 * x * y) / (
         x * (3 + x) * y * (3 + y)
     )
-    A[2, 4] = (
+    A[..., 2, 4] = (
         3 - 6 * x - 3 * x**2 + 6 * y + 6 * x * y + x**2 * y + 3 * y**2
         + 4 * x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[2, 5] = (
+    A[..., 2, 5] = (
         -3 * x - 6 * y + 6 * x * y + 3 * x**2 * y - 3 * y**2 + 2 * x * y**2
         + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[2, 6] = 3 / (x * (3 + x) * (3 + y))
-    A[2, 7] = -(-3 + 3 * y + 4 * x * y + x**2 * y) / (x * (3 + x) * y * (3 + y))
-    A[2, 8] = -1 / (x * (3 + y))
-    A[2, 9] = (-3 + 3 * x**2 + x**2 * y) / (x * (3 + x) * y * (3 + y))
-    A[2, 10] = y / (x * (3 + y))
-    A[3, 0] = 3 / (x * (3 + x))
-    A[3, 2] = -(-9 + x**2 - 3 * y - 2 * x * y) / (x * (3 + x) * y * (3 + y))
-    A[3, 3] = -(
+    A[..., 2, 6] = 3 / (x * (3 + x) * (3 + y))
+    A[..., 2, 7] = -(-3 + 3 * y + 4 * x * y + x**2 * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 2, 8] = -1 / (x * (3 + y))
+    A[..., 2, 9] = (-3 + 3 * x**2 + x**2 * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 2, 10] = y / (x * (3 + y))
+    A[..., 3, 0] = 3 / (x * (3 + x))
+    A[..., 3, 2] = -(-9 + x**2 - 3 * y - 2 * x * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 3, 3] = -(
         -3 * x - x**2 - 9 * y + 3 * x * y + 3 * x**2 * y - 3 * y**2
         + x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[3, 4] = -(-3 + x - y) / (x * y * (3 + y))
-    A[3, 5] = (3 + x - y) / ((3 + x) * y * (3 + y))
-    A[3, 7] = -(
+    A[..., 3, 4] = -(-3 + x - y) / (x * y * (3 + y))
+    A[..., 3, 5] = (3 + x - y) / ((3 + x) * y * (3 + y))
+    A[..., 3, 7] = -(
         9 - 3 * x - 2 * x**2 - 6 * y + x * y + 2 * x**2 * y - 3 * y**2
         + x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[3, 8] = (-3 - x + y + 3 * x * y + x * y**2) / ((3 + x) * y * (3 + y))
-    A[3, 10] = (3 + x - y) / ((3 + x) * (3 + y))
-    A[4, 0] = -3 / (x * (3 + x) * (3 + y))
-    A[4, 1] = 3 / (x * (3 + x) * (3 + y))
-    A[4, 2] = (-3 + 8 * x + 3 * x**2 + x**2 * y - x * y**2) / (
+    A[..., 3, 8] = (-3 - x + y + 3 * x * y + x * y**2) / ((3 + x) * y * (3 + y))
+    A[..., 3, 10] = (3 + x - y) / ((3 + x) * (3 + y))
+    A[..., 4, 0] = -3 / (x * (3 + x) * (3 + y))
+    A[..., 4, 1] = 3 / (x * (3 + x) * (3 + y))
+    A[..., 4, 2] = (-3 + 8 * x + 3 * x**2 + x**2 * y - x * y**2) / (
         x * (3 + x) * y * (3 + y)
     )
-    A[4, 3] = -(-1 + y) / (x * y * (3 + y))
-    A[4, 4] = -(
+    A[..., 4, 3] = -(-1 + y) / (x * y * (3 + y))
+    A[..., 4, 4] = -(
         3 - 8 * x - 3 * x**2 - 3 * y + 2 * x * y + 2 * x**2 * y + 2 * x * y**2
         + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[4, 5] = 1 / (x * y * (3 + y))
-    A[4, 6] = 3 * y / (x * (3 + x) * (3 + y))
-    A[4, 7] = (
+    A[..., 4, 5] = 1 / (x * y * (3 + y))
+    A[..., 4, 6] = 3 * y / (x * (3 + x) * (3 + y))
+    A[..., 4, 7] = (
         6 - 7 * x - 3 * x**2 - 3 * y + 2 * x * y + 2 * x**2 * y - 3 * y**2
         + x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[4, 8] = -1 / (x * y * (3 + y))
-    A[4, 9] = (-3 + 3 * x**2 + x**2 * y) / (x * (3 + x) * (3 + y))
-    A[4, 10] = 1 / (x * (3 + y))
-    A[5, 0] = 3 / (x * (3 + x) * y)
-    A[5, 1] = 3 / (x * (3 + x) * y)
-    A[5, 2] = -(-x - 9 * y + x**2 * y - 3 * y**2 - x * y**2) / (
+    A[..., 4, 8] = -1 / (x * y * (3 + y))
+    A[..., 4, 9] = (-3 + 3 * x**2 + x**2 * y) / (x * (3 + x) * (3 + y))
+    A[..., 4, 10] = 1 / (x * (3 + y))
+    A[..., 5, 0] = 3 / (x * (3 + x) * y)
+    A[..., 5, 1] = 3 / (x * (3 + x) * y)
+    A[..., 5, 2] = -(-x - 9 * y + x**2 * y - 3 * y**2 - x * y**2) / (
         x * (3 + x) * y * (3 + y)
     )
-    A[5, 3] = (2 + y) / ((3 + x) * y * (3 + y))
-    A[5, 4] = 1 / ((3 + x) * y * (3 + y))
-    A[5, 5] = -(
+    A[..., 5, 3] = (2 + y) / ((3 + x) * y * (3 + y))
+    A[..., 5, 4] = 1 / ((3 + x) * y * (3 + y))
+    A[..., 5, 5] = -(
         -2 * x - 9 * y + 2 * x * y + 2 * x**2 * y - 3 * y**2 + 2 * x * y**2
         + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[5, 7] = 1 / ((3 + x) * y * (3 + y))
-    A[5, 8] = (1 + 3 * x - 3 * y) / ((3 + x) * y * (3 + y))
-    A[5, 10] = (-1 + 3 * y + x * y) / ((3 + x) * (3 + y))
-    A[6, 1] = -(-1 + 3 * x + x**2) * (-1 + y) / (x * (3 + x) * y)
-    A[6, 3] = -(-8 + 6 * x + 3 * x**2 - 4 * y - x * y) / (x * (3 + x) * y * (3 + y))
-    A[6, 4] = -(-1 - 8 * y + x**2 * y - 3 * y**2 - x * y**2) / (
+    A[..., 5, 7] = 1 / ((3 + x) * y * (3 + y))
+    A[..., 5, 8] = (1 + 3 * x - 3 * y) / ((3 + x) * y * (3 + y))
+    A[..., 5, 10] = (-1 + 3 * y + x * y) / ((3 + x) * (3 + y))
+    A[..., 6, 1] = -(-1 + 3 * x + x**2) * (-1 + y) / (x * (3 + x) * y)
+    A[..., 6, 3] = -(-8 + 6 * x + 3 * x**2 - 4 * y - x * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 6, 4] = -(-1 - 8 * y + x**2 * y - 3 * y**2 - x * y**2) / (
         x * (3 + x) * y * (3 + y)
     )
-    A[6, 5] = -(-1 + y) / (x * (3 + x) * y)
-    A[6, 7] = (
+    A[..., 6, 5] = -(-1 + y) / (x * (3 + x) * y)
+    A[..., 6, 7] = (
         7 - 6 * x - 3 * x**2 - 5 * y + x * y + x**2 * y - 2 * y**2
         + 2 * x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[7, 1] = 3 / (x * (3 + x))
-    A[7, 3] = -3 * (-3 + 2 * x + x**2 - y) / (x * (3 + x) * y * (3 + y))
-    A[7, 4] = -(-9 - x + x**2 - 3 * y - x * y) / (x * (3 + x) * (3 + y))
-    A[7, 5] = -(-3 + 2 * x + x**2 - x * y) / (x * (3 + x) * y)
-    A[7, 7] = (
+    A[..., 7, 1] = 3 / (x * (3 + x))
+    A[..., 7, 3] = -3 * (-3 + 2 * x + x**2 - y) / (x * (3 + x) * y * (3 + y))
+    A[..., 7, 4] = -(-9 - x + x**2 - 3 * y - x * y) / (x * (3 + x) * (3 + y))
+    A[..., 7, 5] = -(-3 + 2 * x + x**2 - x * y) / (x * (3 + x) * y)
+    A[..., 7, 7] = (
         9 - 6 * x - 3 * x**2 - 6 * y - x * y + x**2 * y - 3 * y**2
         + x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    A[8, 3] = (1 + y) * (3 - 2 * x + y - x * y) / (x * y * (3 + y))
-    A[8, 4] = (3 - x + y) * (1 + y) / (x * y * (3 + y))
-    A[8, 7] = -(1 + y) / (y * (3 + y))
-    A[9, 3] = (-2 + 3 * x - 2 * y) / (x * y * (3 + y))
-    A[9, 4] = -(1 - 3 * x + 2 * y + x * y + y**2 + x * y**2) / (x * y * (3 + y))
-    A[9, 7] = (-1 + y + x * y) / (x * y * (3 + y))
-    A[10, 1] = 3 / (x * (3 + x) * y)
-    A[10, 3] = (-9 + 5 * x + 3 * x**2 - 3 * y - x * y) / (x * (3 + x) * y * (3 + y))
-    A[10, 4] = (x - 9 * y + x**2 * y - 3 * y**2 - x * y**2) / (
+    A[..., 8, 3] = (1 + y) * (3 - 2 * x + y - x * y) / (x * y * (3 + y))
+    A[..., 8, 4] = (3 - x + y) * (1 + y) / (x * y * (3 + y))
+    A[..., 8, 7] = -(1 + y) / (y * (3 + y))
+    A[..., 9, 3] = (-2 + 3 * x - 2 * y) / (x * y * (3 + y))
+    A[..., 9, 4] = -(1 - 3 * x + 2 * y + x * y + y**2 + x * y**2) / (x * y * (3 + y))
+    A[..., 9, 7] = (-1 + y + x * y) / (x * y * (3 + y))
+    A[..., 10, 1] = 3 / (x * (3 + x) * y)
+    A[..., 10, 3] = (-9 + 5 * x + 3 * x**2 - 3 * y - x * y) / (x * (3 + x) * y * (3 + y))
+    A[..., 10, 4] = (x - 9 * y + x**2 * y - 3 * y**2 - x * y**2) / (
         x * (3 + x) * y * (3 + y)
     )
-    A[10, 5] = -(-x - 3 * y + 2 * x * y + x**2 * y) / (x * (3 + x) * y)
-    A[10, 7] = -(
+    A[..., 10, 5] = -(-x - 3 * y + 2 * x * y + x**2 * y) / (x * (3 + x) * y)
+    A[..., 10, 7] = -(
         9 - 4 * x - 3 * x**2 - 6 * y + 2 * x * y + x**2 * y - 3 * y**2
         + 2 * x * y**2 + x**2 * y**2
     ) / (x * (3 + x) * y * (3 + y))
-    return A
+    return A.reshape(shape + (11, 11))
 
 
 def a3_printed_zero_pattern() -> np.ndarray:

@@ -31,9 +31,15 @@ only the three arguments ``a = lam/3``, ``b = (lam - 1)/3`` and
 ``sigma_d - tau/12`` and ``sigma'`` is ``sigma_d' - tau'/12``, where
 ``sigma_d = [2 psi(a) + 3/lam - psi(b) - psi(c)]/3 - 1/(lam^2 - 1)`` decays
 to the right.  ``-12 sigma`` contributes ``tau`` to ``phi``, and dropping it
-leaves ``phi_c``.  One ``digamma_trigamma_array`` call gives ``psi`` and
-``psi'`` at the three arguments; ``tau`` and ``tau'`` are 3-periodic, so the
-comb computes them once per point, not once per term.
+leaves ``phi_c``.  In the comb, term ``j`` needs ``psi`` and ``psi'`` at
+``a + j``, ``b + j`` and ``c + j``: three integer ladders.  One
+``digamma_trigamma_array`` call gives both at the ladders' far ends
+``a + J + 1`` etc. (at ``J = 12`` they exceed 11 at every point a result
+samples, so the kernel neither shifts nor reflects there), and the recurrence
+``psi(x) = psi(x + 1) - 1/x``, ``psi'(x) = psi'(x + 1) + 1/x^2`` (DLMF
+5.5.2) walks down each ladder as a reverse cumulative sum.  ``tau`` and
+``tau'`` are 3-periodic, so the comb computes them once per point, not once
+per term.
 
 The comb is a head of ``J = comb_terms`` terms, evaluated in one broadcast,
 plus its tail beyond ``J`` in closed form.  Write
@@ -167,20 +173,25 @@ def _tau_and_slope(l):
     return -4 * pi * (ca - cb), 4 * pi**2 / 3 * (ca**2 - cb**2)
 
 
-def phi_c(lam, *, periodic=None):
+def phi_c(lam, *, periodic=None, polygamma=None):
     """phi - tau in analytically cancelled form (no large-argument blowup).
 
     The shift and reflection identities put all of phi's digamma and
     trigamma terms at the three arguments ``lam/3``, ``(lam-1)/3`` and
     ``(lam+4)/3``, evaluated in one ``digamma_trigamma_array`` call; the
-    reflections leave ``tau`` and ``tau'``.  ``periodic`` passes
-    ``(tau(lam), tau'(lam))`` when the caller has them already, as the comb
-    does: both are 3-periodic, so ``lam - 3j`` gives the same values.
+    reflections leave ``tau`` and ``tau'``.  Two keywords pass values the
+    caller has already, as the comb does.  ``periodic`` passes
+    ``(tau(lam), tau'(lam))``: both are 3-periodic, so ``lam - 3j`` gives
+    the same values.  ``polygamma`` passes ``(psi, psi')`` at the three
+    arguments, stacked along a new first axis, which the comb takes from its
+    ladders.
     The arithmetic, pi and ``OMEGA33_HOMOGENEOUS`` follow the precision of
     ``lam``: long double for ``np.clongdouble`` input, else complex128.
     """
     l = _complex(lam)
-    psi, psi1 = digamma_trigamma_array(np.stack((l / 3, (l - 1) / 3, (l + 4) / 3)))
+    if polygamma is None:
+        polygamma = digamma_trigamma_array(np.stack((l / 3, (l - 1) / 3, (l + 4) / 3)))
+    psi, psi1 = polygamma
     t, tp = _tau_and_slope(l) if periodic is None else periodic
     # sigma = s_d - tau/12 and sigma' = s_d' - tau'/12, with the parts s_d,
     # s_d' that decay to the right
@@ -473,12 +484,28 @@ class G1Solver:
         """``sum_{j>=start} phi_c(z + 3j)`` and ``tau(z)`` at long-double ``z``.
 
         The terms ``j = start..J`` are one broadcast in long double; the tail
-        beyond ``J`` is added in complex128.
+        beyond ``J`` is added in complex128.  The terms' ``psi`` and ``psi'``
+        come from one kernel call at the far ends ``base + J + 1`` of the
+        ladders ``base + j``, ``base`` being ``z/3``, ``(z - 1)/3`` and
+        ``(z + 4)/3``, and the downward recurrence: ``psi(base + j)`` is
+        ``psi(base + J + 1) - sum_{k=j..J} 1/(base + k)``, and ``psi'`` the
+        same with ``+ 1/(base + k)^2``.  Complex128 ``z`` runs the same code
+        in complex128.
         """
         terms = self.comb_terms
         t, tp = _tau_and_slope(z)
-        j3 = 3 * np.arange(start, terms + 1)
-        head = phi_c(z[..., None] + j3, periodic=(t[..., None], tp[..., None]))
+        j = np.arange(start, terms + 1)
+        base = np.stack((z / 3, (z - 1) / 3, (z + 4) / 3))
+        psi_end, psi1_end = digamma_trigamma_array(base + (terms + 1))
+        # down the ladders: psi(x) = psi(x + 1) - 1/x, psi'(x) = psi'(x + 1) + 1/x^2
+        inv = 1 / (base[..., None] + j[::-1])
+        psi = psi_end[..., None] - np.cumsum(inv, axis=-1)[..., ::-1]
+        psi1 = psi1_end[..., None] + np.cumsum(inv * inv, axis=-1)[..., ::-1]
+        head = phi_c(
+            z[..., None] + 3 * j,
+            periodic=(t[..., None], tp[..., None]),
+            polygamma=(psi, psi1),
+        )
         return head.sum(axis=-1) + _comb_tail(z, t, tp, terms), t
 
     def k_function(self, z):
@@ -624,17 +651,18 @@ def three_site_density_coefficients(solver: G1Solver):
     full-rank 49 x 33 least-squares problem: 27 equation rows, 22 link rows.
     The rows differ in norm by two orders of magnitude, so each row and its
     right side are divided by the row's 2-norm before the solve (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 20); the residual
-    is measured on the unscaled system.
+    *Accuracy and Stability of Numerical Algorithms*, ch. 20).
 
     The solve degenerates at ``lam = 0`` (the F-weights have poles there),
     but the amplitudes are analytic, so their value at 0 is the mean of the
     solutions over a small circle - the Cauchy integral, converging
     geometrically in the number of circle points.  All circle points are
-    solved as one stack through the SVD-based pseudo-inverse, with ``G1``
-    and each two-site function evaluated in one call.  Returns
-    ``(rho, diagnostics)`` with the discarded imaginary part and the worst
-    least-squares defect as quality measures.
+    solved as one stack through the SVD-based pseudo-inverse, with ``G1``,
+    each two-site function and the 32 link matrices ``A3`` evaluated in one
+    call each.  Returns ``(rho, diagnostics)`` with the discarded imaginary
+    part and, as ``max_relative_residual``, the worst least-squares defect
+    ``|A x - b| / (|A| |x|)`` of the row-scaled systems (2-norms, Frobenius
+    for ``A``) as quality measures.
     """
     n, radius = _CIRCLE_POINTS, _CIRCLE_RADIUS
     angles = 2 * np.pi * (np.arange(n) + 0.5) / n
@@ -644,7 +672,7 @@ def three_site_density_coefficients(solver: G1Solver):
     x = lams[:, None] + np.arange(3)
     g_windows = np.lib.stride_tricks.sliding_window_view(g, 3, axis=1)
     eqs, eq_rhs = _diagonal_equations(x, g_windows)
-    a3 = np.array([[a3_closed_form(xk, xk) for xk in xs] for xs in x[:, :2]])
+    a3 = a3_closed_form(x[:, :2], x[:, :2])
     m_inv = gram_inverse(3)
     mat = np.zeros((n, 49, 33), dtype=complex)
     rhs = np.zeros((n, 49, 1), dtype=complex)
@@ -656,12 +684,15 @@ def three_site_density_coefficients(solver: G1Solver):
         mat[:, row : row + 11, 11 * k : 11 * k + 11] = m_inv
         mat[:, row : row + 11, 11 * (k + 1) : 11 * (k + 1) + 11] = -a3[:, k] @ m_inv
     norms = np.linalg.norm(mat, axis=-1, keepdims=True)
-    sol = np.linalg.pinv(mat / norms) @ (rhs / norms)
-    residuals = np.linalg.norm(mat @ sol - rhs, axis=(1, 2))
+    mat, rhs = mat / norms, rhs / norms
+    sol = np.linalg.pinv(mat) @ rhs
+    residuals = np.linalg.norm(mat @ sol - rhs, axis=(1, 2)) / (
+        np.linalg.norm(mat, axis=(1, 2)) * np.linalg.norm(sol, axis=(1, 2))
+    )
     rho0 = (m_inv @ sol[:, :11]).mean(axis=0)[:, 0]
     diagnostics = {
         "max_imag": float(np.abs(rho0.imag).max()),
-        "max_lstsq_residual": float(residuals.max()),
+        "max_relative_residual": float(residuals.max()),
         "circle_points": n,
         "circle_radius": radius,
     }

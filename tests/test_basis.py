@@ -123,6 +123,23 @@ def test_a3_matches_closed_form_at_random_points():
         assert np.abs(computed - closed).max() < 1e-10
 
 
+def test_a3_closed_form_over_arrays_is_the_scalar_calls():
+    rng = np.random.default_rng(26)
+    shape = (2, 3, 4)
+    x = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
+    y = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
+    for ys in (y, x, y[0, 0, 0]):  # off the diagonal, on it, and broadcast
+        pairs = zip(x.ravel(), np.broadcast_to(ys, shape).ravel())
+        stacked = np.array([a3_closed_form(a, b) for a, b in pairs])
+        batch = a3_closed_form(x, ys)
+        assert batch.shape == shape + (11, 11)
+        assert np.array_equal(batch, stacked.reshape(batch.shape))
+    # python complex scalars, as verify-matrices passes them, too
+    point = x[0, 0, 0]
+    python_point = a3_closed_form(complex(point), 0.5)
+    assert np.array_equal(python_point, a3_closed_form(point, 0.5))
+
+
 def test_a3_zero_pattern():
     pattern = a3_printed_zero_pattern()
     assert pattern.shape == (11, 11)

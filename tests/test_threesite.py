@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from su3chain.basis import GRAM_3, a3_closed_form, gram_inverse
 from su3chain import threesite, twosite
+from su3chain.specfun import digamma_trigamma_array
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
     G1Solver,
@@ -406,6 +407,97 @@ def test_correlator_defaults(default_correlator):
     assert diagnostics["tail_bound"] < 1e-16
 
 
+def _laurent_circle(center):
+    return center + threesite._LAURENT_RADIUS * np.exp(
+        2j * np.pi * np.arange(threesite._LAURENT_POINTS) / threesite._LAURENT_POINTS
+    )
+
+
+#: comb origins for the digamma ladder: both Laurent circles, origins whose
+#: far ends z/3 + J + 1 lie left of Re 1/2 (so the kernel reflects them), and
+#: one next to the pole of psi((z + 3)/3) at z = -3
+LADDER_ORIGINS = {
+    "circle-0": _laurent_circle(0.0),
+    "circle-2": _laurent_circle(-2.0),
+    "far-left": np.array([-40 + 0.3j, -41.7 - 2j, -45.1 + 0.01j]),
+    "next-to-pole": np.array([-3 + 1e-3]),
+}
+
+
+def _ladder_and_kernel(monkeypatch, solver, z, start):
+    """psi and psi' that ``_comb`` passes to ``phi_c``, and the kernel's values
+    at the same head arguments, all in long double."""
+    seen = {}
+
+    def spy(lam, **keywords):
+        seen.update(keywords, lam=lam)
+        return phi_c(lam, **keywords)
+
+    monkeypatch.setattr(threesite, "phi_c", spy)
+    solver._comb(z.astype(np.clongdouble), start)
+    l = seen["lam"]
+    kernel = digamma_trigamma_array(np.stack((l / 3, (l - 1) / 3, (l + 4) / 3)))
+    return seen["polygamma"], kernel
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("origin", sorted(LADDER_ORIGINS))
+def test_comb_ladder_matches_kernel(monkeypatch, g1_solver, origin, start):
+    """The downward recurrence from the far ends gives the kernel's psi, psi'.
+
+    Measured at 8e-17 relative, all of it the kernel's own truncation of the
+    asymptotic series at |z| = 10 (the ladder is within 3e-18 of mpmath, see
+    below).  The bound assumes the x86-64 80-bit extended long double.
+    """
+    ladder, kernel = _ladder_and_kernel(
+        monkeypatch, g1_solver, LADDER_ORIGINS[origin], start
+    )
+    for ours, ref in zip(ladder, kernel):
+        assert ours.dtype == np.clongdouble
+        assert ours.shape == (3, len(LADDER_ORIGINS[origin]), 13 - start)
+        assert np.all(np.abs(ours - ref) <= 2e-16 * np.abs(ref))
+
+
+def test_comb_ladder_against_mpmath(monkeypatch, g1_solver):
+    # every head argument of eight origins on the circle around -2; measured
+    # 2.9e-18 (psi) and 2.2e-18 (psi') relative, the kernel 7e-17 and 5e-17
+    import mpmath as mp
+
+    def exact(v):
+        ratios = (x.as_integer_ratio() for x in (v.real, v.imag))
+        return mp.mpc(*(mp.mpf(n) / d for n, d in ratios))
+
+    z = LADDER_ORIGINS["circle-2"][::32].astype(np.clongdouble)
+    (psi, psi1), _ = _ladder_and_kernel(monkeypatch, g1_solver, z, 0)
+    base = np.stack((z / 3, (z - 1) / 3, (z + 4) / 3))
+    with mp.workdps(30):
+        for idx in np.ndindex(psi.shape):
+            x = exact(base[idx[:2]] + idx[2])
+            for ours, ref in ((psi[idx], mp.digamma(x)), (psi1[idx], mp.psi(1, x))):
+                assert abs(exact(ours) - ref) <= 1e-17 * abs(ref)
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_phi_c_with_kernel_polygamma_is_phi_c(dtype):
+    lam = (np.array(COMB_ORIGINS) + 3.0 * np.arange(4)).astype(dtype)
+    polygamma = digamma_trigamma_array(
+        np.stack((lam / 3, (lam - 1) / 3, (lam + 4) / 3))
+    )
+    assert np.array_equal(phi_c(lam, polygamma=polygamma), phi_c(lam))
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("center", threesite._CENTERS)
+def test_float64_comb_matches_long_double(g1_solver, center, start):
+    # the path of a platform whose long double is float64; measured 2.9e-15
+    # to 1.6e-14 of the circle's largest value (1.3e-13 absolute around -2)
+    z = _laurent_circle(center)
+    wide = g1_solver._comb(z.astype(np.clongdouble), start)[0].astype(complex)
+    narrow = g1_solver._comb(z, start)[0]
+    assert narrow.dtype == complex
+    assert np.abs(narrow - wide).max() <= 1e-13 * np.abs(wide).max()
+
+
 @pytest.mark.parametrize("comb_terms", [0, -7])
 def test_invalid_comb_terms_rejected(comb_terms):
     with pytest.raises(ValueError, match="comb_terms"):
@@ -643,7 +735,10 @@ def test_three_site_coefficients_diagnostics(g1_solver):
     rho, diagnostics = three_site_density_coefficients(g1_solver)
     assert rho.shape == (11,)
     assert diagnostics["max_imag"] < 1e-9
-    assert diagnostics["max_lstsq_residual"] < 1e-6
+    assert diagnostics["max_relative_residual"] < 1e-6
+    # the defect relative to |A| |x| of the row-scaled systems is rounding:
+    # 1.93e-16 at the defaults, and the bound is ten times that
+    assert diagnostics["max_relative_residual"] <= 1.9e-15
     # normalization amplitude f1 = (GRAM_3 rho)_1 must be 1
     assert abs((GRAM_3 @ rho)[0] - 1) < 1e-9
 
