@@ -9,10 +9,11 @@ diagonalization of finite periodic chains.
 
 Modules
 -------
-tensors    the structural tensors (P, I, E, epsilon) as plain arrays
+tensors    the structural tensors (P, I, E, epsilon) as plain arrays, their
+           operator form and the three-site partial traces
 rmatrix    rational R-matrices and identity checks batched over parameters
-specfun    one kernel for digamma and its first two derivatives, Hurwitz zeta,
-           and the scalar/array rule the evaluators share
+specfun    one polygamma kernel of any order, with Hurwitz zeta as its order
+           s - 1, and the scalar/array rule the evaluators share
 twosite    closed-form two-site functions (sigma, omega33, omega_bar33, alpha33,
            G and its zeta expansion) and their difference-equation residuals
 basis      singlet bases for two and three sites, Gram matrices, their exact

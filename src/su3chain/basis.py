@@ -36,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .tensors import levi_civita, pie
+from .tensors import as_operator, levi_civita, pie
 
 N = 3
 
@@ -405,7 +405,7 @@ def a3_printed_zero_pattern() -> np.ndarray:
 
 def _site_ops(m: int):
     """Identity/permutation operators on (C^3)^{tensor m} as dense matrices."""
-    P = _P4.transpose(2, 3, 0, 1).reshape(N * N, N * N)
+    P = as_operator(_P4)
     if m == 2:
         return {"I": np.eye(N**2), "P12": P}
     eye = np.eye(N**3)

@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .tensors import pie
+from .tensors import as_operator, partial_trace_last_site, pie
 
 #: published finite-size reference values: L -> (energy per bond, <P12 P23>)
 REFERENCE_TABLE1 = {
@@ -236,25 +236,17 @@ def _lanczos_ground(matvec, dim: int):
             tri += np.diag(betas, 1) + np.diag(betas, -1)
         evals, evecs = np.linalg.eigh(tri)
         theta = evals[0]
-        if (
-            theta_prev is not None
-            and abs(theta - theta_prev) < _LANCZOS_EIG_TOL
-            and j >= 2
-        ):
+        b = float(np.linalg.norm(w))
+        exhausted = b < 1e-14  # invariant subspace exhausted
+        settled = theta_prev is not None and abs(theta - theta_prev) < _LANCZOS_EIG_TOL
+        if exhausted or (settled and j >= 2):
             x = basis[: j + 1].T @ evecs[:, 0]
             x /= np.linalg.norm(x)
             residual = float(np.linalg.norm(matvec(x) - theta * x))
-            if residual < _LANCZOS_RESID_TOL:
+            if exhausted or residual < _LANCZOS_RESID_TOL:
                 gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
                 return float(theta), x, residual, j + 1, gap
         theta_prev = theta
-        b = float(np.linalg.norm(w))
-        if b < 1e-14:  # invariant subspace exhausted
-            x = basis[: j + 1].T @ evecs[:, 0]
-            x /= np.linalg.norm(x)
-            residual = float(np.linalg.norm(matvec(x) - theta * x))
-            gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
-            return float(theta), x, residual, j + 1, gap
         betas.append(b)
         if j + 1 == len(basis):
             grown = np.empty((len(basis) + _LANCZOS_BLOCK, dim))
@@ -329,8 +321,8 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
     """Ground-state energy and correlation observables of a finite chain."""
     ham, e0, vecs, method, residual, iters, gap = _ground_space(spec)
     rdm3 = _rdm3_from_vectors(ham, vecs)
-    rdm2 = rdm3.reshape(9, 3, 9, 3).trace(axis1=1, axis2=3)
-    p9 = pie(3)[0].transpose(2, 3, 0, 1).reshape(9, 9)
+    rdm2 = partial_trace_last_site(rdm3)
+    p9 = as_operator(pie(3)[0])
     p12 = float(np.trace(rdm2 @ p9))
     p12f = np.kron(p9, np.eye(3))
     p23f = np.kron(np.eye(3), p9)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import levi_civita, pie
+from .tensors import as_operator, levi_civita, pie
 
 N = 3
 
@@ -47,7 +47,7 @@ def r_operator(kind: str, lam) -> np.ndarray:
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown R-matrix kind {kind!r}: expected one of {_KINDS}")
-    P, I, E = (t.transpose(2, 3, 0, 1).reshape(N * N, N * N) for t in pie(N))
+    P, I, E = map(as_operator, pie(N))
     lam = np.asarray(lam)[..., None, None]
     return lam * P - E if kind[0] != kind[1] else I + lam * P
 

@@ -704,15 +704,3 @@ def density_matrix_three_site(solver: G1Solver | None = None) -> np.ndarray:
     solver = solver or G1Solver()
     rho, _ = three_site_density_coefficients(solver)
     return reduce_to_physical(3, rho).real
-
-
-def partial_trace_last_site(d3: np.ndarray) -> np.ndarray:
-    """Trace out the third site of a 27 x 27 operator, giving 9 x 9."""
-    t = d3.reshape(3, 3, 3, 3, 3, 3)
-    return np.einsum("abkcdk->abcd", t).reshape(9, 9)
-
-
-def partial_trace_first_site(d3: np.ndarray) -> np.ndarray:
-    """Trace out the first site of a 27 x 27 operator, giving 9 x 9."""
-    t = d3.reshape(3, 3, 3, 3, 3, 3)
-    return np.einsum("kabkcd->abcd", t).reshape(9, 9)

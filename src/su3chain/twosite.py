@@ -56,10 +56,6 @@ def omega33_homogeneous(real=np.float64):
 #: the ground-state energy per bond
 OMEGA33_HOMOGENEOUS = omega33_homogeneous()
 
-#: alpha33(0,0) = (2 - pi/sqrt(3) - 3 log 3)/24
-ALPHA33_HOMOGENEOUS = (2 - np.pi / np.sqrt(3) - 3 * np.log(3)) / 24
-
-
 def _stacked_arguments(lam):
     """The four digamma arguments ``1 -+ lam/3`` and ``4/3 +- lam/3`` of sigma, stacked."""
     third = _complex(lam) / 3

@@ -1,6 +1,7 @@
-"""Every public function, class and method of the library serves a result.
+"""Every public function, class, method and constant of the library serves a result.
 
-A public module-level name counts as used when the library or the benchmark
+A public module-level name (a function, a class or an assigned constant)
+counts as used when the library or the benchmark
 refers to it outside its own definition: as a name, an attribute or an
 imported name, or, in ``perfbench/``, as a string constant (the tracer names
 the special-function kernels in strings).  A public method of a library class
@@ -23,7 +24,6 @@ PENDING = {
     "zeta_expansion": "item 4: two-site emits it, or it becomes a test oracle",
     "density_matrix_three_site": "item 1: the three-site density operator as output",
     "partial_trace_first_site": "item 1: the three-site density operator as output",
-    "partial_trace_last_site": "item 1: the three-site density operator as output",
 }
 
 
@@ -39,6 +39,20 @@ def _references(node: ast.AST, with_strings: bool) -> set[str]:
         elif with_strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             names.add(sub.value)
     return names
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """The module-level names a statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
 
 
 def _attributes(nodes) -> set[str]:
@@ -57,11 +71,10 @@ def _unreferenced_public_names(library_dir: Path, bench_dir: Path) -> set[str]:
         with_strings = path in bench
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             refs = _references(stmt, with_strings)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                # a name used only inside its own definition is not used
-                refs.discard(stmt.name)
-                if path in library and not stmt.name.startswith("_"):
-                    defined.add(stmt.name)
+            # a name used only inside its own definition is not used
+            refs -= _defined_names(stmt)
+            if path in library:
+                defined |= {n for n in _defined_names(stmt) if not n.startswith("_")}
             referenced |= refs
             if not isinstance(stmt, ast.ClassDef):
                 attributes |= _attributes([stmt])
@@ -99,7 +112,7 @@ _C = "class C:\n    def m(self):\n        {}\n\n\n"
     [
         # only the benchmark's strings name functions: its tracer does
         ({"src/a.py": _F, "bench/run.py": "KERNELS = ['f']\n"}, set()),
-        ({"src/a.py": _F, "src/b.py": "KERNELS = ['f']\n"}, {"f"}),
+        ({"src/a.py": _F, "src/b.py": "KERNELS = ['f']\n"}, {"f", "KERNELS"}),
         # a call from its own body is no use
         ({"src/a.py": "def f(n):\n    return f(n - 1) if n else 0\n"}, {"f"}),
         # the benchmark's own tests count no more than the library's
@@ -109,9 +122,11 @@ _C = "class C:\n    def m(self):\n        {}\n\n\n"
         ({"src/a.py": "from math import m\n\n" + _C.format("return m(1)") + "C()\n"},
          {"C.m"}),
         ({"src/a.py": _C.format("return self.m()") + "C()\n"}, {"C.m"}),
+        # a module-level constant is a public name too, used only by reference
+        ({"src/a.py": "X = 1\nY: int = 2\n_Z = Y\n"}, {"X"}),
     ],
     ids=["bench-string", "library-string", "own-body-only", "bench-test-file",
-         "method-attribute", "method-bare-name", "method-own-body-only"],
+         "method-attribute", "method-bare-name", "method-own-body-only", "constant"],
 )
 def test_scan_reference_rules(tmp_path, files, flagged):
     for name, text in files.items():

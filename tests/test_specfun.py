@@ -178,6 +178,34 @@ def test_hurwitz_zeta_against_mpmath(s, a):
     assert abs(ours - ref) < 1e-13 * max(1.0, abs(ref))
 
 
+#: where the library sums Hurwitz zeta: x = z/3 + 13 on the comb's Laurent
+#: circles of radius 0.45 around 0 and -2 (ten points each)
+COMB_TAIL_ARGUMENTS = [
+    center / 3 + 13 + 0.15 * np.exp(2j * np.pi * (k + 0.5) / 10)
+    for center in (0, -2)
+    for k in range(10)
+]
+
+
+@pytest.mark.parametrize("s", range(2, 17))
+def test_hurwitz_zeta_relative_on_comb_tail(s):
+    # the values are 2e-18..0.09, mostly below the absolute floor of the test
+    # above; the asymptotic series' truncation grows with s, to 1.3e-13 at 16
+    ours = hurwitz_zeta_array(s, np.array(COMB_TAIL_ARGUMENTS))
+    ref = np.array([complex(mp.zeta(s, mp.mpc(x))) for x in COMB_TAIL_ARGUMENTS])
+    assert np.all(np.abs(ours - ref) <= 2e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("s", [3, 7, 11])
+@pytest.mark.parametrize("a", [0.25 + 0.5j, -3.3 + 0.7j])
+def test_hurwitz_zeta_left_of_one_half(s, a):
+    # summed from a itself, not reflected: a reflected order 2 (s = 3) loses
+    # digits to the derivatives of cot, 8.4e-15 at -3.3 + 0.7i
+    ours = complex(hurwitz_zeta_array(s, a)[0])
+    ref = complex(mp.zeta(s, mp.mpc(a)))
+    assert abs(ours - ref) <= 4e-15 * abs(ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-8, 8, allow_nan=False),

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from su3chain.tensors import levi_civita, pie
+from su3chain.tensors import (
+    as_operator,
+    levi_civita,
+    partial_trace_first_site,
+    partial_trace_last_site,
+    pie,
+)
 
 
 def test_permutation_entries():
@@ -16,8 +22,16 @@ def test_permutation_entries():
     for i, k, j, l in itertools.product(range(3), repeat=4):
         assert p[i, k, j, l] == (1 if i == l and j == k else 0)
     # as an operator, row (j, l) and column (i, k), P swaps the two factors
-    swap = pie(2)[0].transpose(2, 3, 0, 1).reshape(4, 4)
+    swap = as_operator(pie(2)[0])
     assert np.array_equal(swap, np.eye(4)[[0, 2, 1, 3]])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_partial_traces_of_products(n):
+    rng = np.random.default_rng(n)
+    pair, site = rng.standard_normal((n * n, n * n)), rng.standard_normal((n, n))
+    assert np.allclose(partial_trace_last_site(np.kron(pair, site)), np.trace(site) * pair)
+    assert np.allclose(partial_trace_first_site(np.kron(site, pair)), np.trace(site) * pair)
 
 
 def test_identity_and_temperley_lieb_entries():

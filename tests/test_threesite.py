@@ -11,14 +11,13 @@ from hypothesis import given, settings, strategies as st
 from su3chain.basis import GRAM_3, a3_closed_form, gram_inverse
 from su3chain import threesite, twosite
 from su3chain.specfun import digamma_trigamma_array
+from su3chain.tensors import partial_trace_first_site, partial_trace_last_site
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
     G1Solver,
     density_matrix_two_site,
     density_matrix_three_site,
     h_kernel,
-    partial_trace_first_site,
-    partial_trace_last_site,
     phi,
     phi_c,
     solve_g,

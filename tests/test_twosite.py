@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from su3chain import twosite
 from su3chain.specfun import PoleError
-from su3chain.twosite import ALPHA33_HOMOGENEOUS, OMEGA33_HOMOGENEOUS
+from su3chain.twosite import OMEGA33_HOMOGENEOUS
 
+#: alpha33(0,0) = (2 - pi/sqrt(3) - 3 log 3)/24
+ALPHA33_HOMOGENEOUS = (2 - np.pi / np.sqrt(3) - 3 * np.log(3)) / 24
 
 
 def test_homogeneous_values():
