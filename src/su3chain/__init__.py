@@ -9,8 +9,8 @@ diagonalization of finite periodic chains.
 
 Modules
 -------
-tensors    the structural tensors (P, I, E, epsilon) as plain arrays, their
-           operator form and the three-site partial traces
+tensors    the structural tensors (P, I, E, epsilon) as plain arrays, and an
+           invariant operator on 2 or 3 sites to and from its permutation expectations
 rmatrix    rational R-matrices and identity checks batched over parameters
 specfun    one polygamma kernel of any order, with Hurwitz zeta as its order
            s - 1, and the scalar/array rule the evaluators share

@@ -36,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .tensors import as_operator, levi_civita, pie
+from .tensors import exact_inverse, levi_civita, pie, site_permutations
 
 N = 3
 
@@ -83,8 +83,6 @@ _BASIS_SPEC = {
     ],
 }
 _GRAM = {2: GRAM_2, 3: GRAM_3}
-#: the least common denominator of the entries of GRAM_m^-1
-_GRAM_DENOMINATOR = {2: 24, 3: 360}
 
 
 def _element(m: int, eps_slots: tuple[int, int, int], pairing: int) -> np.ndarray:
@@ -122,23 +120,11 @@ def build_basis(m: int) -> np.ndarray:
 
 @cache
 def gram_inverse(m: int) -> np.ndarray:
-    """The exact inverse of the Gram matrix for ``m`` in {2, 3}, as floats.
-
-    Every entry is an integer over ``D = 24`` (m = 2) or ``D = 360``
-    (m = 3): the float inverse times ``D``, rounded, must give ``GRAM @ S =
-    D I`` exactly in integers, and ``S / D`` is the correctly rounded image
-    of the rational inverse.  Every caller shares the returned array, so it
-    is read-only.
-    """
+    """The exact inverse of the Gram matrix for ``m`` in {2, 3}, as read-only
+    floats: an integer matrix over 24 (m = 2) or 360 (m = 3)."""
     if m not in _GRAM:
         raise ValueError(f"m must be 2 or 3, got {m}")
-    gram, d = _GRAM[m], _GRAM_DENOMINATOR[m]
-    scaled = np.rint(np.linalg.inv(gram) * d).astype(np.int64)
-    if not np.array_equal(gram @ scaled, d * np.eye(len(gram), dtype=np.int64)):
-        raise AssertionError(f"GRAM_{m}^-1 is not an integer matrix over {d}")
-    out = scaled / d
-    out.flags.writeable = False
-    return out
+    return exact_inverse(_GRAM[m], {2: 24, 3: 360}[m])
 
 
 class SingularParameterError(ValueError):
@@ -403,32 +389,24 @@ def a3_printed_zero_pattern() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _site_ops(m: int):
-    """Identity/permutation operators on (C^3)^{tensor m} as dense matrices."""
-    P = as_operator(_P4)
-    if m == 2:
-        return {"I": np.eye(N**2), "P12": P}
-    eye = np.eye(N**3)
-    P12 = np.kron(P, _EYE)
-    P23 = np.kron(_EYE, P)
-    ops = {
-        "I": eye,
-        "P12": P12,
-        "P23": P23,
-        "P13": P12 @ P23 @ P12,
-        "P12P23": P12 @ P23,
-        "P23P12": P23 @ P12,
-    }
-    return ops
+#: the coefficient of each site permutation (rows: I, P12 and I, P12, P23,
+#: P13, P12 P23, P23 P12) in the image of each singlet amplitude (columns)
+_TO_PERMUTATIONS = {
+    2: np.array([[2, 0, 1], [0, 2, -1]]),
+    3: np.array([
+        [2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0],
+        [0, 2, 0, 0, 0, 0, -1, 0, 0, 0, 0],
+        [0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 1],
+        [0, 0, 0, 2, 0, 0, 0, 1, -1, 0, 0],
+        [0, 0, 0, 0, 2, 0, 0, -1, 0, -1, 0],
+        [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, -1],
+    ]),
+}
 
 
 def reduce_to_physical(m: int, rho) -> np.ndarray:
-    """Physical density operator on (C^3)^m from the singlet coefficients.
-
-    m = 2:  D2 = (2 rho1 + rho3) I + (2 rho2 - rho3) P12
-    m = 3:  D3 = (2 rho1 + rho7 + rho9) I + (2 rho2 - rho7) P12
-                + (2 rho3 + rho10 + rho11) P23 + (2 rho4 + rho8 - rho9) P13
-                + (2 rho5 - rho8 - rho10) P12 P23 + (2 rho6 - rho11) P23 P12
+    """Physical density operator on (C^3)^m from the singlet coefficients:
+    ``sum_s (_TO_PERMUTATIONS[m] @ rho)_s s`` over the site permutations ``s``.
 
     The coefficients are obtained by contracting the wing legs with the
     Levi-Civita tensor (the same partial anti-symmetrization that defines the
@@ -438,23 +416,10 @@ def reduce_to_physical(m: int, rho) -> np.ndarray:
     operators.  With these signs the trace functional ``tr(B_j)`` coincides
     with row 1 of the Gram matrix, so ``tr D_m = f_1`` identically.
     """
+    if m not in _TO_PERMUTATIONS:
+        raise ValueError(f"m must be 2 or 3, got {m}")
     rho = np.asarray(rho, dtype=complex)
-    ops = _site_ops(m)
-    if m == 2:
-        if rho.shape != (3,):
-            raise ValueError("m = 2 requires 3 coefficients")
-        r1, r2, r3 = rho
-        return (2 * r1 + r3) * ops["I"] + (2 * r2 - r3) * ops["P12"]
-    if m == 3:
-        if rho.shape != (11,):
-            raise ValueError("m = 3 requires 11 coefficients")
-        r = rho
-        return (
-            (2 * r[0] + r[6] + r[8]) * ops["I"]
-            + (2 * r[1] - r[6]) * ops["P12"]
-            + (2 * r[2] + r[9] + r[10]) * ops["P23"]
-            + (2 * r[3] + r[7] - r[8]) * ops["P13"]
-            + (2 * r[4] - r[7] - r[9]) * ops["P12P23"]
-            + (2 * r[5] - r[10]) * ops["P23P12"]
-        )
-    raise ValueError(f"m must be 2 or 3, got {m}")
+    table = _TO_PERMUTATIONS[m]
+    if rho.shape != (table.shape[1],):
+        raise ValueError(f"m = {m} requires {table.shape[1]} coefficients")
+    return np.tensordot(table @ rho, site_permutations(m), 1)

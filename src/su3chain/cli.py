@@ -311,7 +311,7 @@ def _cmd_report_table1(args):
                 "p12p23_delta": result.observables["p12p23"] - ref[1],
             }
         )
-    omega_inf = float(np.real(twosite.omega33(0.0)))
+    omega_inf = float(twosite.OMEGA33_HOMOGENEOUS)
     solution = threesite.three_site_correlator()
     rows.append(
         {

@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .tensors import as_operator, partial_trace_last_site, pie
+from .tensors import expectations, from_expectations
 
 #: published finite-size reference values: L -> (energy per bond, <P12 P23>)
 REFERENCE_TABLE1 = {
@@ -321,12 +321,10 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
     """Ground-state energy and correlation observables of a finite chain."""
     ham, e0, vecs, method, residual, iters, gap = _ground_space(spec)
     rdm3 = _rdm3_from_vectors(ham, vecs)
-    rdm2 = partial_trace_last_site(rdm3)
-    p9 = as_operator(pie(3)[0])
-    p12 = float(np.trace(rdm2 @ p9))
-    p12f = np.kron(p9, np.eye(3))
-    p23f = np.kron(np.eye(3), p9)
-    p12p23 = float(np.trace(rdm3 @ p12f @ p23f))
+    # <I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>; the first two fix rdm2
+    v = expectations(rdm3)
+    p12, p12p23 = float(v[1]), float(v[4])
+    rdm2 = from_expectations(v[:2])
     per_bond = e0 / spec.L
     if abs(p12 - per_bond) > 1e-12:
         raise RuntimeError(

@@ -9,8 +9,11 @@ The four-leg tensors have slots ordered ``(i, k, j, l)`` (``i, k`` incoming,
 
 As an ``n^2 x n^2`` operator with row index ``(j, l)`` and column ``(i, k)``
 (:func:`as_operator`), ``P`` is the swap of the two tensor factors.  The
-Levi-Civita tensor is normalized by ``eps[0, 1, ..., n-1] = +1``.  The
-partial traces reduce a three-site operator to its two-site marginals.
+Levi-Civita tensor is normalized by ``eps[0, 1, ..., n-1] = +1``.
+
+An SU(3)-invariant operator ``D`` on 2 or 3 sites of the chain is a sum
+``sum_s c_s s`` over the site permutations ``s``, so it is fixed by the 2 or 6
+numbers ``v_s = tr(D s)``: ``c = G^-1 v`` with ``G_st = tr(s t) = 3^cycles(s t)``.
 """
 
 from __future__ import annotations
@@ -48,38 +51,64 @@ def as_operator(t: np.ndarray) -> np.ndarray:
     return t.transpose(2, 3, 0, 1).reshape(n * n, n * n)
 
 
-def partial_trace_last_site(d3: np.ndarray) -> np.ndarray:
-    """Trace out the third site of an ``n^3 x n^3`` operator, giving ``n^2 x n^2``."""
-    n = round(len(d3) ** (1 / 3))
-    return np.einsum("abkcdk->abcd", d3.reshape((n,) * 6)).reshape(n * n, n * n)
+def exact_inverse(gram: np.ndarray, denominator: int) -> np.ndarray:
+    """``gram^-1`` as read-only floats, checked to be an integer matrix over
+    ``denominator`` (so correctly rounded): the rounded ``S = denominator
+    gram^-1`` must give ``gram S = denominator I`` exactly in integers."""
+    scaled = np.rint(np.linalg.inv(gram) * denominator).astype(np.int64)
+    if not np.array_equal(gram @ scaled, denominator * np.eye(len(gram), dtype=np.int64)):
+        raise AssertionError(f"the inverse is not an integer matrix over {denominator}")
+    out = scaled / denominator
+    out.flags.writeable = False
+    return out
 
 
-def partial_trace_first_site(d3: np.ndarray) -> np.ndarray:
-    """Trace out the first site of an ``n^3 x n^3`` operator, giving ``n^2 x n^2``."""
-    n = round(len(d3) ** (1 / 3))
-    return np.einsum("kabkcd->abcd", d3.reshape((n,) * 6)).reshape(n * n, n * n)
+#: each site permutation p, which sends |i_0 ... i_(m-1)> to |i_p(0) ... i_p(m-1)>:
+#: I, P12 and I, P12, P23, P13, P12 P23, P23 P12 (matrix products)
+_SITE_PERMUTATIONS = {
+    2: [(0, 1), (1, 0)],
+    3: [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0)],
+}
+
+
+@cache
+def site_permutations(m: int) -> np.ndarray:
+    """The site permutations of ``m`` in {2, 3} sites of the chain as a stack of
+    ``3^m x 3^m`` operators, in the order of ``_SITE_PERMUTATIONS``.  Built
+    once per ``m``; every caller shares the stack, so it is read-only."""
+    if m not in _SITE_PERMUTATIONS:
+        raise ValueError(f"m must be 2 or 3, got {m}")
+    digits = np.arange(3**m).reshape((3,) * m)
+    ops = np.eye(3**m)[[digits.transpose(p).ravel() for p in _SITE_PERMUTATIONS[m]]]
+    ops.flags.writeable = False
+    return ops
+
+
+@cache
+def _permutation_gram(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``G_st = tr(s t)`` over the site permutations and its exact inverse, an
+    integer matrix over 24 (m = 2) or 120 (m = 3)."""
+    gram = np.array([expectations(s) for s in site_permutations(m)]).astype(np.int64)
+    return gram, exact_inverse(gram, {2: 24, 3: 120}[m])
+
+
+def expectations(d: np.ndarray) -> np.ndarray:
+    """``v_s = tr(d s)`` for the site permutations ``s`` of a 9 x 9 or 27 x 27 ``d``."""
+    return np.array([np.vdot(s, d.T) for s in site_permutations({9: 2, 27: 3}[len(d)])])
+
+
+def from_expectations(v) -> np.ndarray:
+    """The operator ``sum_s c_s s`` whose :func:`expectations` are ``v`` (2 or 6
+    numbers): ``c = G^-1 v``."""
+    m = {2: 2, 6: 3}[len(v)]
+    return np.tensordot(_permutation_gram(m)[1] @ v, site_permutations(m), 1)
 
 
 def levi_civita(n: int) -> np.ndarray:
     """Fully antisymmetric tensor with ``eps[0, 1, ..., n-1] = +1``."""
     eps = np.zeros((n,) * n)
     for perm in itertools.permutations(range(n)):
-        eps[perm] = _perm_sign(perm)
+        # the sign of perm: the determinant of its permutation matrix, which
+        # LU factorization finds by row exchanges alone, so exactly +-1
+        eps[perm] = np.linalg.det(np.eye(n)[list(perm)])
     return eps
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

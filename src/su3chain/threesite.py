@@ -342,8 +342,7 @@ def solve_g(l: int, lam: complex) -> complex:
     ``nu`` axis, at distance ``|p - c|`` for each real pole ``p``, and those
     of the kernel at ``nu = s - i(k + 1/2)``.  The map keeps a node spacing
     of at most ``2 _CONV_STEP`` next to both and widens it as ``|nu|`` and
-    ``|nu - s|`` grow, so the rule converges geometrically with few nodes
-    for any ``Im lam``.
+    ``|nu - s|`` grow, so few nodes serve any ``Im lam``.
 
     Only the kernel window is integrated: with ``t = s - nu`` the kernel
     falls as ``e^(-(2 pi - a) t)`` below ``s`` and as ``e^(a t)`` above it
@@ -354,6 +353,9 @@ def solve_g(l: int, lam: complex) -> complex:
     ``i int phi d nu``, is summed exactly from ``phi``'s asymptotic series,
     together with the trapezoid rule's Euler-Maclaurin term at that end,
     ``-(_CONV_STEP^2 / 12) dF/du`` for the integrand ``F`` in ``u``.
+    So the ``l = +-1`` windows converge geometrically in the step, but at
+    ``l = 0`` that one end term leaves an error of order ``_CONV_STEP^4``
+    (4.7e-14 at 2.3 + 0.45i, growing 10 to 29 times per doubling).
 
     The transform normalizes the ``l = 0`` zero mode by decay at infinity
     rather than by ``G1 -> 2``, so ``(g_0 + g_1 + g_-1)/3`` differs from the

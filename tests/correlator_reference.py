@@ -31,7 +31,7 @@ regular there while ``K`` and ``P3`` are not), and ``F3 = G1(2)``.
 Run ``python tests/correlator_reference.py`` (about 90 s) to print the
 constants that ``tests/test_threesite.py`` holds as
 ``CORRELATOR_REFERENCE``.  It also prints the comb against the two ``nsum``
-values recorded in the ROADMAP, at the same float arguments.
+values held in ``NSUM_COMB``, at the same float arguments.
 """
 
 from fractions import Fraction
@@ -46,7 +46,7 @@ mp.mp.dps = 32
 #: order of the series of A: its last term is below 1e-35 at J = 20
 SERIES_ORDER = 40
 
-#: comb sums recorded in the ROADMAP (mp.nsum at dps 30, float arguments)
+#: comb sums from mp.nsum at dps 30, at float arguments
 NSUM_COMB = {
     complex(0.45): mp.mpc("0.85685680317715818478"),
     complex(-2, 0.45): mp.mpc("-4.2852537932853530803", "-8.344620901403956828"),

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su3chain import ed as ed_mod
 from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from su3chain.twosite import OMEGA33_HOMOGENEOUS
 
 
 def run(capsys, argv):
@@ -318,6 +322,8 @@ def test_report_table1_json_and_csv(capsys):
         "L=3", "L=6", "L=9", "thermodynamic",
     ]
     thermo = rows[-1]
+    # the correctly rounded constant, not omega33(0.0), which is 3.7 ulp off
+    assert thermo["omega33"] == OMEGA33_HOMOGENEOUS
     assert abs(thermo["omega33_delta"]) < 1e-12
     assert abs(thermo["p12p23_delta"]) < 1e-6
     code, out, _ = run(capsys, argv + ["--format", "csv"])
@@ -325,6 +331,7 @@ def test_report_table1_json_and_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("length,omega33")
     assert len(lines) == 5
+    assert float(lines[-1].split(",")[1]) == OMEGA33_HOMOGENEOUS
 
 
 def _nan_unitarity(monkeypatch):
@@ -565,3 +572,53 @@ def test_out_of_range_options_fail_closed(tmp_path, capsys, argv, config, option
     assert out == ""
     assert option in err
     assert "Traceback" not in err
+
+
+def _strict(name):
+    raise ValueError(f"{name} in JSON")
+
+
+#: values that no option accepts as a valid one, or as a costly one: no digit
+#: but 0, so an integer option parses as 0 at most
+_JUNK = st.text(alphabet="0 .+-ejnaxfi", max_size=5)
+#: each fuzzed subcommand's options, drawn small where they are valid
+_FUZZED_OPTIONS = {
+    "ed": {"--L": st.integers(-5, 30).map(str)},
+    "two-site": {
+        "--lambda": st.complex_numbers(allow_nan=True, allow_infinity=True).map(str),
+    },
+    "verify-algebra": {
+        "--seed": st.integers(-3, 2**70).map(str),
+        "--samples": st.integers(-2, 6).map(str),
+    },
+    "verify-matrices": {
+        "--seed": st.integers(-3, 2**70).map(str),
+        "--points": st.integers(-2, 6).map(str),
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZED_OPTIONS)))
+    options = {
+        **_FUZZED_OPTIONS[command],
+        "--format": st.sampled_from(["json", "text", "csv", "xml"]),
+    }
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [flag, draw(options[flag] | _JUNK)]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_keeps_the_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    fmt = dict(zip(argv[1::2], argv[2::2])).get("--format", "json")
+    if code == EXIT_OK and fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_strict)

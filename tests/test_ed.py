@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from su3chain import ed
+from su3chain.tensors import expectations
+from test_tensors import kron_site_permutations, partial_trace_last_site
 
 
 def test_chain_spec_validation():
@@ -281,6 +283,26 @@ def test_translation_invariance_and_rdm_properties(ed_results):
         # rdm2 is the partial trace of rdm3
         collapsed = rdm3.reshape(9, 3, 9, 3).trace(axis1=1, axis2=3)
         assert np.abs(collapsed - rdm2).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [3, 6, 9, 12])
+def test_six_expectations_match_the_kron_readout(L):
+    result = ed.ground_state(ed.ChainSpec(L))
+    rdm3 = result.observables["rdm3"]
+    v = expectations(rdm3)
+    # the readout ground_state used before: traces of rdm3 with the Kronecker
+    # products, and <P12> from rdm3's partial trace
+    kron = kron_site_permutations(3)
+    assert np.abs(v - [np.trace(rdm3 @ s) for s in kron]).max() <= 1e-15
+    p12 = np.trace(partial_trace_last_site(rdm3) @ kron_site_permutations(2)[1])
+    assert abs(result.observables["p12"] - p12) <= 1e-15
+    assert abs(result.observables["p12p23"] - np.trace(rdm3 @ kron[1] @ kron[2])) <= 1e-15
+    # the neighbour swaps agree by translation invariance, and the two
+    # 3-cycles, each the other's transpose, agree because rdm3 is real symmetric
+    assert abs(v[1] - v[2]) <= 1e-14
+    assert abs(v[4] - v[5]) <= 1e-14
+    if L == 3:  # the totally antisymmetric singlet: <s> is the sign of s
+        assert v.tolist() == [1, -1, -1, -1, 1, 1]
 
 
 def test_finite_size_monotonicity(ed_results):

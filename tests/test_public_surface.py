@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PENDING = {
     "zeta_expansion": "item 4: two-site emits it, or it becomes a test oracle",
     "density_matrix_three_site": "item 1: the three-site density operator as output",
-    "partial_trace_first_site": "item 1: the three-site density operator as output",
 }
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from su3chain.basis import GRAM_3, a3_closed_form, gram_inverse
 from su3chain import threesite, twosite
 from su3chain.specfun import digamma_trigamma_array
-from su3chain.tensors import partial_trace_first_site, partial_trace_last_site
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
     G1Solver,
@@ -25,6 +24,7 @@ from su3chain.threesite import (
     three_site_correlator,
     three_site_density_coefficients,
 )
+from test_tensors import partial_trace_first_site, partial_trace_last_site
 
 W = np.exp(2j * np.pi / 3)
 
