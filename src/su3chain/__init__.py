@@ -20,8 +20,8 @@ basis      singlet bases for two and three sites, Gram matrices, their exact
            inverses and the A matrices
 threesite  comb-built G1 and <P12 P23>, the convolution transform that
            checks it, and the two- and three-site density matrices
-ed         exact diagonalization (dense + Lanczos) of finite chains in the
-           zero-momentum block
+ed         exact diagonalization (Lanczos) of finite chains in the SU(3)
+           singlet sector, in Young's orthogonal form
 cli        command-line interface; it sets no numerical parameter
 """
 

@@ -265,9 +265,9 @@ def _cmd_ed(args):
         "method": result.method,
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
-        "degeneracy": result.degeneracy,
-        "k0_dimension": result.k0_dimension,
-        "k0_gap": result.k0_gap,
+        "singlet_dimension": result.singlet_dimension,
+        # a sector of one state (L = 3) has no next level
+        "singlet_gap": None if np.isinf(result.singlet_gap) else result.singlet_gap,
         "rdm2_trace_defect": trace_defect,
         "rdm2_min_eigenvalue": min_eig,
     }

@@ -1,27 +1,30 @@
 """Exact diagonalization of the periodic SU(3) permutation chain.
 
-Basis states are base-3 digit strings packed into machine integers (site 0 is
-the most significant digit), and ``H = sum_j P_{j,j+1}`` (periodic, including
-the wrap bond) acts matrix-free by swapping adjacent digits.  The ground
-state lives in the balanced color sector (L/3 sites of each color, dimension
-90 for L=6, 1680 for L=9 and 34650 for L=12) and is translation invariant, so
-H is solved in the zero-momentum block of that sector (Sandvik,
-arXiv:1101.3281, section 4): one basis vector per translation orbit, weighted
-by the orbit sizes, of dimension 2, 16, 188 and 2896 for L = 3, 6, 9, 12.
-Blocks up to 3^6 are solved dense, and for L <= 6 the block's minimum is
-verified against the minimum of ``full_hamiltonian``, the dense matrix on
-all 3^L states; the L = 12 block is solved by a Lanczos iteration with full
-reorthogonalization, a fixed seed and fixed tolerances.  The
-reported degeneracy and gap are those of the block; the chain's lowest
-excitation may lie in another momentum block (at L = 12 the block's gap is
-1.86, the balanced sector's 0.70).
+For L = 3k the ground state of ``H = sum_j P_{j,j+1}`` (periodic, including
+the wrap bond) is an SU(3) singlet.  By Schur-Weyl duality the singlets of
+(C^3)^L carry the irrep of the symmetric group S_L of shape (k, k, k), so H
+is solved there, in the orthonormal basis of standard Young tableaux of that
+shape (Nataf and Mila, PRL 113, 127204 (2014)): 1, 5, 42 and 462 of them for
+L = 3, 6, 9, 12.  The swap ``s_i`` of sites i and i+1 acts by Young's
+orthogonal form ``s_i T = T/r + sqrt(1 - 1/r^2) T'``, with ``r`` the content
+(column minus row) of i+1 minus that of i and ``T'`` the tableau with i and
+i+1 exchanged, and the wrap bond is ``s_(L-1) ... s_2 s_1 s_2 ... s_(L-1)``.
+One Lanczos iteration with full reorthogonalization, a fixed start vector
+and fixed tolerances solves every L; for L <= 6 its minimum is verified against the
+minimum of ``full_hamiltonian``, the dense matrix on all 3^L states.  The
+reported gap is the singlet sector's; the chain's lowest excitation may lie
+outside it (at L = 12 the singlet gap is 1.13, the balanced sector's 0.70).
 
-The sector is enumerated from combinations of the sites of each color, and a
-bond swap changes a state by ``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its
-two digits ``d_j``, ``d_k``; the swapped state is ranked by binary search in
-the ascending state list.  The three-site density matrix is contracted over
-the configurations of the other L - 3 sites that occur in the sector.  So no
-array of size 3^L is built for L >= 9.
+A tableau is the Yamanouchi word of the rows its entries stand in, packed in
+base 3 like a basis state (site 0 the most significant digit), and the words
+are filtered from the balanced color sector (L/3 sites of each color),
+which is enumerated from combinations of the sites of each color.  A bond
+swap changes a word by ``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its two
+digits ``d_j``, ``d_k``, and the swapped word is ranked by binary search in
+the ascending word list.  Every three-site observable is one of six numbers,
+``<I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>`` of sites 0, 1, 2, read
+off the ground vector ``x`` as ``x.x``, ``<s_1>``, ``<s_2>``,
+``<s_1 s_2 s_1>``, ``<s_1 s_2>`` and ``<s_2 s_1>``.
 
 The equivalent spin-1 form ``H = sum_j [S.S + (S.S)^2]`` differs from the
 permutation form by ``L`` times the identity, because ``S.S + (S.S)^2 = P + 1``
@@ -35,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .tensors import expectations, from_expectations
+from .tensors import from_expectations
 
 #: published finite-size reference values: L -> (energy per bond, <P12 P23>)
 REFERENCE_TABLE1 = {
@@ -44,13 +47,15 @@ REFERENCE_TABLE1 = {
     9: (-0.731082881703061, 0.239661721591669),
 }
 
-_DENSE_LIMIT = 6  # largest L of a dense 3^L x 3^L matrix; blocks up to 3^6 go dense
+_DENSE_LIMIT = 6  # largest L of a dense 3^L x 3^L matrix
 _DEGENERACY_TOL = 1e-10
-_LANCZOS_SEED = 7
+_LANCZOS_START = (5**0.5 - 1) / 2  # start vector: k times this mod 1, centred
 _LANCZOS_MAX_ITER = 400
 _LANCZOS_EIG_TOL = 1e-14  # Ritz value movement between iterations
 _LANCZOS_RESID_TOL = 1e-12  # explicit residual norm
 _LANCZOS_BLOCK = 32  # Lanczos basis rows allocated at a time
+_STEP_A = np.array([1, -1, 0])  # change of #0s - #1s by a digit 0, 1, 2
+_STEP_B = np.array([0, 1, -1])  # change of #1s - #2s
 
 
 @dataclass(frozen=True)
@@ -68,13 +73,15 @@ class ChainSpec:
 
 @dataclass
 class SpectrumResult:
-    """Ground-state data of a finite chain.
+    """Ground-state data of a finite chain, solved in its singlet sector.
 
-    ``degeneracy``, ``k0_dimension`` and ``k0_gap`` describe the
-    zero-momentum block of the balanced sector that was solved: the number
-    of its ground vectors, its dimension and the distance from its ground
-    level to its next level.  The chain's own gap may be smaller, in another
-    momentum block.
+    ``singlet_dimension`` is the number of standard tableaux of shape
+    (L/3, L/3, L/3), and ``singlet_gap`` the distance from the ground level
+    to the next Ritz value of the sector (``inf`` when the sector has one
+    state).  The chain's own gap may be smaller, outside the singlets.
+    ``observables["v"]`` holds the six numbers ``<I>, <P12>, <P23>, <P13>,
+    <P12 P23>, <P23 P12>`` of sites 0, 1, 2, with ``<I> = x.x`` for the
+    computed ground vector ``x``; ``rdm2`` is built from the first two.
     """
 
     L: int
@@ -82,10 +89,9 @@ class SpectrumResult:
     ground_energy: float
     energy_per_bond: float
     residual_norm: float
-    degeneracy: int
     iterations: int
-    k0_dimension: int
-    k0_gap: float
+    singlet_dimension: int
+    singlet_gap: float
     observables: dict = field(default_factory=dict)
 
 
@@ -116,71 +122,62 @@ def balanced_sector(L: int) -> np.ndarray:
 
 
 class Hamiltonian:
-    """H = sum_j P_{j,j+1} in the zero-momentum block of a list of states.
+    """H = sum_j P_{j,j+1} on the SU(3) singlets, in Young's orthogonal form.
 
-    The states must be ascending and closed under the one-site translation
-    and under every bond swap; a list that is not raises.  The block has one
-    basis vector per translation orbit, ``|r~> = n_r^(-1/2) sum_t |t>`` over
-    the ``n_r`` states ``t`` of the orbit, represented by its smallest state
-    ``r`` (``reps``).  For each orbit and bond the representative ``s`` of the
-    bond-swapped state is precomputed, so ``matvec`` is the fixed-order
-    weighted gather ``out[r] = sum_bonds sqrt(n_r / n_s) v[s]``, and results
-    are independent of any outer parallelism.
+    Of ``states`` (ascending base-3 words) only the Yamanouchi words of shape
+    (k, k, k), k = L/3, are kept, as ``words``: read from site 0, no prefix
+    has more 1s than 0s or more 2s than 1s, and the word has k of each.  Word
+    ``w`` is the standard tableau with entry i in row ``w_i``, and the
+    ``dim`` words are the orthonormal basis.  A swap whose ``T'`` is standard
+    (|r| >= 2) must find it among the words; a list that lacks one raises.
+    Each swap is a diagonal and one gather, so ``matvec`` is a fixed-order sum
+    of ``3L - 4`` of them, and results are independent of any outer
+    parallelism.
     """
 
     def __init__(self, L: int, states: np.ndarray):
         self.L = L
-        self.states = states
-        top = 3 ** (L - 1)
-        rep, rotated = states, states
-        fixed = np.zeros(len(states), dtype=np.int64)  # translations fixing each
-        for _ in range(L):
-            rotated = rotated % top * 3 + rotated // top
-            rep = np.minimum(rep, rotated)
-            fixed += rotated == states
-        self.reps, self.orbit = np.unique(rep, return_inverse=True)
-        self.dim = len(self.reps)
-        self.size = np.zeros(self.dim, dtype=np.int64)
-        self.size[self.orbit] = L // fixed
-        if not np.array_equal(np.bincount(self.orbit), self.size):
-            raise RuntimeError("translation left the state list (sector broken)")
         pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-        self.bond_targets = []
-        self.bond_weights = []
-        for j in range(L):
-            k = (j + 1) % L
-            d_j = self.reps // pw[j] % 3
-            d_k = self.reps // pw[k] % 3
-            swapped = self.reps + (d_k - d_j) * (pw[j] - pw[k])
-            rank = np.minimum(np.searchsorted(states, swapped), len(states) - 1)
-            if (states[rank] != swapped).any():
-                raise RuntimeError("bond swap left the state list (sector broken)")
-            target = self.orbit[rank]
-            self.bond_targets.append(target)
-            self.bond_weights.append(np.sqrt(self.size / self.size[target]))
+        # a = #0s - #1s and b = #1s - #2s of each prefix, site by site
+        a = b = 0
+        ballot = np.ones(len(states), dtype=bool)
+        for p in pw:
+            digit = states // p % 3
+            a = a + _STEP_A[digit]
+            b = b + _STEP_B[digit]
+            ballot &= (a >= 0) & (b >= 0)
+        self.words = states[ballot & (a == 0) & (b == 0)]
+        self.dim = len(self.words)
+        if not self.dim:
+            raise RuntimeError("no standard tableau in the state list (sector broken)")
+        digits = self.words // pw[:, None] % 3
+        # content of each site: its column (earlier sites in its row) minus its row
+        seen = np.cumsum(digits[:, :, None] == np.arange(3), axis=0)
+        contents = np.take_along_axis(seen, digits[:, :, None], 2)[:, :, 0] - 1 - digits
+        self._bonds = []
+        for j in range(L - 1):
+            r = contents[j + 1] - contents[j]  # never 0: i and i+1 share no diagonal
+            swapped = self.words + (digits[j + 1] - digits[j]) * (pw[j] - pw[j + 1])
+            rank = np.minimum(np.searchsorted(self.words, swapped), self.dim - 1)
+            # |r| = 1: i+1 beside or below i, s_i T = +-T, and T' has weight 0
+            if (self.words[rank] != swapped)[abs(r) > 1].any():
+                raise RuntimeError("bond swap left the tableau list (sector broken)")
+            self._bonds.append((1 / r, rank, np.sqrt(1 - 1 / r**2)))
+
+    def _swap(self, v: np.ndarray, j: int) -> np.ndarray:
+        """``s_(j+1) v``: sites j and j+1 (tableau entries j+1, j+2) exchanged."""
+        diagonal, partner, weight = self._bonds[j]
+        return diagonal * v + weight * v[partner]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for target, weight in zip(self.bond_targets, self.bond_weights):
-            out += weight * v[target]
-        return out
-
-    def dense(self) -> np.ndarray:
-        if self.dim > 3**_DENSE_LIMIT:
-            raise ValueError(f"refusing to materialize a {self.dim}-dim matrix")
-        h = np.zeros((self.dim, self.dim))
-        rows = np.arange(self.dim)
-        for target, weight in zip(self.bond_targets, self.bond_weights):
-            h[rows, target] += weight
-        return h
-
-    def expand(self, v: np.ndarray) -> np.ndarray:
-        """Amplitudes on ``states`` of the block vector ``v``."""
-        return v[self.orbit] / np.sqrt(self.size[self.orbit])
+        out = sum(self._swap(v, j) for j in range(self.L - 1))
+        for j in (*range(self.L - 2, 0, -1), *range(self.L - 1)):  # the wrap bond
+            v = self._swap(v, j)
+        return out + v
 
 
 def build_hamiltonian(spec: ChainSpec) -> Hamiltonian:
-    """The matrix-free zero-momentum block of the balanced color sector."""
+    """The matrix-free singlet sector of the chain."""
     return Hamiltonian(spec.L, balanced_sector(spec.L))
 
 
@@ -213,8 +210,7 @@ def _lanczos_ground(matvec, dim: int):
     ``_LANCZOS_BLOCK`` rows at a time, so its memory follows the iterations
     run, not ``_LANCZOS_MAX_ITER``.
     """
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    q = rng.standard_normal(dim)
+    q = np.arange(1, dim + 1) * _LANCZOS_START % 1 - 0.5
     q /= np.linalg.norm(q)
     basis = np.empty((_LANCZOS_BLOCK, dim))
     basis[0] = q
@@ -260,71 +256,32 @@ def _lanczos_ground(matvec, dim: int):
 
 
 def _ground_space(spec: ChainSpec):
-    """(block, energy, orthonormal ground vectors, method, residual, iters, gap).
-
-    Works in the zero-momentum block of the balanced sector.  Dense path for
-    blocks up to 3^6 (with a check that the block attains the global minimum
-    of the full space when that is also small); Lanczos otherwise.
-    Degeneracies within 1e-10 are resolved by the dense solve so that
-    observables can be projector-averaged; ``gap`` is the distance from the
-    ground level to the next level of the block.
+    """(Hamiltonian, energy, ground vector, residual, iterations, gap) of the
+    singlet sector, by Lanczos; for L <= 6 the energy is checked against the
+    minimum of the full space.  ``gap`` is the distance to the next Ritz value,
+    and a gap below ``_DEGENERACY_TOL`` raises.
     """
     ham = build_hamiltonian(spec)
-    if ham.dim <= 3**_DENSE_LIMIT:
-        evals, evecs = np.linalg.eigh(ham.dense())
-        if spec.L <= _DENSE_LIMIT:
-            global_min = float(np.linalg.eigvalsh(full_hamiltonian(spec))[0])
-            if abs(global_min - evals[0]) > 1e-10:
-                raise RuntimeError(
-                    f"zero-momentum block misses the global minimum: "
-                    f"{evals[0]} vs {global_min}"
-                )
-        mask = evals - evals[0] < _DEGENERACY_TOL
-        vecs = evecs[:, mask].T
-        e0 = float(evals[0])
-        gap = float(evals[len(vecs)] - e0) if len(vecs) < ham.dim else np.inf
-        residual = float(
-            max(np.linalg.norm(ham.matvec(v) - e0 * v) for v in vecs)
-        )
-        return ham, e0, vecs, "dense", residual, ham.dim, gap
     e0, x, residual, iters, gap = _lanczos_ground(ham.matvec, ham.dim)
     if gap < _DEGENERACY_TOL:
-        raise RuntimeError(
-            "degenerate ground space detected beyond the dense fallback size; "
-            f"gap {gap}"
-        )
-    return ham, e0, x[None, :], "lanczos", residual, iters, gap
-
-
-# ---------------------------------------------------------------------------
-# observables
-# ---------------------------------------------------------------------------
-
-def _rdm3_from_vectors(ham: Hamiltonian, vecs: np.ndarray) -> np.ndarray:
-    """Reduced density matrix of sites (0,1,2), projector-averaged over vecs.
-
-    Each block vector is expanded to the sector and laid out as a 27 x m
-    matrix: the digits of sites 0-2 by the m configurations of the other
-    sites that occur in the sector.
-    """
-    head, tail = np.divmod(ham.states, 3 ** (ham.L - 3))
-    tails, column = np.unique(tail, return_inverse=True)
-    rdm = np.zeros((27, 27))
-    for v in vecs:
-        a = np.zeros((27, len(tails)))
-        a[head, column] = ham.expand(v)
-        rdm += a @ a.T
-    return rdm / len(vecs)
+        raise RuntimeError(f"degenerate singlet ground level; gap {gap}")
+    if spec.L <= _DENSE_LIMIT:
+        global_min = float(np.linalg.eigvalsh(full_hamiltonian(spec))[0])
+        if abs(global_min - e0) > 1e-10:
+            raise RuntimeError(
+                f"singlet sector misses the global minimum: {e0} vs {global_min}"
+            )
+    return ham, e0, x, residual, iters, gap
 
 
 def ground_state(spec: ChainSpec) -> SpectrumResult:
     """Ground-state energy and correlation observables of a finite chain."""
-    ham, e0, vecs, method, residual, iters, gap = _ground_space(spec)
-    rdm3 = _rdm3_from_vectors(ham, vecs)
-    # <I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>; the first two fix rdm2
-    v = expectations(rdm3)
+    ham, e0, x, residual, iters, gap = _ground_space(spec)
+    # <I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12> with P12 = s_1 and
+    # P23 = s_2 symmetric, so <s_1 s_2 s_1> = (s_1 x).(s_2 s_1 x)
+    s1, s2 = ham._swap(x, 0), ham._swap(x, 1)
+    v = np.array([x @ x, x @ s1, x @ s2, s1 @ ham._swap(s1, 1), s1 @ s2, s2 @ s1])
     p12, p12p23 = float(v[1]), float(v[4])
-    rdm2 = from_expectations(v[:2])
     per_bond = e0 / spec.L
     if abs(p12 - per_bond) > 1e-12:
         raise RuntimeError(
@@ -332,18 +289,17 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
         )
     return SpectrumResult(
         L=spec.L,
-        method=method,
+        method="lanczos",
         ground_energy=e0,
         energy_per_bond=per_bond,
         residual_norm=residual,
-        degeneracy=len(vecs),
         iterations=iters,
-        k0_dimension=ham.dim,
-        k0_gap=gap,
+        singlet_dimension=ham.dim,
+        singlet_gap=gap,
         observables={
             "p12": p12,
             "p12p23": p12p23,
-            "rdm2": rdm2,
-            "rdm3": rdm3,
+            "rdm2": from_expectations(v[:2]),
+            "v": v,
         },
     )

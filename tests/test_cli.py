@@ -80,19 +80,22 @@ def test_ed_l3(capsys):
     payload = json.loads(out)
     assert payload["results"]["energy_per_bond"] == pytest.approx(-1.0, abs=1e-13)
     assert payload["results"]["p12p23"] == pytest.approx(1.0, abs=1e-12)
-    assert payload["diagnostics"]["method"] == "dense"
+    assert payload["diagnostics"]["method"] == "lanczos"
+    # one singlet state, so no next level: null, not a non-standard Infinity
+    assert payload["diagnostics"]["singlet_dimension"] == 1
+    assert payload["diagnostics"]["singlet_gap"] is None
 
 
-def test_ed_l12_reports_the_zero_momentum_block(capsys):
-    code, out, _ = run(capsys, ["ed", "--L", "12"])
-    code2, out2, _ = run(capsys, ["ed", "--L", "12"])
+@pytest.mark.parametrize("L, dimension, gap", [(6, 5, 2.6056), (9, 42, 1.5838), (12, 462, 1.1343)])
+def test_ed_reports_the_singlet_sector(capsys, L, dimension, gap):
+    code, out, _ = run(capsys, ["ed", "--L", str(L)])
+    code2, out2, _ = run(capsys, ["ed", "--L", str(L)])
     assert code == code2 == EXIT_OK
     assert out == out2  # byte-identical JSON
     diagnostics = json.loads(out)["diagnostics"]
     assert diagnostics["method"] == "lanczos"
-    assert diagnostics["k0_dimension"] == 2896
-    assert diagnostics["degeneracy"] == 1
-    assert diagnostics["k0_gap"] == pytest.approx(1.8555, abs=1e-3)
+    assert diagnostics["singlet_dimension"] == dimension
+    assert diagnostics["singlet_gap"] == pytest.approx(gap, abs=1e-3)
 
 
 def test_ed_invalid_length(capsys):

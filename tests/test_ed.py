@@ -1,13 +1,15 @@
 """Exact diagonalization: finite chains, sectors, Lanczos, observables."""
 
+import math
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
 
 from su3chain import ed
-from su3chain.tensors import expectations
-from test_tensors import kron_site_permutations, partial_trace_last_site
+from su3chain.tensors import from_expectations
+from test_tensors import partial_trace_last_site
 
 
 def test_chain_spec_validation():
@@ -57,59 +59,98 @@ def _sector_partners(L, states):
     return partners
 
 
-@pytest.mark.parametrize(
-    "L, sector_dim, block_dim",
-    [(3, 6, 2), (6, 90, 16), (9, 1680, 188), (12, 34650, 2896)],
-)
-def test_orbit_sizes_sum_to_sector(L, sector_dim, block_dim):
-    ham = ed.build_hamiltonian(ed.ChainSpec(L))
-    assert len(ham.states) == sector_dim
-    assert ham.dim == block_dim
-    assert ham.size.sum() == sector_dim
-    # each orbit is represented by its smallest state
-    first = np.unique(ham.orbit, return_index=True)[1]
-    assert np.array_equal(ham.states[first], ham.reps)
-
-
-def test_orbit_operator_is_symmetric_l12():
+@cache
+def _balanced_sector_ground(L):
+    """The balanced sector filtered from all 3^L digit strings, H on it
+    assembled from digit swaps, and its two lowest levels and ground vector:
+    dense ``eigh`` for L <= 9, ``eigsh`` at L = 12.  Nothing is taken from
+    ``su3chain.ed``."""
     import scipy.sparse as sp
+    from scipy.sparse.linalg import eigsh
 
-    ham = ed.build_hamiltonian(ed.ChainSpec(12))
-    rows = np.tile(np.arange(ham.dim), 12)
-    cols = np.concatenate(ham.bond_targets)
-    h = sp.csr_matrix((np.concatenate(ham.bond_weights), (rows, cols)))
-    assert abs(h - h.T).max() < 1e-14
+    pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int32)
+    all_states = np.arange(3**L, dtype=np.int32)
+    counts = np.zeros((3, 3**L), dtype=np.int8)
+    for p in pw:
+        digit = all_states // p % 3
+        for color in range(3):
+            counts[color] += digit == color
+    states = all_states[(counts == L // 3).all(axis=0)].astype(np.int64)
+    dim = len(states)
+    rows = np.tile(np.arange(dim), L)
+    cols = np.concatenate(_sector_partners(L, states))
+    h = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    if L <= 9:
+        levels, vectors = np.linalg.eigh(h.toarray())
+    else:
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        levels, vectors = eigsh(h, k=2, which="SA", v0=v0)
+        order = np.argsort(levels)
+        levels, vectors = levels[order], vectors[:, order]
+    return states, levels[:2], vectors[:, 0]
 
 
-@pytest.mark.parametrize("L", [6, 9, 12])
-def test_orbit_operator_intertwines_with_sector(L):
-    # H on the expanded vector equals the expansion of the block's H v
-    ham = ed.build_hamiltonian(ed.ChainSpec(L))
-    v = np.random.default_rng(L).standard_normal(ham.dim)
-    x = ham.expand(v)
-    hx = sum(x[partner] for partner in _sector_partners(L, ham.states))
-    assert np.abs(hx - ham.expand(ham.matvec(v))).max() < 1e-12
+def _dense(ham):
+    """H of the singlet sector as a dense matrix, column by column from matvec."""
+    return np.array([ham.matvec(e) for e in np.eye(ham.dim)]).T
 
 
-@pytest.mark.parametrize("L", [3, 9])
-def test_orbit_dense_is_symmetric_and_matches_matvec(L):
-    ham = ed.build_hamiltonian(ed.ChainSpec(L))
-    dense = ham.dense()
-    assert np.abs(dense - dense.T).max() < 1e-14
-    v = np.random.default_rng(3).standard_normal(ham.dim)
-    assert np.abs(ham.matvec(v) - dense @ v).max() < 1e-12
+def _tableau_operators(ham):
+    """The swaps s_1 ... s_(L-1) of the singlet sector as dense matrices."""
+    return [np.array([ham._swap(e, j) for e in np.eye(ham.dim)]).T for j in range(ham.L - 1)]
+
+
+@pytest.mark.parametrize(
+    "L, sector_dim, singlet_dim",
+    [(3, 6, 1), (6, 90, 5), (9, 1680, 42), (12, 34650, 462)],
+)
+def test_singlet_dimensions_are_hook_lengths(L, sector_dim, singlet_dim):
+    # f^(k,k,k) = L! / prod of hook lengths; the hook of cell (i, j) is k - j + 2 - i
+    k = L // 3
+    hooks = math.prod(k - j + 2 - i for i in range(3) for j in range(k))
+    assert math.factorial(L) // hooks == singlet_dim
+    states = ed.balanced_sector(L)
+    assert len(states) == sector_dim
+    ham = ed.Hamiltonian(L, states)
+    assert ham.dim == singlet_dim
+    # the words are ascending ballot sequences: no prefix has more 1s than 0s
+    # or more 2s than 1s
+    assert (np.diff(ham.words) > 0).all()
+    digits = ham.words[:, None] // 3 ** np.arange(L - 1, -1, -1) % 3
+    prefix = np.cumsum(digits[:, :, None] == np.arange(3), axis=1)
+    assert (prefix[:, :, 0] >= prefix[:, :, 1]).all()
+    assert (prefix[:, :, 1] >= prefix[:, :, 2]).all()
+
+
+@pytest.mark.parametrize("L", [6, 9])
+def test_tableau_operators_satisfy_coxeter_relations(L):
+    s = _tableau_operators(ed.build_hamiltonian(ed.ChainSpec(L)))
+    eye = np.eye(len(s[0]))
+    for i in range(L - 1):
+        assert np.abs(s[i] @ s[i] - eye).max() <= 1e-15
+        if i + 1 < L - 1:
+            braid = s[i] @ s[i + 1] @ s[i] - s[i + 1] @ s[i] @ s[i + 1]
+            assert np.abs(braid).max() <= 1e-15
+        for j in range(i + 2, L - 1):
+            assert np.abs(s[i] @ s[j] - s[j] @ s[i]).max() <= 1e-15
 
 
 def test_hamiltonian_rejects_states_not_closed_under_swaps():
-    # one whole translation orbit of L=3 (012, 120, 201), without its swaps
+    # the tableau 12/34/56 (word 001122) alone: s_2 reaches the word 010122
     with pytest.raises(RuntimeError, match="bond swap left"):
-        ed.Hamiltonian(3, np.array([5, 15, 19], dtype=np.int64))
+        ed.Hamiltonian(6, np.array([44], dtype=np.int64))
 
 
 def test_hamiltonian_rejects_broken_sector():
-    # the smallest state is cut from its translation orbit
+    # the smallest state, the tableau 12/34/56, is cut from the list
     with pytest.raises(RuntimeError, match="sector broken"):
         ed.Hamiltonian(6, ed.balanced_sector(6)[1:])
+
+
+def test_hamiltonian_rejects_a_list_without_tableaux():
+    # 000000 is a ballot word, but not of shape (2, 2, 2)
+    with pytest.raises(RuntimeError, match="no standard tableau"):
+        ed.Hamiltonian(6, np.array([0], dtype=np.int64))
 
 
 def test_build_hamiltonian_peak_memory_l12():
@@ -125,8 +166,8 @@ def test_build_hamiltonian_peak_memory_l12():
 
 
 def test_ground_state_peak_memory_l12():
-    # the solve, Lanczos basis and three-site density included; the Lanczos
-    # basis preallocated for 400 iterations of the sector was 111 MiB alone
+    # the solve, Lanczos basis and readout included; the Lanczos basis
+    # preallocated for 400 iterations of the balanced sector was 111 MiB alone
     ed.ground_state(ed.ChainSpec(12))  # imports and one-off set-up
     tracemalloc.start()
     try:
@@ -138,13 +179,14 @@ def test_ground_state_peak_memory_l12():
 
 
 def test_hamiltonian_hermitian_and_matvec_consistent():
-    spec = ed.ChainSpec(6)
-    ham = ed.build_hamiltonian(spec)
-    dense = ham.dense()
-    assert np.array_equal(dense, dense.T)
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(ham.dim)
-    assert np.allclose(ham.matvec(v), dense @ v)
+    ham = ed.build_hamiltonian(ed.ChainSpec(9))
+    h = _dense(ham)
+    assert np.abs(h - h.T).max() < 1e-14
+    # the translation s_1 s_2 ... s_(L-1) shifts every open bond by one site
+    # and the last onto the wrap, so H commutes with it only if matvec's wrap
+    # bond is the right one
+    translation = np.linalg.multi_dot(_tableau_operators(ham))
+    assert np.abs(h @ translation - translation @ h).max() < 1e-13
 
 
 def spin1_matrices():
@@ -178,10 +220,13 @@ def test_color_count_conservation():
 
 def test_l3_ground_state(ed_results):
     result = ed_results[3]
-    assert result.method == "dense"
+    assert result.method == "lanczos"
+    assert result.singlet_dimension == 1
+    assert result.singlet_gap == np.inf
     assert abs(result.energy_per_bond + 1) < 1e-13
     assert abs(result.observables["p12p23"] - 1) < 1e-12
-    assert result.degeneracy == 1
+    # the totally antisymmetric singlet: <s> is the sign of s
+    assert result.observables["v"].tolist() == [1, -1, -1, -1, 1, 1]
 
 
 def test_l3_singlet_is_antisymmetric():
@@ -200,16 +245,17 @@ def test_l3_singlet_is_antisymmetric():
 def test_l6_dense_matches_reference(ed_results):
     result = ed_results[6]
     ref = ed.REFERENCE_TABLE1[6]
-    assert result.method == "dense"
     assert abs(result.energy_per_bond - ref[0]) < 1e-10
     assert abs(result.observables["p12p23"] - ref[1]) < 1e-10
+    # the singlet minimum is the minimum of the dense 729-dim full space
+    full = np.linalg.eigvalsh(ed.full_hamiltonian(ed.ChainSpec(6)))[0]
+    assert abs(result.ground_energy - full) < 1e-12
 
 
 def test_l9_dense(ed_results, l9_full_space_energy):
     result = ed_results[9]
-    # the zero-momentum block of L=9 has 188 states, inside the dense rule
-    assert result.method == "dense"
-    assert result.k0_dimension == 188
+    assert result.method == "lanczos"
+    assert result.singlet_dimension == 42
     assert result.residual_norm < 1e-10
     # the published p12p23 entry is reproduced far inside tolerance
     assert abs(result.observables["p12p23"] - ed.REFERENCE_TABLE1[9][1]) < 1e-8
@@ -217,92 +263,68 @@ def test_l9_dense(ed_results, l9_full_space_energy):
     # ed (the published energy per bond is unattainable, see criterion 3)
     assert abs(result.ground_energy - l9_full_space_energy) < 1e-10
     # and against a dense solve of the whole 1680-dimensional balanced sector
-    states = ed.balanced_sector(9)
-    h = np.zeros((len(states), len(states)))
-    rows = np.arange(len(states))
-    for partner in _sector_partners(9, states):
-        h[rows, partner] += 1.0
-    dense_e0 = np.linalg.eigvalsh(h)[0]
-    assert abs(result.ground_energy - dense_e0) < 1e-10
+    assert abs(result.ground_energy - _balanced_sector_ground(9)[1][0]) < 1e-10
 
 
 def test_l12_balanced_sector_energy_independent():
-    """The L=12 zero-momentum energy against the whole balanced sector.
+    """The L=12 singlet energy against the whole balanced sector.
 
     The sector is filtered from all 3^12 digit strings and H assembled as a
     sparse matrix from digit swaps; ``eigsh`` gives its two lowest levels,
     with nothing taken from ``su3chain.ed``.  The ground level is
-    non-degenerate with gap 0.70, so the zero-momentum block (whose own gap
-    is 1.86) holds the chain's ground state.
+    non-degenerate with gap 0.70, so the singlet sector (whose own gap is
+    1.13) holds the chain's ground state.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import eigsh
-
-    L = 12
-    pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int32)
-    all_states = np.arange(3**L, dtype=np.int32)
-    counts = np.zeros((3, 3**L), dtype=np.int8)
-    for p in pw:
-        digit = all_states // p % 3
-        for color in range(3):
-            counts[color] += digit == color
-    states = all_states[(counts == L // 3).all(axis=0)]
-    assert len(states) == 34650
-    dim = len(states)
-    rows = np.tile(np.arange(dim), L)
-    cols = np.concatenate(_sector_partners(L, states.astype(np.int64)))
-    h = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    levels = np.sort(eigsh(h, k=2, which="SA", v0=v0, return_eigenvectors=False))
-    result = ed.ground_state(ed.ChainSpec(L))
+    levels = _balanced_sector_ground(12)[1]
+    result = ed.ground_state(ed.ChainSpec(12))
     assert abs(result.ground_energy - levels[0]) < 1e-10
     assert abs(levels[1] - levels[0] - 0.70) < 0.01
-    assert abs(result.k0_gap - 1.86) < 0.01
+    assert abs(result.singlet_gap - 1.13) < 0.01
 
 
 @pytest.mark.parametrize("L", [9, 12])
 def test_ground_vector_is_translation_invariant(L):
-    ham, _, vecs, *_ = ed._ground_space(ed.ChainSpec(L))
-    top = 3 ** (L - 1)
-    shifted = np.searchsorted(ham.states, ham.states % top * 3 + ham.states // top)
-    for v in vecs:
-        x = ham.expand(v)
-        assert abs(np.linalg.norm(x) - 1) < 1e-12
-        assert np.abs(x[shifted] - x).max() < 1e-12
+    ham, e0, x, *_ = ed._ground_space(ed.ChainSpec(L))
+    assert abs(x @ x - 1) < 1e-12
+    # <s_j> on the L - 1 open bonds, and on the wrap as what matvec adds to them
+    bonds = [x @ ham._swap(x, j) for j in range(L - 1)]
+    bonds.append(x @ ham.matvec(x) - sum(bonds))
+    assert np.ptp(bonds) < 1e-12
+    assert abs(bonds[0] - e0 / L) < 1e-12
 
 
 def test_translation_invariance_and_rdm_properties(ed_results):
     for L, result in ed_results.items():
         assert abs(result.observables["p12"] - result.energy_per_bond) < 1e-12
         rdm2 = result.observables["rdm2"]
-        rdm3 = result.observables["rdm3"]
+        rdm3 = from_expectations(result.observables["v"])
         assert abs(np.trace(rdm2) - 1) < 1e-12
         assert abs(np.trace(rdm3) - 1) < 1e-12
         assert np.linalg.eigvalsh((rdm2 + rdm2.T) / 2).min() > -1e-12
         assert np.linalg.eigvalsh((rdm3 + rdm3.T) / 2).min() > -1e-12
-        # rdm2 is the partial trace of rdm3
-        collapsed = rdm3.reshape(9, 3, 9, 3).trace(axis1=1, axis2=3)
-        assert np.abs(collapsed - rdm2).max() < 1e-12
+        # the operator of the six numbers has rdm2 as its partial trace
+        assert np.abs(partial_trace_last_site(rdm3) - rdm2).max() < 1e-12
 
 
 @pytest.mark.parametrize("L", [3, 6, 9, 12])
 def test_six_expectations_match_the_kron_readout(L):
-    result = ed.ground_state(ed.ChainSpec(L))
-    rdm3 = result.observables["rdm3"]
-    v = expectations(rdm3)
-    # the readout ground_state used before: traces of rdm3 with the Kronecker
-    # products, and <P12> from rdm3's partial trace
-    kron = kron_site_permutations(3)
-    assert np.abs(v - [np.trace(rdm3 @ s) for s in kron]).max() <= 1e-15
-    p12 = np.trace(partial_trace_last_site(rdm3) @ kron_site_permutations(2)[1])
-    assert abs(result.observables["p12"] - p12) <= 1e-15
-    assert abs(result.observables["p12p23"] - np.trace(rdm3 @ kron[1] @ kron[2])) <= 1e-15
-    # the neighbour swaps agree by translation invariance, and the two
-    # 3-cycles, each the other's transpose, agree because rdm3 is real symmetric
-    assert abs(v[1] - v[2]) <= 1e-14
-    assert abs(v[4] - v[5]) <= 1e-14
-    if L == 3:  # the totally antisymmetric singlet: <s> is the sign of s
-        assert v.tolist() == [1, -1, -1, -1, 1, 1]
+    """The six numbers against the ground vector of the whole balanced sector,
+    solved independently, read as <x| p (x) 1 |x> for each permutation p of
+    sites 0, 1, 2 in the order I, P12, P23, P13, P12 P23, P23 P12: the
+    Kronecker product with the identity on the other L - 3 sites acts on x by
+    permuting the first three digits of each state."""
+    states, _, x = _balanced_sector_ground(L)
+    pw = 3 ** np.arange(L - 1, -1, -1)
+    digits = states[:, None] // pw % 3
+    expected = []
+    for p in [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0)]:
+        moved = digits.copy()
+        moved[:, :3] = digits[:, list(p)]
+        expected.append(x @ x[np.searchsorted(states, moved @ pw)])
+    v = ed.ground_state(ed.ChainSpec(L)).observables["v"]
+    assert np.abs(v - expected).max() <= 1e-12
+    # the two 3-cycles, each the other's transpose, agree for a real vector
+    assert v[4] == v[5]
 
 
 def test_finite_size_monotonicity(ed_results):
@@ -317,7 +339,7 @@ def test_finite_size_monotonicity(ed_results):
 
 def test_lanczos_agrees_with_dense_on_l9_block():
     ham = ed.build_hamiltonian(ed.ChainSpec(9))
-    evals = np.linalg.eigvalsh(ham.dense())
+    evals = np.linalg.eigvalsh(_dense(ham))
     e0, x, residual, iters, gap = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(e0 - evals[0]) < 1e-12
     assert residual < 1e-12
@@ -325,8 +347,8 @@ def test_lanczos_agrees_with_dense_on_l9_block():
 
 
 def test_lanczos_basis_growth_keeps_bits(monkeypatch):
-    # the L=12 block converges in 48 iterations: blocks of 7 rows grow the
-    # basis six times, 401 rows never
+    # the L=12 singlet sector converges in 48 iterations: blocks of 7 rows
+    # grow the basis six times, 401 rows never
     ham = ed.build_hamiltonian(ed.ChainSpec(12))
     runs = []
     for rows in (7, 401):
@@ -334,14 +356,14 @@ def test_lanczos_basis_growth_keeps_bits(monkeypatch):
         runs.append(ed._lanczos_ground(ham.matvec, ham.dim))
     (e_a, x_a, *rest_a), (e_b, x_b, *rest_b) = runs
     assert e_a == e_b and rest_a == rest_b
+    assert rest_a[1] == 48
     assert np.array_equal(x_a, x_b)
 
 
 def test_lanczos_agrees_with_dense_on_l6():
     ham = ed.build_hamiltonian(ed.ChainSpec(6))
-    dense_e0 = np.linalg.eigvalsh(ham.dense())[0]
+    evals = np.linalg.eigvalsh(_dense(ham))
     e0, x, residual, iters, gap = ed._lanczos_ground(ham.matvec, ham.dim)
-    assert abs(e0 - dense_e0) < 1e-12
+    assert abs(e0 - evals[0]) < 1e-12
     assert residual < 1e-12
-    assert gap > 1
-
+    assert abs(gap - (evals[1] - evals[0])) < 1e-12
