@@ -17,7 +17,7 @@ specfun    one polygamma kernel of any order, with Hurwitz zeta as its order
 twosite    closed-form two-site functions (sigma, omega33, omega_bar33, alpha33,
            G and its zeta expansion) and their difference-equation residuals
 basis      singlet bases for two and three sites, Gram matrices, their exact
-           inverses and the A matrices
+           inverses, and the A matrices of lam, or of x and y, over arrays
 threesite  comb-built G1 and <P12 P23>, the convolution transform that
            checks it, and the two- and three-site density matrices
 ed         exact diagonalization (Lanczos) of finite chains in the SU(3)

@@ -28,10 +28,14 @@ polynomial in the chain parameters with integer coefficients, built once.
 Its row 0 is exactly the scalar gauge (``lam(lam+3)`` for m=2 and
 ``x(3+x) y(3+y)`` for m=3) times the normalization row of the Gram matrix,
 so that row is a left eigenvector of ``A`` with eigenvalue 1.
+:func:`a_matrix` takes the printed closed forms' own arguments,
+``a_matrix(lam)`` and ``a_matrix(x, y)``, and broadcasts over arrays as
+they do.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -131,11 +135,12 @@ class SingularParameterError(ValueError):
     """Raised when the difference-equation matrix is requested at a pole."""
 
 
-def _reject_singular(name: str, value: complex):
+def _reject_singular(name: str, values: np.ndarray):
     for bad in (0.0, -3.0):
-        if abs(value - bad) < 1e-10:
+        hit = np.abs(values - bad) < 1e-10
+        if hit.any():
             raise SingularParameterError(
-                f"denominator {name} ({name} + 3) vanishes: {name} = {value}"
+                f"denominator {name} ({name} + 3) vanishes: {name} = {values[hit][0]}"
             )
 
 
@@ -181,55 +186,56 @@ def _chain_polynomial(m: int) -> np.ndarray:
     return exact
 
 
-def a_matrix(m: int, lam1: complex, lam2: complex, lam3: complex | None = None):
-    """Difference-equation matrix ``A = GRAM^-1 W / gauge`` for ``m`` in {2, 3}.
+def _lift(*params) -> tuple[tuple, list[np.ndarray]]:
+    """The broadcast shape of ``params``, and each as a complex array of at
+    least one dimension, so that one point takes the array arithmetic of a
+    batch, bit for bit: scalar complex products round differently."""
+    shape = np.broadcast_shapes(*map(np.shape, params))
+    return shape, [np.atleast_1d(np.asarray(v, dtype=complex)) for v in params]
 
-    For ``m = 2`` it depends on ``lam = lam1 - lam2``, with gauge
-    ``lam (lam + 3)``; for ``m = 3`` on ``x = lam1 - lam3`` and
-    ``y = lam1 - lam2``, with gauge ``x (3 + x) y (3 + y)``, and it is finite
-    at ``x = y``.  ``W`` is :func:`_chain_polynomial` at the point, whose
-    row 0 makes the normalization row of the Gram matrix an exact left
-    eigenvector of ``A`` with eigenvalue 1.
+
+def a_matrix(*params) -> np.ndarray:
+    """Difference-equation matrix ``A = GRAM^-1 W / gauge``: ``a_matrix(lam)``
+    for two sites and ``a_matrix(x, y)`` for three.
+
+    The arguments are those of :func:`a2_closed_form` and
+    :func:`a3_closed_form` and broadcast like them, the matrices filling the
+    last two axes.  The gauge is ``lam (lam + 3)``, or ``x (3 + x) y (3 + y)``,
+    and A3 is finite at ``x = y``.  ``W`` is :func:`_chain_polynomial` at each
+    point, whose row 0 makes the normalization row of the Gram matrix an exact
+    left eigenvector of ``A`` with eigenvalue 1.
     """
-    if m == 2:
-        lam = lam1 - lam2
-        _reject_singular("lam", lam)
-        powers = lam ** np.arange(3)
-        gauge = lam * (lam + 3)
-    elif m == 3:
-        if lam3 is None:
-            raise ValueError("m = 3 requires lam3")
-        x = lam1 - lam3
-        y = lam1 - lam2
-        _reject_singular("x", x)
-        _reject_singular("y", y)
-        powers = np.multiply.outer(x ** np.arange(3), y ** np.arange(3))
-        gauge = x * (3 + x) * y * (3 + y)
-    else:
-        raise ValueError(f"m must be 2 or 3, got {m}")
-    w = np.tensordot(powers, _chain_polynomial(m), axes=powers.ndim)
-    return gram_inverse(m) @ w / gauge
+    m = len(params) + 1
+    if m not in _GRAM:
+        raise TypeError(f"a_matrix takes lam, or x and y; got {len(params)} arguments")
+    shape, params = _lift(*params)
+    for name, values in zip(("lam",) if m == 2 else ("x", "y"), params):
+        _reject_singular(name, values)
+    # lam^d, or x^p y^q with p major, in the order of the coefficients
+    monomials = [1]
+    for v in params:
+        monomials = [mono * v**d for mono in monomials for d in range(3)]
+    coef = _chain_polynomial(m)
+    coef = coef.reshape(len(monomials), *coef.shape[-2:])
+    w = sum(mono[..., None, None] * c for mono, c in zip(monomials, coef))
+    gauge = math.prod(v * (v + 3) for v in params)
+    a = gram_inverse(m) @ w / gauge[..., None, None]
+    return a.reshape(shape + a.shape[-2:])
 
 
-def a2_closed_form(lam: complex) -> np.ndarray:
-    """The printed closed form of A for m = 2."""
-    la = lam
-    return np.array(
-        [
-            [
-                (-1 + 3 * la + la**2) / (la * (la + 3)),
-                (-2 + 2 * la + la**2) / (la * (la + 3)),
-                1 / (la + 3),
-            ],
-            [
-                3 / (la * (la + 3)),
-                -(-3 + la + la**2) / (la * (la + 3)),
-                la / (la + 3),
-            ],
-            [0, -(-1 + la) / la, 0],
-        ],
-        dtype=complex,
-    )
+def a2_closed_form(lam) -> np.ndarray:
+    """The printed closed form of A for m = 2, broadcast over ``lam`` like
+    :func:`a3_closed_form`: shape ``lam.shape + (3, 3)``."""
+    shape, (la,) = _lift(lam)
+    A = np.zeros(la.shape + (3, 3), dtype=complex)
+    A[..., 0, 0] = (-1 + 3 * la + la**2) / (la * (la + 3))
+    A[..., 0, 1] = (-2 + 2 * la + la**2) / (la * (la + 3))
+    A[..., 0, 2] = 1 / (la + 3)
+    A[..., 1, 0] = 3 / (la * (la + 3))
+    A[..., 1, 1] = -(-3 + la + la**2) / (la * (la + 3))
+    A[..., 1, 2] = la / (la + 3)
+    A[..., 2, 1] = -(-1 + la) / la
+    return A.reshape(shape + (3, 3))
 
 
 def a3_closed_form(x, y) -> np.ndarray:
@@ -238,10 +244,7 @@ def a3_closed_form(x, y) -> np.ndarray:
     ``x`` and ``y`` broadcast against each other, and the matrices fill the
     last two axes: arrays of points give shape ``x.shape + (11, 11)``.
     """
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    # at least one dimension, so that one point takes the array arithmetic of
-    # a batch, bit for bit: scalar complex products round differently
-    x, y = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (x, y))
+    shape, (x, y) = _lift(x, y)
     A = np.zeros(np.broadcast_shapes(x.shape, y.shape) + (11, 11), dtype=complex)
     A[..., 0, 0] = (-1 + 3 * x + x**2) * (-1 + 3 * y + y**2) / (
         x * (3 + x) * y * (3 + y)

@@ -141,13 +141,19 @@ def _cmd_verify_algebra(args):
 
 
 def _random_points(rng, count):
-    pts = []
+    """``count`` complex points, uniform in the square |Re|, |Im| <= 3 and
+    clear of the singular set {0, -3}; the draws are those of a loop that
+    redraws each rejected point."""
+    pts = np.empty(0, dtype=complex)
     while len(pts) < count:
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        # keep clear of the singular sets lam in {0, -3}
-        if min(abs(z), abs(z + 3)) > 0.2:
-            pts.append(z)
+        # one (re, im) draw per missing point: none lies past the last point kept
+        z = rng.uniform(-3, 3, 2 * (count - len(pts))).view(complex)
+        pts = np.concatenate([pts, z[np.minimum(abs(z), abs(z + 3)) > 0.2]])
     return pts
+
+
+#: points per array call: the matrices of one block, not of all points, are held
+_MATRIX_BLOCK = 256
 
 
 def _cmd_verify_matrices(args):
@@ -157,20 +163,16 @@ def _cmd_verify_matrices(args):
     # Gram matrices: build_basis raises if contraction != printed integers
     for m in (2, 3):
         basis_mod.build_basis(m)
-    dev2 = [
-        np.abs(basis_mod.a_matrix(2, lam, 0.0) - basis_mod.a2_closed_form(lam)).max()
-        for lam in _random_points(rng, args.points)
-    ]
-    dev3, zero_dev = [], []
+    lam, x, y = (_random_points(rng, args.points) for _ in range(3))
     zero_pattern = basis_mod.a3_printed_zero_pattern()
-    for x in _random_points(rng, args.points):
-        y = _random_points(rng, 1)[0]
-        # A3 is finite at x = y; the margin only keeps the seeded points unchanged
-        while abs(x - y) < 0.2:
-            y = _random_points(rng, 1)[0]
-        a = basis_mod.a_matrix(3, x, x - y, x - x)
-        dev3.append(np.abs(a - basis_mod.a3_closed_form(x, y)).max())
-        zero_dev.append(np.abs(a[zero_pattern]).max())
+    dev2, dev3, zero_dev = [], [], []
+    for start in range(0, args.points, _MATRIX_BLOCK):
+        block = slice(start, start + _MATRIX_BLOCK)
+        a2 = basis_mod.a_matrix(lam[block])
+        dev2.append(np.abs(a2 - basis_mod.a2_closed_form(lam[block])).max())
+        a3 = basis_mod.a_matrix(x[block], y[block])
+        dev3.append(np.abs(a3 - basis_mod.a3_closed_form(x[block], y[block])).max())
+        zero_dev.append(np.abs(a3[:, zero_pattern]).max())
     # np.max keeps a NaN deviation, which then fails its check
     deviations = {
         "a2_max_deviation": float(np.max(dev2)),

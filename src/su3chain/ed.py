@@ -12,7 +12,8 @@ i+1 exchanged, and the wrap bond is ``s_(L-1) ... s_2 s_1 s_2 ... s_(L-1)``.
 One Lanczos iteration with full reorthogonalization, a fixed start vector
 and fixed tolerances solves every L; for L <= 6 its minimum is verified against the
 minimum of ``full_hamiltonian``, the dense matrix on all 3^L states.  The
-reported gap is the singlet sector's; the chain's lowest excitation may lie
+reported gap is the singlet sector's, from a second run with the ground
+vector lifted above the spectrum; the chain's lowest excitation may lie
 outside it (at L = 12 the singlet gap is 1.13, the balanced sector's 0.70).
 
 A tableau is the Yamanouchi word of the rows its entries stand in, packed in
@@ -50,6 +51,7 @@ REFERENCE_TABLE1 = {
 _DENSE_LIMIT = 6  # largest L of a dense 3^L x 3^L matrix
 _DEGENERACY_TOL = 1e-10
 _LANCZOS_START = (5**0.5 - 1) / 2  # start vector: k times this mod 1, centred
+_GAP_START = 2**0.5 - 1  # the same for the second level's run
 _LANCZOS_MAX_ITER = 400
 _LANCZOS_EIG_TOL = 1e-14  # Ritz value movement between iterations
 _LANCZOS_RESID_TOL = 1e-12  # explicit residual norm
@@ -77,8 +79,8 @@ class SpectrumResult:
 
     ``singlet_dimension`` is the number of standard tableaux of shape
     (L/3, L/3, L/3), and ``singlet_gap`` the distance from the ground level
-    to the next Ritz value of the sector (``inf`` when the sector has one
-    state).  The chain's own gap may be smaller, outside the singlets.
+    to the sector's second level (``inf`` when the sector has one state).
+    The chain's own gap may be smaller, outside the singlets.
     ``observables["v"]`` holds the six numbers ``<I>, <P12>, <P23>, <P13>,
     <P12 P23>, <P23 P12>`` of sites 0, 1, 2, with ``<I> = x.x`` for the
     computed ground vector ``x``; ``rdm2`` is built from the first two.
@@ -199,18 +201,18 @@ def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
 # eigensolvers
 # ---------------------------------------------------------------------------
 
-def _lanczos_ground(matvec, dim: int):
-    """Lowest eigenpair by Lanczos with full reorthogonalization.
+def _lanczos_ground(matvec, dim: int, start: float = _LANCZOS_START):
+    """Lowest eigenpair by Lanczos with full reorthogonalization, from the
+    start vector ``k * start mod 1 - 1/2``, k = 1 ... dim.
 
     Converged when the Ritz value moves by less than ``_LANCZOS_EIG_TOL``
     between iterations and the explicit residual norm is below
     ``_LANCZOS_RESID_TOL``.
-    Returns (eigenvalue, vector, residual, iterations, gap) where ``gap`` is
-    the distance to the second Ritz value.  The basis grows by
+    Returns (eigenvalue, vector, residual, iterations).  The basis grows by
     ``_LANCZOS_BLOCK`` rows at a time, so its memory follows the iterations
     run, not ``_LANCZOS_MAX_ITER``.
     """
-    q = np.arange(1, dim + 1) * _LANCZOS_START % 1 - 0.5
+    q = np.arange(1, dim + 1) * start % 1 - 0.5
     q /= np.linalg.norm(q)
     basis = np.empty((_LANCZOS_BLOCK, dim))
     basis[0] = q
@@ -240,8 +242,7 @@ def _lanczos_ground(matvec, dim: int):
             x /= np.linalg.norm(x)
             residual = float(np.linalg.norm(matvec(x) - theta * x))
             if exhausted or residual < _LANCZOS_RESID_TOL:
-                gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
-                return float(theta), x, residual, j + 1, gap
+                return float(theta), x, residual, j + 1
         theta_prev = theta
         betas.append(b)
         if j + 1 == len(basis):
@@ -258,12 +259,24 @@ def _lanczos_ground(matvec, dim: int):
 def _ground_space(spec: ChainSpec):
     """(Hamiltonian, energy, ground vector, residual, iterations, gap) of the
     singlet sector, by Lanczos; for L <= 6 the energy is checked against the
-    minimum of the full space.  ``gap`` is the distance to the next Ritz value,
-    and a gap below ``_DEGENERACY_TOL`` raises.
+    minimum of the full space.
+
+    ``gap`` is the sector's second level minus the first, ``inf`` for a sector
+    of one state.  One Krylov space holds one vector of a degenerate level, so
+    the second level is the lowest of ``H + 2L x x^T``, from another start
+    vector: ``||H|| <= L`` lifts ``x`` above every level, and a degenerate
+    partner of ``x`` stays at ``e0``.  A gap below ``_DEGENERACY_TOL`` raises.
     """
     ham = build_hamiltonian(spec)
-    e0, x, residual, iters, gap = _lanczos_ground(ham.matvec, ham.dim)
-    if gap < _DEGENERACY_TOL:
+    e0, x, residual, iters = _lanczos_ground(ham.matvec, ham.dim)
+    gap = np.inf
+    if ham.dim > 1:
+        lift = 2 * spec.L
+        e1 = _lanczos_ground(
+            lambda v: ham.matvec(v) + lift * (x @ v) * x, ham.dim, _GAP_START
+        )[0]
+        gap = e1 - e0
+    if not gap >= _DEGENERACY_TOL:
         raise RuntimeError(f"degenerate singlet ground level; gap {gap}")
     if spec.L <= _DENSE_LIMIT:
         global_min = float(np.linalg.eigvalsh(full_hamiltonian(spec))[0])

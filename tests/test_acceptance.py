@@ -108,27 +108,20 @@ def test_criterion_4_matrix_verification():
         gram_ok = gram_ok and np.array_equal(flat @ flat.T, gram)
     rng = np.random.default_rng(29)
 
-    def draw():
-        while True:
+    def draw(count):
+        pts = []
+        while len(pts) < count:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if min(abs(z), abs(z + 3)) > 0.2:
-                return z
+                pts.append(z)
+        return np.array(pts)
 
-    dev2 = max(
-        np.abs(a_matrix(2, lam, 0.0) - a2_closed_form(lam)).max()
-        for lam in (draw() for _ in range(20))
-    )
-    dev3 = 0.0
-    zero_dev = 0.0
-    pattern = a3_printed_zero_pattern()
-    for _ in range(20):
-        x = draw()
-        y = draw()
-        while abs(x - y) < 0.2:
-            y = draw()
-        computed = a_matrix(3, x, x - y, 0.0)
-        dev3 = max(dev3, np.abs(computed - a3_closed_form(x, y)).max())
-        zero_dev = max(zero_dev, np.abs(computed[pattern]).max())
+    lam = draw(20)
+    dev2 = np.abs(a_matrix(lam) - a2_closed_form(lam)).max()
+    x, y = draw(20), draw(20)
+    computed = a_matrix(x, y)
+    dev3 = np.abs(computed - a3_closed_form(x, y)).max()
+    zero_dev = np.abs(computed[:, a3_printed_zero_pattern()]).max()
     ok = gram_ok and dev2 < 1e-10 and dev3 < 1e-10 and zero_dev < 1e-10
     _report(
         "criterion 4 (matrix verification)",

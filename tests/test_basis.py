@@ -25,13 +25,13 @@ from su3chain.tensors import levi_civita
 EPS = levi_civita(3)
 
 
-def _random_points(rng, count, forbidden_radius=0.2):
+def _random_points(rng, count):
     pts = []
     while len(pts) < count:
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if min(abs(z), abs(z + 3)) > forbidden_radius:
+        if min(abs(z), abs(z + 3)) > 0.2:
             pts.append(z)
-    return pts
+    return np.array(pts)
 
 
 def test_gram_matrices_exact():
@@ -95,9 +95,8 @@ def test_basis_sizes():
 
 def test_a2_matches_closed_form_at_random_points():
     rng = np.random.default_rng(21)
-    for lam in _random_points(rng, 20):
-        computed = a_matrix(2, lam, 0.0)
-        assert np.abs(computed - a2_closed_form(lam)).max() < 1e-10
+    lam = _random_points(rng, 20)
+    assert np.abs(a_matrix(lam) - a2_closed_form(lam)).max() < 1e-10
 
 
 def test_a2_gauge_factor():
@@ -107,51 +106,49 @@ def test_a2_gauge_factor():
     assert coef.dtype.kind == "i"
     assert np.array_equal(coef[:, 0, :], np.outer([0, 3, 1], GRAM_2[0]))
     row = GRAM_2[0].astype(float)
-    for lam in _random_points(np.random.default_rng(24), 10):
-        assert np.abs(row @ a_matrix(2, lam, 0.0) - row).max() < 1e-12
+    lam = _random_points(np.random.default_rng(24), 10)
+    assert np.abs(row @ a_matrix(lam) - row).max() < 1e-12
 
 
 def test_a3_matches_closed_form_at_random_points():
     rng = np.random.default_rng(22)
-    xs = _random_points(rng, 20)
-    for x in xs:
-        y = _random_points(rng, 1)[0]
-        while abs(x - y) < 0.2:
-            y = _random_points(rng, 1)[0]
-        computed = a_matrix(3, x, x - y, 0.0)
-        closed = a3_closed_form(x, y)
-        assert np.abs(computed - closed).max() < 1e-10
+    x, y = _random_points(rng, 20), _random_points(rng, 20)
+    assert np.abs(a_matrix(x, y) - a3_closed_form(x, y)).max() < 1e-10
 
 
 def test_a3_closed_form_over_arrays_is_the_scalar_calls():
+    # and so are a_matrix, with one argument and with two, and a2_closed_form
     rng = np.random.default_rng(26)
     shape = (2, 3, 4)
     x = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
     y = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
     for ys in (y, x, y[0, 0, 0]):  # off the diagonal, on it, and broadcast
-        pairs = zip(x.ravel(), np.broadcast_to(ys, shape).ravel())
-        stacked = np.array([a3_closed_form(a, b) for a, b in pairs])
-        batch = a3_closed_form(x, ys)
-        assert batch.shape == shape + (11, 11)
+        for fn in (a3_closed_form, a_matrix):
+            pairs = zip(x.ravel(), np.broadcast_to(ys, shape).ravel())
+            stacked = np.array([fn(a, b) for a, b in pairs])
+            batch = fn(x, ys)
+            assert batch.shape == shape + (11, 11)
+            assert np.array_equal(batch, stacked.reshape(batch.shape))
+    for fn in (a2_closed_form, a_matrix):
+        stacked = np.array([fn(lam) for lam in x.ravel()])
+        batch = fn(x)
+        assert batch.shape == shape + (3, 3)
         assert np.array_equal(batch, stacked.reshape(batch.shape))
-    # python complex scalars, as verify-matrices passes them, too
+    # python complex scalars, too
     point = x[0, 0, 0]
-    python_point = a3_closed_form(complex(point), 0.5)
-    assert np.array_equal(python_point, a3_closed_form(point, 0.5))
+    for fn, rest in (
+        (a3_closed_form, (0.5,)), (a_matrix, (0.5,)), (a2_closed_form, ()), (a_matrix, ()),
+    ):
+        assert np.array_equal(fn(complex(point), *rest), fn(point, *rest))
 
 
 def test_a3_zero_pattern():
     pattern = a3_printed_zero_pattern()
     assert pattern.shape == (11, 11)
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        x = _random_points(rng, 1)[0]
-        y = _random_points(rng, 1)[0]
-        while abs(x - y) < 0.2:
-            y = _random_points(rng, 1)[0]
-        computed = a_matrix(3, x, x - y, 0.0)
-        assert np.abs(computed[pattern]).max() < 1e-10
-        assert np.abs(a3_closed_form(x, y)[pattern]).max() == 0
+    x, y = _random_points(rng, 20), _random_points(rng, 20)
+    assert np.abs(a_matrix(x, y)[:, pattern]).max() < 1e-10
+    assert np.abs(a3_closed_form(x, y)[:, pattern]).max() == 0
 
 
 def test_a3_gauge_factor():
@@ -163,16 +160,16 @@ def test_a3_gauge_factor():
     assert np.array_equal(coef[:, :, 0, :], np.multiply.outer(gauge, GRAM_3[0]))
     row = GRAM_3[0].astype(float)
     rng = np.random.default_rng(25)
-    for x, y in zip(_random_points(rng, 10), _random_points(rng, 10)):
-        assert np.abs(row @ a_matrix(3, x, x - y, 0.0) - row).max() < 1e-12
+    x, y = _random_points(rng, 10), _random_points(rng, 10)
+    assert np.abs(row @ a_matrix(x, y) - row).max() < 1e-12
 
 
 def test_a3_on_diagonal_matches_closed_form():
     # x = y at the circle points of the three-site density solve
     angles = 2 * np.pi * (np.arange(16) + 0.5) / 16
     for shift in (0, 1):
-        for x in shift + 0.35 * np.exp(1j * angles):
-            assert np.abs(a_matrix(3, x, 0.0, 0.0) - a3_closed_form(x, x)).max() < 1e-12
+        x = shift + 0.35 * np.exp(1j * angles)
+        assert np.abs(a_matrix(x, x) - a3_closed_form(x, x)).max() < 1e-12
 
 
 def test_normalization_row_left_eigenvector():
@@ -183,10 +180,13 @@ def test_normalization_row_left_eigenvector():
 
 
 def test_singular_parameters_rejected():
-    with pytest.raises(SingularParameterError):
-        a_matrix(2, 0.0, 0.0)
-    with pytest.raises(SingularParameterError):
-        a_matrix(3, 0.7, 0.0, 3.7)  # x = -3
+    with pytest.raises(SingularParameterError, match="lam = 0j"):
+        a_matrix(0.0)
+    with pytest.raises(SingularParameterError, match="x = "):
+        a_matrix(-3.0, 0.7)
+    # anywhere in an array, and named by its value
+    with pytest.raises(SingularParameterError, match=r"y = \(-3\+0j\)"):
+        a_matrix(np.array([0.5, 1.5]), np.array([0.7, -3.0]))
 
 
 def test_reduction_matches_wing_contraction():

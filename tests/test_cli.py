@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -72,6 +73,20 @@ def test_verify_matrices(capsys):
     assert results["a2_max_deviation"] < 1e-10
     assert results["a3_max_deviation"] < 1e-10
     assert results["a3_zero_entries_max"] < 1e-10
+
+
+def test_verify_matrices_memory_is_flat_in_points(capsys):
+    # the points are checked a block at a time; one array call on all 4000
+    # would hold about 25 MB of 11 x 11 matrices and their temporaries
+    run(capsys, ["verify-matrices", "--points", "3"])  # the cached bases
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, ["verify-matrices", "--points", "4000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 5e6
 
 
 def test_ed_l3(capsys):
@@ -357,13 +372,16 @@ def _nan_fusion_down(monkeypatch):
 
 
 def _nan_a_matrix_at_second_point(monkeypatch):
+    # A2 a NaN at the second point of its batch only
     from su3chain import basis
 
-    real_a_matrix, calls = basis.a_matrix, []
+    real_a_matrix = basis.a_matrix
 
     def a_matrix(*args):
-        calls.append(args)
-        return real_a_matrix(*args) * (np.nan if len(calls) == 2 else 1)
+        a = real_a_matrix(*args)
+        if len(args) == 1:
+            a[1] = np.nan
+        return a
 
     monkeypatch.setattr(basis, "a_matrix", a_matrix)
 
@@ -376,7 +394,7 @@ def _nan_a3_closed_form(monkeypatch):
 
     def a3_closed_form(x, y):
         a = real_a3_closed_form(x, y)
-        a[0, 0] = np.nan  # a nonzero entry, so the printed zero pattern stays
+        a[..., 0, 0] = np.nan  # a nonzero entry, so the printed zero pattern stays
         return a
 
     monkeypatch.setattr(basis, "a3_closed_form", a3_closed_form)
@@ -463,7 +481,7 @@ def _off_a3_closed_form(monkeypatch):
 
     def a3_closed_form(x, y):
         a = real_a3_closed_form(x, y)
-        a[0, 0] += 1e-6
+        a[..., 0, 0] += 1e-6
         return a
 
     monkeypatch.setattr(basis, "a3_closed_form", a3_closed_form)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,9 +341,10 @@ def test_finite_size_monotonicity(ed_results):
 def test_lanczos_agrees_with_dense_on_l9_block():
     ham = ed.build_hamiltonian(ed.ChainSpec(9))
     evals = np.linalg.eigvalsh(_dense(ham))
-    e0, x, residual, iters, gap = ed._lanczos_ground(ham.matvec, ham.dim)
+    e0, x, residual, iters = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(e0 - evals[0]) < 1e-12
     assert residual < 1e-12
+    gap = ed._ground_space(ed.ChainSpec(9))[-1]
     assert abs(gap - (evals[1] - evals[0])) < 1e-8
 
 
@@ -363,7 +365,18 @@ def test_lanczos_basis_growth_keeps_bits(monkeypatch):
 def test_lanczos_agrees_with_dense_on_l6():
     ham = ed.build_hamiltonian(ed.ChainSpec(6))
     evals = np.linalg.eigvalsh(_dense(ham))
-    e0, x, residual, iters, gap = ed._lanczos_ground(ham.matvec, ham.dim)
+    e0, x, residual, iters = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(e0 - evals[0]) < 1e-12
     assert residual < 1e-12
+    gap = ed._ground_space(ed.ChainSpec(6))[-1]
     assert abs(gap - (evals[1] - evals[0])) < 1e-12
+
+
+def test_degenerate_ground_level_trips_the_gate(monkeypatch):
+    # one Krylov space sees one vector of the degenerate pair, and its next
+    # Ritz value (0) would pass for a gap of 1; L = 9 skips the full-space check
+    levels = np.array([-1, -1, 0, 0.5, 2])
+    sector = SimpleNamespace(dim=len(levels), matvec=lambda v: levels * v)
+    monkeypatch.setattr(ed, "build_hamiltonian", lambda spec: sector)
+    with pytest.raises(RuntimeError, match="degenerate singlet ground level"):
+        ed._ground_space(ed.ChainSpec(9))

@@ -350,8 +350,7 @@ def test_g1_step3_recursion(g1_solver):
     # G1(lam) - G1(lam+3) = phi(lam), which every g_l recursion telescopes to
     pts = np.array([0.4 + 0.3j, -0.9 + 0.6j, 1.7 - 0.2j])
     res = g1_solver.value(pts) - g1_solver.value(pts + 3) - phi(pts)
-    # limited by the comb truncation of the underlying G1
-    assert np.abs(res).max() < 1e-7
+    assert np.abs(res).max() < 1e-12
 
 
 #: sum_{j>=1} phi_c(z + 3j) by mpmath nsum at 30 digits (see ROADMAP)
