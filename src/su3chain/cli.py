@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 import numpy as np
@@ -140,14 +141,16 @@ def _cmd_verify_algebra(args):
     )
 
 
-def _random_points(rng, count):
-    """``count`` complex points, uniform in the square |Re|, |Im| <= 3 and
-    clear of the singular set {0, -3}; the draws are those of a loop that
-    redraws each rejected point."""
+def _random_points(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` complex points, uniform in the square [-3, 3)^2 and clear of
+    the singular set {0, -3}; the draws are those of a loop that redraws each
+    rejected point."""
+    from .rmatrix import _uniform_square
+
     pts = np.empty(0, dtype=complex)
     while len(pts) < count:
         # one (re, im) draw per missing point: none lies past the last point kept
-        z = rng.uniform(-3, 3, 2 * (count - len(pts))).view(complex)
+        z = _uniform_square(rng, count - len(pts))
         pts = np.concatenate([pts, z[np.minimum(abs(z), abs(z + 3)) > 0.2]])
     return pts
 
@@ -159,7 +162,7 @@ _MATRIX_BLOCK = 256
 def _cmd_verify_matrices(args):
     from . import basis as basis_mod
 
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     # Gram matrices: build_basis raises if contraction != printed integers
     for m in (2, 3):
         basis_mod.build_basis(m)

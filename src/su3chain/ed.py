@@ -10,11 +10,15 @@ orthogonal form ``s_i T = T/r + sqrt(1 - 1/r^2) T'``, with ``r`` the content
 (column minus row) of i+1 minus that of i and ``T'`` the tableau with i and
 i+1 exchanged, and the wrap bond is ``s_(L-1) ... s_2 s_1 s_2 ... s_(L-1)``.
 One Lanczos iteration with full reorthogonalization, a fixed start vector
-and fixed tolerances solves every L; for L <= 6 its minimum is verified against the
-minimum of ``full_hamiltonian``, the dense matrix on all 3^L states.  The
-reported gap is the singlet sector's, from a second run with the ground
-vector lifted above the spectrum; the chain's lowest excitation may lie
-outside it (at L = 12 the singlet gap is 1.13, the balanced sector's 0.70).
+and fixed tolerances solves every L; for L <= 6 its minimum is verified
+against the minimum of H on the whole balanced color sector, dense (90
+states at L = 6).  That is the minimum over all 3^L states: every SU(3)
+irrep in (C^3)^(3k) has triality zero, so it has a zero weight, whose states
+have L/3 sites of each color, and every level of H has a state in the
+balanced sector.  The reported gap is the singlet sector's, from a second
+run with the ground vector lifted above the spectrum; the chain's lowest
+excitation may lie outside it (at L = 12 the singlet gap is 1.13, the
+balanced sector's 0.70).
 
 A tableau is the Yamanouchi word of the rows its entries stand in, packed in
 base 3 like a basis state (site 0 the most significant digit), and the words
@@ -48,7 +52,7 @@ REFERENCE_TABLE1 = {
     9: (-0.731082881703061, 0.239661721591669),
 }
 
-_DENSE_LIMIT = 6  # largest L of a dense 3^L x 3^L matrix
+_DENSE_LIMIT = 6  # largest L whose balanced sector is checked dense (90 x 90)
 _DEGENERACY_TOL = 1e-10
 _LANCZOS_START = (5**0.5 - 1) / 2  # start vector: k times this mod 1, centred
 _GAP_START = 2**0.5 - 1  # the same for the second level's run
@@ -183,18 +187,19 @@ def build_hamiltonian(spec: ChainSpec) -> Hamiltonian:
     return Hamiltonian(spec.L, balanced_sector(spec.L))
 
 
-def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """H as a dense matrix on all 3^L states, for L <= 6 only."""
-    if spec.L > _DENSE_LIMIT:
-        raise ValueError("the full space is materialized dense, L <= 6 only")
-    dim = 3**spec.L
-    # bond (j, j+1) sends each state to the one with tensor axes j, j+1 swapped
-    index = np.arange(dim).reshape((3,) * spec.L)
-    rows = np.arange(dim)
-    h = np.zeros((dim, dim))
-    for j in range(spec.L):
-        h[rows, np.swapaxes(index, j, (j + 1) % spec.L).ravel()] += 1.0
-    return h
+def _balanced_minimum(L: int) -> float:
+    """Lowest level of H on the whole balanced sector, by dense ``eigvalsh``;
+    each bond sends a state to the one with its two digits swapped."""
+    states = balanced_sector(L)
+    pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    digits = states[:, None] // pw % 3
+    rows = np.arange(len(states))
+    h = np.zeros((len(states), len(states)))
+    for j in range(L):
+        k = (j + 1) % L
+        swapped = states + (digits[:, k] - digits[:, j]) * (pw[j] - pw[k])
+        h[rows, np.searchsorted(states, swapped)] += 1.0
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,7 @@ def _lanczos_ground(matvec, dim: int, start: float = _LANCZOS_START):
 def _ground_space(spec: ChainSpec):
     """(Hamiltonian, energy, ground vector, residual, iterations, gap) of the
     singlet sector, by Lanczos; for L <= 6 the energy is checked against the
-    minimum of the full space.
+    minimum of the balanced sector, which is the minimum of the full space.
 
     ``gap`` is the sector's second level minus the first, ``inf`` for a sector
     of one state.  One Krylov space holds one vector of a degenerate level, so
@@ -279,7 +284,7 @@ def _ground_space(spec: ChainSpec):
     if not gap >= _DEGENERACY_TOL:
         raise RuntimeError(f"degenerate singlet ground level; gap {gap}")
     if spec.L <= _DENSE_LIMIT:
-        global_min = float(np.linalg.eigvalsh(full_hamiltonian(spec))[0])
+        global_min = _balanced_minimum(spec.L)
         if abs(global_min - e0) > 1e-10:
             raise RuntimeError(
                 f"singlet sector misses the global minimum: {e0} vs {global_min}"

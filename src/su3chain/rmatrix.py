@@ -25,6 +25,8 @@ the maximum over its points.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .tensors import as_operator, levi_civita, pie
@@ -169,10 +171,21 @@ EDGE_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
 _BLOCK = 64
 
 
+def _uniform_square(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` complex points of ``rng``, uniform in [-3, 3)^2.
+
+    Each coordinate is 8 bytes of ``rng.randbytes``, read as a little-endian
+    integer whose top 53 bits make a double in [0, 1), so the points do not
+    depend on the platform or on numpy.random (the tests pin the first ones).
+    """
+    bits = np.frombuffer(rng.randbytes(16 * count), "<u8") >> 11
+    return (-3 + 6 * (bits * 2.0**-53)).view(complex)
+
+
 def sample_parameters(count: int, seed: int = 7) -> np.ndarray:
-    """Deterministic complex sample points for identity checks."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-3, 3, size=(count, 2)).view(complex).ravel()
+    """Deterministic complex sample points for identity checks, uniform in
+    the square [-3, 3)^2: the first ``count`` of ``random.Random(seed)``."""
+    return _uniform_square(random.Random(seed), count)
 
 
 def _ybe_name(lines: str) -> str:

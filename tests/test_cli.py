@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3chain import ed as ed_mod
-from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _random_points, main
+from su3chain.rmatrix import sample_parameters
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
+from test_ed import _raised_singlet_sector
 
 
 def run(capsys, argv):
@@ -263,6 +266,51 @@ def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
     assert not not_loaded & {name.split(".", 1)[1] for name in loaded}
 
 
+_GATES = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from su3chain.cli import main
+codes = []
+for argv in (["verify-algebra"], ["verify-matrices"], ["ed", "--L", "6"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("numpy.random"))]))
+"""
+
+
+def test_ci_gates_do_not_load_numpy_random():
+    # numpy.random costs about 6 MB of RSS per process; the seeded points come
+    # from the standard library's random, which the interpreter has loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _GATES, src],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    codes, loaded = json.loads(child.stdout)
+    assert codes == [EXIT_OK] * 3
+    assert loaded == []
+
+
+def test_random_points_are_the_kept_prefix_of_one_stream():
+    assert _random_points(random.Random(3), 3).tolist() == [
+        complex(0.5558454649121929, -2.217463226694294),
+        complex(2.49566887324204, -0.1556787659359351),
+        complex(0.4851125445576199, 0.6335972208513807),
+    ]
+    for seed in range(3):
+        pts = _random_points(random.Random(seed), 2000)
+        coords = pts.view(float)
+        assert ((-3 <= coords) & (coords < 3)).all()
+        assert (np.minimum(abs(pts), abs(pts + 3)) > 0.2).all()
+        # a rejected point is redrawn from the same stream, one (re, im) draw
+        # per missing point, so the points are the clear prefix of one stream
+        stream = sample_parameters(2200, seed=seed)
+        clear = np.minimum(abs(stream), abs(stream + 3)) > 0.2
+        assert not clear[:2000].all()  # the redraw loop ran
+        assert np.array_equal(pts, stream[clear][:2000])
+
+
 def test_closed_stdout_is_no_error():
     # the read end is closed before the child starts, so its first write to
     # stdout meets a broken pipe
@@ -466,6 +514,15 @@ def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check
     assert "Traceback" not in err
     if out:
         json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+
+
+def test_ed_singlet_sector_above_the_global_minimum_fails_closed(monkeypatch, capsys):
+    monkeypatch.setattr(ed_mod, "build_hamiltonian", _raised_singlet_sector)
+    code, out, err = run(capsys, ["ed", "--L", "6"])
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert "singlet sector misses the global minimum" in err
+    assert "Traceback" not in err
 
 
 def _off_unitarity(monkeypatch):

@@ -91,6 +91,19 @@ def _balanced_sector_ground(L):
     return states, levels[:2], vectors[:, 0]
 
 
+def full_hamiltonian(L):
+    """H as a dense matrix on all 3^L states, the full-space oracle (L <= 6):
+    bond (j, j+1) sends each state to the one with tensor axes j, j+1
+    swapped."""
+    dim = 3**L
+    index = np.arange(dim).reshape((3,) * L)
+    rows = np.arange(dim)
+    h = np.zeros((dim, dim))
+    for j in range(L):
+        h[rows, np.swapaxes(index, j, (j + 1) % L).ravel()] += 1.0
+    return h
+
+
 def _dense(ham):
     """H of the singlet sector as a dense matrix, column by column from matvec."""
     return np.array([ham.matvec(e) for e in np.eye(ham.dim)]).T
@@ -210,8 +223,7 @@ def test_spin1_bond_equals_permutation_plus_identity():
 
 def test_color_count_conservation():
     # H commutes with each color-number operator (block structure on L=3)
-    spec = ed.ChainSpec(3)
-    h = ed.full_hamiltonian(spec)
+    h = full_hamiltonian(3)
     states = np.arange(27)
     digits = (states[:, None] // 3 ** np.arange(2, -1, -1)) % 3
     for color in range(3):
@@ -232,7 +244,7 @@ def test_l3_ground_state(ed_results):
 
 def test_l3_singlet_is_antisymmetric():
     # ground state of the 3-site ring is the totally antisymmetric singlet
-    h = ed.full_hamiltonian(ed.ChainSpec(3))
+    h = full_hamiltonian(3)
     evals, evecs = np.linalg.eigh(h)
     psi = evecs[:, 0]
     p = np.zeros((9, 9))
@@ -249,8 +261,29 @@ def test_l6_dense_matches_reference(ed_results):
     assert abs(result.energy_per_bond - ref[0]) < 1e-10
     assert abs(result.observables["p12p23"] - ref[1]) < 1e-10
     # the singlet minimum is the minimum of the dense 729-dim full space
-    full = np.linalg.eigvalsh(ed.full_hamiltonian(ed.ChainSpec(6)))[0]
+    full = np.linalg.eigvalsh(full_hamiltonian(6))[0]
     assert abs(result.ground_energy - full) < 1e-12
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_balanced_sector_minimum_is_the_full_space_minimum(L):
+    # every irrep of (C^3)^(3k) has a zero weight, so every level of the full
+    # space has a state with L/3 sites of each color
+    full = np.linalg.eigvalsh(full_hamiltonian(L))[0]
+    assert abs(ed._balanced_minimum(L) - full) <= 1e-12
+
+
+def _raised_singlet_sector(spec):
+    """The singlet sector with every level raised by 0.1: its gap is intact,
+    but its minimum lies above the chain's."""
+    ham = ed.Hamiltonian(spec.L, ed.balanced_sector(spec.L))
+    return SimpleNamespace(dim=ham.dim, matvec=lambda v: ham.matvec(v) + 0.1 * v)
+
+
+def test_singlet_sector_above_the_global_minimum_trips_the_gate(monkeypatch):
+    monkeypatch.setattr(ed, "build_hamiltonian", _raised_singlet_sector)
+    with pytest.raises(RuntimeError, match="singlet sector misses the global minimum"):
+        ed.ground_state(ed.ChainSpec(6))
 
 
 def test_l9_dense(ed_results, l9_full_space_energy):
@@ -374,7 +407,8 @@ def test_lanczos_agrees_with_dense_on_l6():
 
 def test_degenerate_ground_level_trips_the_gate(monkeypatch):
     # one Krylov space sees one vector of the degenerate pair, and its next
-    # Ritz value (0) would pass for a gap of 1; L = 9 skips the full-space check
+    # Ritz value (0) would pass for a gap of 1; L = 9 skips the balanced-sector
+    # check
     levels = np.array([-1, -1, 0, 0.5, 2])
     sector = SimpleNamespace(dim=len(levels), matvec=lambda v: levels * v)
     monkeypatch.setattr(ed, "build_hamiltonian", lambda spec: sector)

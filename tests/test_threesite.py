@@ -236,7 +236,7 @@ def test_solve_g_grid_self_convergence(monkeypatch):
     fine = solve_g(0, lam)
     monkeypatch.setattr(threesite, "_CONV_STEP", 0.008)
     coarse = solve_g(0, lam)
-    assert abs(coarse - fine) < 1e-8
+    assert abs(coarse - fine) < 5e-12
 
 
 #: g_l over the whole vertical line by 30-digit mpmath quadrature, printed by
