@@ -22,11 +22,12 @@ balanced sector's 0.70).
 
 A tableau is the Yamanouchi word of the rows its entries stand in, packed in
 base 3 like a basis state (site 0 the most significant digit), and the words
-are filtered from the balanced color sector (L/3 sites of each color),
-which is enumerated from combinations of the sites of each color.  A bond
-swap changes a word by ``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its two
-digits ``d_j``, ``d_k``, and the swapped word is ranked by binary search in
-the ascending word list.  Every three-site observable is one of six numbers,
+are generated site by site by the ballot rule, in ascending order, without
+enumerating the balanced color sector (L/3 sites of each color): 462 words
+at L = 12, where that sector has 34,650 states.  A bond swap changes a
+word by ``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its two digits ``d_j``,
+``d_k``, and the swapped word is ranked by binary search in the ascending
+word list.  Every three-site observable is one of six numbers,
 ``<I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>`` of sites 0, 1, 2, read
 off the ground vector ``x`` as ``x.x``, ``<s_1>``, ``<s_2>``,
 ``<s_1 s_2 s_1>``, ``<s_1 s_2>`` and ``<s_2 s_1>``.
@@ -60,8 +61,6 @@ _LANCZOS_MAX_ITER = 400
 _LANCZOS_EIG_TOL = 1e-14  # Ritz value movement between iterations
 _LANCZOS_RESID_TOL = 1e-12  # explicit residual norm
 _LANCZOS_BLOCK = 32  # Lanczos basis rows allocated at a time
-_STEP_A = np.array([1, -1, 0])  # change of #0s - #1s by a digit 0, 1, 2
-_STEP_B = np.array([0, 1, -1])  # change of #1s - #2s
 
 
 @dataclass(frozen=True)
@@ -127,35 +126,47 @@ def balanced_sector(L: int) -> np.ndarray:
     return np.sort(states.ravel())
 
 
+def _tableau_words(L: int) -> np.ndarray:
+    """The Yamanouchi words of shape (k, k, k), k = L/3, ascending in base 3.
+
+    Built site by site: a prefix with ``n0, n1, n2`` digits 0, 1, 2 may take
+    0 if ``n0 < k``, 1 if ``n1 < n0`` and 2 if ``n2 < n1``.  Every prefix is
+    extended at once through ``np.nonzero`` of the (prefix, digit) mask,
+    which lists prefixes in order and each one's digits ascending, so the
+    words stay ascending.  No prefix is a dead end, and every word has k of
+    each digit.
+    """
+    k = L // 3
+    words = np.zeros(1, dtype=np.int64)
+    counts = np.zeros((1, 3), dtype=np.int64)
+    for _ in range(L):
+        n0, n1, n2 = counts.T
+        prefix, digit = np.nonzero(np.column_stack([n0 < k, n1 < n0, n2 < n1]))
+        words = 3 * words[prefix] + digit
+        counts = counts[prefix] + np.eye(3, dtype=np.int64)[digit]
+    return words
+
+
 class Hamiltonian:
     """H = sum_j P_{j,j+1} on the SU(3) singlets, in Young's orthogonal form.
 
-    Of ``states`` (ascending base-3 words) only the Yamanouchi words of shape
-    (k, k, k), k = L/3, are kept, as ``words``: read from site 0, no prefix
-    has more 1s than 0s or more 2s than 1s, and the word has k of each.  Word
-    ``w`` is the standard tableau with entry i in row ``w_i``, and the
-    ``dim`` words are the orthonormal basis.  A swap whose ``T'`` is standard
-    (|r| >= 2) must find it among the words; a list that lacks one raises.
-    Each swap is a diagonal and one gather, so ``matvec`` is a fixed-order sum
-    of ``3L - 4`` of them, and results are independent of any outer
-    parallelism.
+    The basis is the ``dim`` Yamanouchi words of shape (k, k, k), k = L/3,
+    ascending, as ``words``: read from site 0, no prefix has more 1s than 0s
+    or more 2s than 1s, and the word has k of each.  Word ``w`` is the
+    standard tableau with entry i in row ``w_i``, and the words are the
+    orthonormal basis.  A swap whose ``T'`` is standard (|r| >= 2) must find
+    it among the words; a list that lacks one raises.  Each swap is a
+    diagonal and one gather, so ``matvec`` is a fixed-order sum of ``3L - 4``
+    of them, and results are independent of any outer parallelism.
     """
 
-    def __init__(self, L: int, states: np.ndarray):
+    def __init__(self, L: int):
         self.L = L
         pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-        # a = #0s - #1s and b = #1s - #2s of each prefix, site by site
-        a = b = 0
-        ballot = np.ones(len(states), dtype=bool)
-        for p in pw:
-            digit = states // p % 3
-            a = a + _STEP_A[digit]
-            b = b + _STEP_B[digit]
-            ballot &= (a >= 0) & (b >= 0)
-        self.words = states[ballot & (a == 0) & (b == 0)]
+        self.words = _tableau_words(L)
         self.dim = len(self.words)
         if not self.dim:
-            raise RuntimeError("no standard tableau in the state list (sector broken)")
+            raise RuntimeError("no standard tableau in the word list (sector broken)")
         digits = self.words // pw[:, None] % 3
         # content of each site: its column (earlier sites in its row) minus its row
         seen = np.cumsum(digits[:, :, None] == np.arange(3), axis=0)
@@ -180,11 +191,6 @@ class Hamiltonian:
         for j in (*range(self.L - 2, 0, -1), *range(self.L - 1)):  # the wrap bond
             v = self._swap(v, j)
         return out + v
-
-
-def build_hamiltonian(spec: ChainSpec) -> Hamiltonian:
-    """The matrix-free singlet sector of the chain."""
-    return Hamiltonian(spec.L, balanced_sector(spec.L))
 
 
 def _balanced_minimum(L: int) -> float:
@@ -272,7 +278,7 @@ def _ground_space(spec: ChainSpec):
     vector: ``||H|| <= L`` lifts ``x`` above every level, and a degenerate
     partner of ``x`` stays at ``e0``.  A gap below ``_DEGENERACY_TOL`` raises.
     """
-    ham = build_hamiltonian(spec)
+    ham = Hamiltonian(spec.L)
     e0, x, residual, iters = _lanczos_ground(ham.matvec, ham.dim)
     gap = np.inf
     if ham.dim > 1:

@@ -480,6 +480,24 @@ def _nan_eigenresidual(monkeypatch):
     monkeypatch.setattr(ed_mod, "ground_state", ground_state)
 
 
+def _moved_table1_cell(shift):
+    """A stand-in ground state that adds ``shift`` to the L=9 ``p12p23`` cell;
+    a NaN shift makes the cell NaN."""
+
+    def make(monkeypatch):
+        real_ground_state = ed_mod.ground_state
+
+        def ground_state(spec):
+            result = real_ground_state(spec)
+            if spec.L == 9:
+                result.observables["p12p23"] += shift
+            return result
+
+        monkeypatch.setattr(ed_mod, "ground_state", ground_state)
+
+    return make
+
+
 @pytest.mark.parametrize(
     "argv, make_nan, check",
     [
@@ -492,6 +510,7 @@ def _nan_eigenresidual(monkeypatch):
         (["two-site"], _nan_difference_residual, "difference-equation residuals"),
         (["three-site"], _nan_p12p23, "p12p23 off reference"),
         (["ed", "--L", "3"], _nan_eigenresidual, "eigenresidual"),
+        (["report-table1"], _moved_table1_cell(float("nan")), "L=9 p12p23"),
     ],
     ids=[
         "verify-algebra",
@@ -501,6 +520,7 @@ def _nan_eigenresidual(monkeypatch):
         "two-site",
         "three-site",
         "ed",
+        "report-table1",
     ],
 )
 def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check):
@@ -517,7 +537,7 @@ def test_nan_gated_value_fails_closed(monkeypatch, capsys, argv, make_nan, check
 
 
 def test_ed_singlet_sector_above_the_global_minimum_fails_closed(monkeypatch, capsys):
-    monkeypatch.setattr(ed_mod, "build_hamiltonian", _raised_singlet_sector)
+    monkeypatch.setattr(ed_mod, "Hamiltonian", _raised_singlet_sector)
     code, out, err = run(capsys, ["ed", "--L", "6"])
     assert code == EXIT_VERIFY
     assert out == ""
@@ -588,8 +608,12 @@ def _off_eigenresidual(monkeypatch):
          "difference-equation residuals 0.000e+00, 1.000e-09"),
         (["three-site"], _off_p12p23, {}, "p12p23 off reference by 1.700e-04"),
         (["ed", "--L", "3"], _off_eigenresidual, {"L": 3}, "eigenresidual 1.000e-08"),
+        # the gate is 1e-8 and the cell's own delta -1.4e-12
+        (["report-table1"], _moved_table1_cell(1e-7), {},
+         "L=9 p12p23 off reference by 1.000e-07"),
     ],
-    ids=["verify-algebra", "verify-matrices", "two-site", "three-site", "ed"],
+    ids=["verify-algebra", "verify-matrices", "two-site", "three-site", "ed",
+         "report-table1"],
 )
 def test_finite_gate_failure_still_emits_payload(
     monkeypatch, capsys, argv, make_off, inputs, reason

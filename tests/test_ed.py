@@ -104,6 +104,31 @@ def full_hamiltonian(L):
     return h
 
 
+def _ballot_filter(L):
+    """The Yamanouchi words of shape (k, k, k) filtered out of the whole
+    balanced sector, the oracle of the generated words: a = #0s - #1s and
+    b = #1s - #2s of each prefix, site by site, never negative, and 0 at the
+    end."""
+    states = ed.balanced_sector(L)
+    a = b = 0
+    ballot = np.ones(len(states), dtype=bool)
+    for p in 3 ** np.arange(L - 1, -1, -1, dtype=np.int64):
+        digit = states // p % 3
+        a = a + np.array([1, -1, 0])[digit]
+        b = b + np.array([0, 1, -1])[digit]
+        ballot &= (a >= 0) & (b >= 0)
+    return states[ballot & (a == 0) & (b == 0)]
+
+
+def _hook_length_count(L):
+    """f^(k,k,k) = L! / prod of hook lengths; the hook of cell (i, j) is
+    k - j + 2 - i."""
+    k = L // 3
+    return math.factorial(L) // math.prod(
+        k - j + 2 - i for i in range(3) for j in range(k)
+    )
+
+
 def _dense(ham):
     """H of the singlet sector as a dense matrix, column by column from matvec."""
     return np.array([ham.matvec(e) for e in np.eye(ham.dim)]).T
@@ -119,13 +144,9 @@ def _tableau_operators(ham):
     [(3, 6, 1), (6, 90, 5), (9, 1680, 42), (12, 34650, 462)],
 )
 def test_singlet_dimensions_are_hook_lengths(L, sector_dim, singlet_dim):
-    # f^(k,k,k) = L! / prod of hook lengths; the hook of cell (i, j) is k - j + 2 - i
-    k = L // 3
-    hooks = math.prod(k - j + 2 - i for i in range(3) for j in range(k))
-    assert math.factorial(L) // hooks == singlet_dim
-    states = ed.balanced_sector(L)
-    assert len(states) == sector_dim
-    ham = ed.Hamiltonian(L, states)
+    assert _hook_length_count(L) == singlet_dim
+    assert len(ed.balanced_sector(L)) == sector_dim
+    ham = ed.Hamiltonian(L)
     assert ham.dim == singlet_dim
     # the words are ascending ballot sequences: no prefix has more 1s than 0s
     # or more 2s than 1s
@@ -136,9 +157,22 @@ def test_singlet_dimensions_are_hook_lengths(L, sector_dim, singlet_dim):
     assert (prefix[:, :, 1] >= prefix[:, :, 2]).all()
 
 
+@pytest.mark.parametrize("L", [3, 6, 9, 12, 15, 18])
+def test_tableau_word_count_is_the_hook_length_formula(L):
+    # past ChainSpec's L <= 12 only the generator runs: no sector, no bonds
+    assert len(ed._tableau_words(L)) == _hook_length_count(L)
+
+
+@pytest.mark.parametrize("L", [3, 6, 9, 12])
+def test_tableau_words_equal_the_balanced_sector_filter(L):
+    words = ed._tableau_words(L)
+    assert words.dtype == np.int64
+    assert np.array_equal(words, _ballot_filter(L))
+
+
 @pytest.mark.parametrize("L", [6, 9])
 def test_tableau_operators_satisfy_coxeter_relations(L):
-    s = _tableau_operators(ed.build_hamiltonian(ed.ChainSpec(L)))
+    s = _tableau_operators(ed.Hamiltonian(L))
     eye = np.eye(len(s[0]))
     for i in range(L - 1):
         assert np.abs(s[i] @ s[i] - eye).max() <= 1e-15
@@ -149,34 +183,52 @@ def test_tableau_operators_satisfy_coxeter_relations(L):
             assert np.abs(s[i] @ s[j] - s[j] @ s[i]).max() <= 1e-15
 
 
-def test_hamiltonian_rejects_states_not_closed_under_swaps():
+def _words_standing_in(monkeypatch, words):
+    """``ed.Hamiltonian`` builds on ``words`` in place of the generated list."""
+    monkeypatch.setattr(ed, "_tableau_words", lambda L: np.array(words, dtype=np.int64))
+
+
+def test_hamiltonian_rejects_states_not_closed_under_swaps(monkeypatch):
     # the tableau 12/34/56 (word 001122) alone: s_2 reaches the word 010122
+    _words_standing_in(monkeypatch, [44])
     with pytest.raises(RuntimeError, match="bond swap left"):
-        ed.Hamiltonian(6, np.array([44], dtype=np.int64))
+        ed.Hamiltonian(6)
 
 
-def test_hamiltonian_rejects_broken_sector():
-    # the smallest state, the tableau 12/34/56, is cut from the list
+def test_hamiltonian_rejects_broken_sector(monkeypatch):
+    # the smallest word, the tableau 12/34/56, is cut from the list
+    _words_standing_in(monkeypatch, ed._tableau_words(6)[1:])
     with pytest.raises(RuntimeError, match="sector broken"):
-        ed.Hamiltonian(6, ed.balanced_sector(6)[1:])
+        ed.Hamiltonian(6)
 
 
-def test_hamiltonian_rejects_a_list_without_tableaux():
-    # 000000 is a ballot word, but not of shape (2, 2, 2)
+def test_hamiltonian_rejects_a_list_without_tableaux(monkeypatch):
+    _words_standing_in(monkeypatch, [])
     with pytest.raises(RuntimeError, match="no standard tableau"):
-        ed.Hamiltonian(6, np.array([0], dtype=np.int64))
+        ed.Hamiltonian(6)
+
+
+def _build_peak(L):
+    """tracemalloc's peak over one ``ed.Hamiltonian(L)``, numpy's buffers
+    included."""
+    tracemalloc.start()
+    try:
+        ed.Hamiltonian(L)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_build_hamiltonian_peak_memory_l12():
-    # tracemalloc sees numpy's buffers; a 3^12 int64 table alone is 4 MiB,
-    # and a (3^12, 12) digit table 49 MiB
-    tracemalloc.start()
-    try:
-        ed.build_hamiltonian(ed.ChainSpec(12))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # 0.35 MiB measured; filtering the words out of the 34,650-state balanced
+    # sector peaked at 2.2 MiB
+    assert _build_peak(12) < 2**20
+
+
+def test_build_hamiltonian_peak_memory_l15():
+    # 5.6 MiB measured, nearly all of it the digit, content and bond tables
+    # of 6006 words; the balanced-sector filter peaked at 58 MiB
+    assert _build_peak(15) < 16 * 2**20
 
 
 def test_ground_state_peak_memory_l12():
@@ -193,7 +245,7 @@ def test_ground_state_peak_memory_l12():
 
 
 def test_hamiltonian_hermitian_and_matvec_consistent():
-    ham = ed.build_hamiltonian(ed.ChainSpec(9))
+    ham = ed.Hamiltonian(9)
     h = _dense(ham)
     assert np.abs(h - h.T).max() < 1e-14
     # the translation s_1 s_2 ... s_(L-1) shifts every open bond by one site
@@ -273,15 +325,18 @@ def test_balanced_sector_minimum_is_the_full_space_minimum(L):
     assert abs(ed._balanced_minimum(L) - full) <= 1e-12
 
 
-def _raised_singlet_sector(spec):
+_HAMILTONIAN = ed.Hamiltonian  # the real class, for stand-ins patched over it
+
+
+def _raised_singlet_sector(L):
     """The singlet sector with every level raised by 0.1: its gap is intact,
     but its minimum lies above the chain's."""
-    ham = ed.Hamiltonian(spec.L, ed.balanced_sector(spec.L))
+    ham = _HAMILTONIAN(L)
     return SimpleNamespace(dim=ham.dim, matvec=lambda v: ham.matvec(v) + 0.1 * v)
 
 
 def test_singlet_sector_above_the_global_minimum_trips_the_gate(monkeypatch):
-    monkeypatch.setattr(ed, "build_hamiltonian", _raised_singlet_sector)
+    monkeypatch.setattr(ed, "Hamiltonian", _raised_singlet_sector)
     with pytest.raises(RuntimeError, match="singlet sector misses the global minimum"):
         ed.ground_state(ed.ChainSpec(6))
 
@@ -372,7 +427,7 @@ def test_finite_size_monotonicity(ed_results):
 
 
 def test_lanczos_agrees_with_dense_on_l9_block():
-    ham = ed.build_hamiltonian(ed.ChainSpec(9))
+    ham = ed.Hamiltonian(9)
     evals = np.linalg.eigvalsh(_dense(ham))
     e0, x, residual, iters = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(e0 - evals[0]) < 1e-12
@@ -384,7 +439,7 @@ def test_lanczos_agrees_with_dense_on_l9_block():
 def test_lanczos_basis_growth_keeps_bits(monkeypatch):
     # the L=12 singlet sector converges in 48 iterations: blocks of 7 rows
     # grow the basis six times, 401 rows never
-    ham = ed.build_hamiltonian(ed.ChainSpec(12))
+    ham = ed.Hamiltonian(12)
     runs = []
     for rows in (7, 401):
         monkeypatch.setattr(ed, "_LANCZOS_BLOCK", rows)
@@ -396,7 +451,7 @@ def test_lanczos_basis_growth_keeps_bits(monkeypatch):
 
 
 def test_lanczos_agrees_with_dense_on_l6():
-    ham = ed.build_hamiltonian(ed.ChainSpec(6))
+    ham = ed.Hamiltonian(6)
     evals = np.linalg.eigvalsh(_dense(ham))
     e0, x, residual, iters = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(e0 - evals[0]) < 1e-12
@@ -411,6 +466,6 @@ def test_degenerate_ground_level_trips_the_gate(monkeypatch):
     # check
     levels = np.array([-1, -1, 0, 0.5, 2])
     sector = SimpleNamespace(dim=len(levels), matvec=lambda v: levels * v)
-    monkeypatch.setattr(ed, "build_hamiltonian", lambda spec: sector)
+    monkeypatch.setattr(ed, "Hamiltonian", lambda L: sector)
     with pytest.raises(RuntimeError, match="degenerate singlet ground level"):
         ed._ground_space(ed.ChainSpec(9))
