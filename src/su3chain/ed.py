@@ -39,6 +39,7 @@ on a bond (checked in the tests).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -70,6 +71,10 @@ class ChainSpec:
     L: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.L)
+        except TypeError:
+            raise ValueError(f"L must be an integer, got {self.L!r}") from None
         if not (3 <= self.L <= 12):
             raise ValueError("L must be in 3..12 (Hilbert space size)")
         if self.L % 3:
@@ -156,8 +161,7 @@ class Hamiltonian:
     standard tableau with entry i in row ``w_i``, and the words are the
     orthonormal basis.  A swap whose ``T'`` is standard (|r| >= 2) must find
     it among the words; a list that lacks one raises.  Each swap is a
-    diagonal and one gather, so ``matvec`` is a fixed-order sum of ``3L - 4``
-    of them, and results are independent of any outer parallelism.
+    diagonal and one gather, and ``matvec`` sums ``3L - 4`` of them.
     """
 
     def __init__(self, L: int):

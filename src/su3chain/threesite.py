@@ -41,7 +41,7 @@ samples, so the kernel neither shifts nor reflects there), and the recurrence
 ``tau'`` are 3-periodic, so the comb computes them once per point, not once
 per term.
 
-The comb is a head of ``J = comb_terms`` terms, evaluated in one broadcast,
+The comb is a head of ``J = _COMB_TERMS`` terms, evaluated in one broadcast,
 plus its tail beyond ``J`` in closed form.  Write
 ``phi_c = A + tau B + tau' C`` with the rational ``B(l) = l/(3(l^2-1)^2)``
 and ``C(l) = 1/(6(l^2-1))``; ``A`` is ``phi_c`` with ``tau = tau' = 0``, a
@@ -55,11 +55,9 @@ pure power series ``sum_k a_k l^-k``, which is ``_PHI_SERIES`` (``tau`` and
 
 the last truncated at ``k = 16``; its last term, largest over the sample
 points, is reported as ``tail_bound`` (3e-17 at ``J = 12``).
-``comb_terms`` (default 12), a keyword of ``G1Solver`` and
-``three_site_correlator``, is the handle of the tests that prove the tail
-converged; every result runs the default.  The Laurent circles, the step
-and offset of the convolution transform below and the Cauchy circle of the
-density solve are module constants.
+``J``, the Laurent circles, the step and offset of the convolution
+transform below and the Cauchy circle of the density solve are module
+constants; the tests that prove the tail converged patch ``_COMB_TERMS``.
 
 The samples of ``K`` are formed in ``np.clongdouble`` and rounded to
 complex128 once.  On the Laurent circles around 0 and -2, ``phi_c`` and
@@ -447,15 +445,12 @@ class G1Solver:
     that fit.  ``tail_bound`` is the largest magnitude, over the samples, of
     the last term kept in the series of the comb's tail.
 
-    ``comb_terms`` is the head length ``J``.  Every result uses the default;
-    the tests vary it to show that the head plus the closed-form tail has
-    converged (``J`` = 1..6, ``J`` doubled, and 4, 8, 16).
+    The head length ``J`` is ``_COMB_TERMS``, read once here, so the comb
+    and ``tail_bound`` use the same one.
     """
 
-    def __init__(self, *, comb_terms: int = _COMB_TERMS):
-        if comb_terms < 1:
-            raise ValueError(f"comb_terms must be >= 1, got {comb_terms}")
-        self.comb_terms = comb_terms
+    def __init__(self):
+        self._terms = _COMB_TERMS
         n, r = _LAURENT_POINTS, _LAURENT_RADIUS
         th = 2 * np.pi * np.arange(n) / n
         self._circle = r * np.exp(1j * th)
@@ -470,7 +465,7 @@ class G1Solver:
         x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         self.periodic_coefficients = x
         self.consistency_residual = float(np.abs(mat @ x - rhs).max())
-        tail_x = z / 3 + (comb_terms + 1)
+        tail_x = z / 3 + (self._terms + 1)
         last = len(_PHI_SERIES) - 1
         self.tail_bound = float(np.abs(_series_term(last, tail_x)).max())
 
@@ -494,7 +489,7 @@ class G1Solver:
         same with ``+ 1/(base + k)^2``.  Complex128 ``z`` runs the same code
         in complex128.
         """
-        terms = self.comb_terms
+        terms = self._terms
         t, tp = _tau_and_slope(z)
         j = np.arange(start, terms + 1)
         base = np.stack((z / 3, (z - 1) / 3, (z + 4) / 3))
@@ -542,18 +537,16 @@ class ThreeSiteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def three_site_correlator(*, comb_terms: int = _COMB_TERMS) -> ThreeSiteSolution:
+def three_site_correlator() -> ThreeSiteSolution:
     """<P12 P23> and the boundary values F1, F2, F3 from the comb-built G1.
 
     Diagnostics: the head length of the comb, the fit defects (one list
     entry, the periodic fit's), ``|Im c2|`` and the comb's ``tail_bound``.
-    ``comb_terms`` is passed to ``G1Solver``; the CLI runs the default, and
-    acceptance criterion 2 compares the results at 12 and 24.
     """
-    solver = G1Solver(comb_terms=comb_terms)
+    solver = G1Solver()
     c2 = solver.taylor_coefficient(2)
     diag = {
-        "comb_terms": solver.comb_terms,
+        "comb_terms": solver._terms,
         "lstsq_residuals": [solver.consistency_residual],
         "c2_imag": float(abs(c2.imag)),
         "tail_bound": solver.tail_bound,

@@ -84,6 +84,12 @@ def three_site_pair():
     """
     import time
 
+    from su3chain import threesite
+
     start = time.perf_counter()
-    solutions = {J: three_site_correlator(comb_terms=J) for J in (12, 24)}
+    solutions = {}
+    for J in (12, 24):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(threesite, "_COMB_TERMS", J)
+            solutions[J] = three_site_correlator()
     return solutions, time.perf_counter() - start

@@ -461,8 +461,8 @@ def _nan_p12p23(monkeypatch):
 
     real_correlator = threesite.three_site_correlator
 
-    def correlator(**kwargs):
-        solution = real_correlator(**kwargs)
+    def correlator():
+        solution = real_correlator()
         solution.p12p23 = float("nan")
         return solution
 
@@ -576,23 +576,29 @@ def _off_p12p23(monkeypatch):
 
     real_correlator = threesite.three_site_correlator
 
-    def correlator(**kwargs):
-        solution = real_correlator(**kwargs)
+    def correlator():
+        solution = real_correlator()
         solution.p12p23 += 1.7e-4
         return solution
 
     monkeypatch.setattr(threesite, "three_site_correlator", correlator)
 
 
-def _off_eigenresidual(monkeypatch):
-    real_ground_state = ed_mod.ground_state
+def _off_eigenresidual(L):
+    """A stand-in ground state whose eigenresidual at length ``L`` is 1e-8."""
 
-    def ground_state(spec):
-        result = real_ground_state(spec)
-        result.residual_norm = 1e-8
-        return result
+    def make(monkeypatch):
+        real_ground_state = ed_mod.ground_state
 
-    monkeypatch.setattr(ed_mod, "ground_state", ground_state)
+        def ground_state(spec):
+            result = real_ground_state(spec)
+            if spec.L == L:
+                result.residual_norm = 1e-8
+            return result
+
+        monkeypatch.setattr(ed_mod, "ground_state", ground_state)
+
+    return make
 
 
 @pytest.mark.parametrize(
@@ -607,13 +613,17 @@ def _off_eigenresidual(monkeypatch):
         (["two-site"], _off_difference_residual, {"lambda": [0.0, 0.0]},
          "difference-equation residuals 0.000e+00, 1.000e-09"),
         (["three-site"], _off_p12p23, {}, "p12p23 off reference by 1.700e-04"),
-        (["ed", "--L", "3"], _off_eigenresidual, {"L": 3}, "eigenresidual 1.000e-08"),
+        (["ed", "--L", "3"], _off_eigenresidual(3), {"L": 3}, "eigenresidual 1.000e-08"),
         # the gate is 1e-8 and the cell's own delta -1.4e-12
         (["report-table1"], _moved_table1_cell(1e-7), {},
          "L=9 p12p23 off reference by 1.000e-07"),
+        # report-table1 runs ed's and three-site's own checks, named by row
+        (["report-table1"], _off_eigenresidual(9), {}, "L=9 eigenresidual 1.000e-08"),
+        (["report-table1"], _off_p12p23, {},
+         "thermodynamic p12p23 off reference by 1.700e-04"),
     ],
     ids=["verify-algebra", "verify-matrices", "two-site", "three-site", "ed",
-         "report-table1"],
+         "report-table1", "report-table1-ed-check", "report-table1-three-site-check"],
 )
 def test_finite_gate_failure_still_emits_payload(
     monkeypatch, capsys, argv, make_off, inputs, reason

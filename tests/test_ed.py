@@ -20,6 +20,17 @@ def test_chain_spec_validation():
         ed.ChainSpec(15)
 
 
+@pytest.mark.parametrize("L", [6.0, 6.5, "6", None])
+def test_chain_spec_rejects_non_integral_length(L):
+    # 6.0 passes the range checks, and range() would refuse it with a TypeError
+    with pytest.raises(ValueError, match="L must be an integer"):
+        ed.ChainSpec(L)
+
+
+def test_chain_spec_accepts_numpy_integers():
+    assert ed.ChainSpec(np.int64(6)).L == 6
+
+
 def test_balanced_sector_sizes():
     assert len(ed.balanced_sector(3)) == 6
     assert len(ed.balanced_sector(6)) == 90

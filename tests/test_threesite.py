@@ -372,12 +372,18 @@ def test_comb_matches_nsum(g1_solver, z):
     assert abs(_one_sided_comb(g1_solver, z)[0] - NSUM_COMB[z]) <= 1e-14
 
 
+def _solver_with_head(monkeypatch, terms):
+    """A solver whose comb head has ``terms`` terms, not the module's 12."""
+    monkeypatch.setattr(threesite, "_COMB_TERMS", terms)
+    return G1Solver()
+
+
 @pytest.mark.parametrize("comb_terms", range(1, 7))
-def test_extrapolate_recovers_limit(comb_terms):
+def test_extrapolate_recovers_limit(monkeypatch, comb_terms):
     # the closed-form tail extrapolates a head of J terms to the infinite
     # sum; both nsum points lie on the Laurent circles, so the error stays
     # within the reported tail_bound even at heads far below the default
-    solver = G1Solver(comb_terms=comb_terms)
+    solver = _solver_with_head(monkeypatch, comb_terms)
     z = np.array(list(NSUM_COMB))
     comb = _one_sided_comb(solver, z)
     err = np.abs(comb - np.array(list(NSUM_COMB.values())))
@@ -386,14 +392,14 @@ def test_extrapolate_recovers_limit(comb_terms):
     assert all(_one_sided_comb(solver, zi)[0] == ci for zi, ci in zip(z, comb))
 
 
-def test_comb_head_length_converged(g1_solver):
-    doubled = G1Solver(comb_terms=2 * g1_solver.comb_terms)
+def test_comb_head_length_converged(monkeypatch, g1_solver):
+    doubled = _solver_with_head(monkeypatch, 2 * threesite._COMB_TERMS)
     assert abs(doubled.taylor_coefficient(2) - g1_solver.taylor_coefficient(2)) <= 1e-14
 
 
-def test_tail_bound_below_rounding_and_falls_with_head_length(g1_solver):
+def test_tail_bound_below_rounding_and_falls_with_head_length(monkeypatch, g1_solver):
     assert g1_solver.tail_bound < 1e-16
-    bounds = [G1Solver(comb_terms=J).tail_bound for J in (4, 8, 16)]
+    bounds = [_solver_with_head(monkeypatch, J).tail_bound for J in (4, 8, 16)]
     assert bounds[0] > bounds[1] > g1_solver.tail_bound > bounds[2]
 
 
@@ -495,12 +501,6 @@ def test_float64_comb_matches_long_double(g1_solver, center, start):
     narrow = g1_solver._comb(z, start)[0]
     assert narrow.dtype == complex
     assert np.abs(narrow - wide).max() <= 1e-13 * np.abs(wide).max()
-
-
-@pytest.mark.parametrize("comb_terms", [0, -7])
-def test_invalid_comb_terms_rejected(comb_terms):
-    with pytest.raises(ValueError, match="comb_terms"):
-        G1Solver(comb_terms=comb_terms)
 
 
 @pytest.mark.parametrize("k", [-5, 7])
@@ -787,3 +787,44 @@ P13_PIN = 0.04470820335774554
 def test_three_site_density_matrix_p13_pin(d3):
     p12, p23 = _perm_ops()
     assert abs(np.trace(d3 @ p12 @ p23 @ p12) - P13_PIN) <= 5e-14
+
+
+def _omega33_taylor():
+    """``W_k``, the Taylor coefficients of omega33 in powers of lam^2:
+    ``W_0 = omega33(0)`` as the correctly rounded constant, and
+    ``W_k = c_(k-1) - c_k`` from ``zeta_expansion``, since
+    ``omega33 = (lam^2 - 1) G - 1``."""
+    c = twosite.zeta_expansion(6)
+    return [float(OMEGA33_HOMOGENEOUS)] + [c[k - 1] - c[k] for k in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "k, weights",
+    # g_3 = 4 W_0 - 4 W_1 and g_5 = 8 W_0 - 4 W_1 - 6 W_2, found by PSLQ at
+    # 30 digits (ROADMAP item 8); measured: 8.4e-15 and 0.0 (real), 9.4e-15
+    # and 2.5e-14 (imaginary)
+    [(3, (4, -4)), (5, (8, -4, -6))],
+)
+def test_odd_taylor_coefficients_are_two_site_data(g1_solver, k, weights):
+    expected = sum(a * w for a, w in zip(weights, _omega33_taylor()))
+    got = g1_solver.taylor_coefficient(k)
+    assert abs(got.real - expected) <= 1e-13
+    assert abs(got.imag) <= 1e-13
+
+
+def test_p13_meets_its_closed_form(d3):
+    # <P13> = W_0 - 3 W_1 = 1 - 4 pi/(3 sqrt 3) - 4 ln 3 + 8 zeta(3)/3
+    # + 4 pi^3/(27 sqrt 3), by zeta(3, 1/3) = 13 zeta(3) + 2 pi^3/(3 sqrt 3);
+    # measured: D3 -5.1e-15 off, the Taylor data -2.4e-15
+    import mpmath as mp
+
+    with mp.workdps(30):
+        root3 = mp.sqrt(3)
+        exact = float(
+            1 - 4 * mp.pi / (3 * root3) - 4 * mp.log(3) + 8 * mp.zeta(3) / 3
+            + 4 * mp.pi**3 / (27 * root3)
+        )
+    p12, p23 = _perm_ops()
+    assert abs(np.trace(d3 @ p12 @ p23 @ p12) - exact) <= 2e-14
+    w = _omega33_taylor()
+    assert abs(w[0] - 3 * w[1] - exact) <= 1e-14
