@@ -20,11 +20,12 @@ Subcommands::
 Output is JSON by default (stable key order, byte-identical for identical
 invocations and seeds) with the top-level layout
 {"command", "inputs", "results", "diagnostics", "paper_reference_values"};
-``--format text`` gives key: value lines, and ``report-table1`` also supports
-``--format csv``.  A plain ``key = value`` config file can preload any option;
-explicit flags win, options of other subcommands are ignored, and a key that
-no subcommand has, or two lines that set one option, is a usage error
-naming the key.  The merged options are checked before any work:
+``--format text`` gives ``key = value`` lines, a nested value spelled out as
+``key.subkey = value`` (``rows.0.length``), and ``report-table1`` also
+supports ``--format csv``.  A plain ``key = value`` config file can preload
+any option; explicit flags win, options of other subcommands are ignored,
+and a key that no subcommand has, or two lines that set one option, is a
+usage error naming the key.  The merged options are checked before any work:
 ``--samples`` and ``--points`` lie in 1..100000 and ``--seed`` is
 non-negative; a violation is a usage error naming the option.  No option sets
 a numerical parameter: ``three-site`` and ``report-table1`` run the
@@ -71,6 +72,22 @@ _ALGEBRA_TOL = 1e-12
 _MATRIX_TOL = 1e-10
 
 
+def _text_lines(value, prefix=""):
+    """``key = value`` lines of a dict, with nested dicts and lists of them
+    spelled out by key path: dict keys sorted, list entries by index."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+    elif isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value):
+        items = enumerate(value)
+    else:  # a scalar, or a list of numbers, inline
+        return [f"{prefix} = {value}"]
+    return [
+        line
+        for key, item in items
+        for line in _text_lines(item, f"{prefix}.{key}" if prefix else str(key))
+    ]
+
+
 def _emit(payload: dict, fmt: str) -> None:
     """Print the payload; a reader that closes the pipe early is no error."""
     try:
@@ -80,11 +97,8 @@ def _emit(payload: dict, fmt: str) -> None:
             for section in ("command", "inputs", "results", "diagnostics"):
                 print(f"[{section}]")
                 value = payload[section]
-                if isinstance(value, dict):
-                    for k in sorted(value):
-                        print(f"{k} = {value[k]}")
-                else:
-                    print(value)
+                for line in _text_lines(value) if isinstance(value, dict) else [value]:
+                    print(line)
         else:  # csv, which _check_options allows for report-table1 only
             rows = payload["results"]["rows"]
             print(",".join(rows[0].keys()))
@@ -255,22 +269,25 @@ def _cmd_three_site(args):
 
 
 def _cmd_ed(args):
+    from .tensors import from_expectations
+
     try:
         spec = ed_mod.ChainSpec(args.L)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     result = ed_mod.ground_state(spec)
-    rdm2 = result.observables["rdm2"]
+    p12, p12p23 = float(result.v[1]), float(result.v[4])
+    rdm2 = from_expectations(result.v[:2])
     trace_defect = float(abs(np.trace(rdm2) - 1))
     min_eig = float(np.linalg.eigvalsh((rdm2 + rdm2.T) / 2).min())
     results = {
         "energy_per_bond": result.energy_per_bond,
         "ground_energy": result.ground_energy,
-        "p12": result.observables["p12"],
-        "p12p23": result.observables["p12p23"],
+        "p12": p12,
+        "p12p23": p12p23,
     }
     diagnostics = {
-        "method": result.method,
+        "method": "lanczos",
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
         "singlet_dimension": result.singlet_dimension,
@@ -284,9 +301,7 @@ def _cmd_ed(args):
         diagnostics["energy_per_bond_delta_vs_reference"] = float(
             result.energy_per_bond - ref[0]
         )
-        diagnostics["p12p23_delta_vs_reference"] = float(
-            result.observables["p12p23"] - ref[1]
-        )
+        diagnostics["p12p23_delta_vs_reference"] = float(p12p23 - ref[1])
     return (
         {"L": args.L},
         results,

@@ -27,10 +27,11 @@ enumerating the balanced color sector (L/3 sites of each color): 462 words
 at L = 12, where that sector has 34,650 states.  A bond swap changes a
 word by ``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its two digits ``d_j``,
 ``d_k``, and the swapped word is ranked by binary search in the ascending
-word list.  Every three-site observable is one of six numbers,
-``<I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>`` of sites 0, 1, 2, read
-off the ground vector ``x`` as ``x.x``, ``<s_1>``, ``<s_2>``,
-``<s_1 s_2 s_1>``, ``<s_1 s_2>`` and ``<s_2 s_1>``.
+word list.  Every three-site observable is one of the six numbers ``v`` that
+``ground_state`` returns, ``<I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>``
+of sites 0, 1, 2, read off the ground vector ``x`` as ``x.x``, ``<s_1>``,
+``<s_2>``, ``<s_1 s_2 s_1>``, ``<s_1 s_2>`` and ``<s_2 s_1>``; the three
+sites' reduced density matrix is ``tensors.from_expectations(v)``.
 
 The equivalent spin-1 form ``H = sum_j [S.S + (S.S)^2]`` differs from the
 permutation form by ``L`` times the identity, because ``S.S + (S.S)^2 = P + 1``
@@ -40,12 +41,10 @@ on a bond (checked in the tests).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-from .tensors import from_expectations
 
 #: published finite-size reference values: L -> (energy per bond, <P12 P23>)
 REFERENCE_TABLE1 = {
@@ -83,26 +82,23 @@ class ChainSpec:
 
 @dataclass
 class SpectrumResult:
-    """Ground-state data of a finite chain, solved in its singlet sector.
+    """The ground level of a finite chain, solved in its singlet sector.
 
     ``singlet_dimension`` is the number of standard tableaux of shape
     (L/3, L/3, L/3), and ``singlet_gap`` the distance from the ground level
     to the sector's second level (``inf`` when the sector has one state).
-    The chain's own gap may be smaller, outside the singlets.
-    ``observables["v"]`` holds the six numbers ``<I>, <P12>, <P23>, <P13>,
-    <P12 P23>, <P23 P12>`` of sites 0, 1, 2, with ``<I> = x.x`` for the
-    computed ground vector ``x``; ``rdm2`` is built from the first two.
+    The chain's own gap may be smaller, outside the singlets.  ``v`` holds
+    the six numbers ``<I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>`` of
+    sites 0, 1, 2, with ``<I> = x.x`` for the computed ground vector ``x``.
     """
 
-    L: int
-    method: str
     ground_energy: float
     energy_per_bond: float
     residual_norm: float
     iterations: int
     singlet_dimension: int
     singlet_gap: float
-    observables: dict = field(default_factory=dict)
+    v: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +257,7 @@ def _lanczos_ground(matvec, dim: int, start: float = _LANCZOS_START):
         theta_prev = theta
         betas.append(b)
         if j + 1 == len(basis):
-            grown = np.empty((len(basis) + _LANCZOS_BLOCK, dim))
-            grown[: j + 1] = basis
-            basis = grown
+            basis = np.concatenate([basis, np.empty((_LANCZOS_BLOCK, dim))])
         basis[j + 1] = w / b
     raise RuntimeError(
         f"Lanczos did not converge in {_LANCZOS_MAX_ITER} iterations "
@@ -271,16 +265,17 @@ def _lanczos_ground(matvec, dim: int, start: float = _LANCZOS_START):
     )
 
 
-def _ground_space(spec: ChainSpec):
-    """(Hamiltonian, energy, ground vector, residual, iterations, gap) of the
-    singlet sector, by Lanczos; for L <= 6 the energy is checked against the
-    minimum of the balanced sector, which is the minimum of the full space.
+def ground_state(spec: ChainSpec) -> SpectrumResult:
+    """The singlet sector's ground level and its six numbers, by Lanczos; for
+    L <= 6 the energy is checked against the minimum of the balanced sector,
+    which is the minimum of the full space.
 
-    ``gap`` is the sector's second level minus the first, ``inf`` for a sector
-    of one state.  One Krylov space holds one vector of a degenerate level, so
-    the second level is the lowest of ``H + 2L x x^T``, from another start
-    vector: ``||H|| <= L`` lifts ``x`` above every level, and a degenerate
-    partner of ``x`` stays at ``e0``.  A gap below ``_DEGENERACY_TOL`` raises.
+    The gap is the sector's second level minus the first, ``inf`` for a
+    sector of one state.  One Krylov space holds one vector of a degenerate
+    level, so the second level is the lowest of ``H + 2L x x^T``, from another
+    start vector: ``||H|| <= L`` lifts ``x`` above every level, and a
+    degenerate partner of ``x`` stays at ``e0``.  A gap below
+    ``_DEGENERACY_TOL`` raises, and so does a ``<P12>`` off ``E0/L``.
     """
     ham = Hamiltonian(spec.L)
     e0, x, residual, iters = _lanczos_ground(ham.matvec, ham.dim)
@@ -299,35 +294,21 @@ def _ground_space(spec: ChainSpec):
             raise RuntimeError(
                 f"singlet sector misses the global minimum: {e0} vs {global_min}"
             )
-    return ham, e0, x, residual, iters, gap
-
-
-def ground_state(spec: ChainSpec) -> SpectrumResult:
-    """Ground-state energy and correlation observables of a finite chain."""
-    ham, e0, x, residual, iters, gap = _ground_space(spec)
     # <I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12> with P12 = s_1 and
     # P23 = s_2 symmetric, so <s_1 s_2 s_1> = (s_1 x).(s_2 s_1 x)
     s1, s2 = ham._swap(x, 0), ham._swap(x, 1)
     v = np.array([x @ x, x @ s1, x @ s2, s1 @ ham._swap(s1, 1), s1 @ s2, s2 @ s1])
-    p12, p12p23 = float(v[1]), float(v[4])
     per_bond = e0 / spec.L
-    if abs(p12 - per_bond) > 1e-12:
+    if abs(v[1] - per_bond) > 1e-12:
         raise RuntimeError(
-            f"translation invariance violated: <P12> = {p12}, E0/L = {per_bond}"
+            f"translation invariance violated: <P12> = {float(v[1])}, E0/L = {per_bond}"
         )
     return SpectrumResult(
-        L=spec.L,
-        method="lanczos",
         ground_energy=e0,
         energy_per_bond=per_bond,
         residual_norm=residual,
         iterations=iters,
         singlet_dimension=ham.dim,
         singlet_gap=gap,
-        observables={
-            "p12": p12,
-            "p12p23": p12p23,
-            "rdm2": from_expectations(v[:2]),
-            "v": v,
-        },
+        v=v,
     )

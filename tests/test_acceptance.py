@@ -82,9 +82,7 @@ def test_criterion_3_table1(ed_results, l9_full_space_energy):
         if L == 9:
             ref_w, w_name = independent_w9, "L=9 omega33 vs full-space solve"
         checks.append((w_name, abs(result.energy_per_bond - ref_w), tol))
-        checks.append(
-            (f"L={L} p12p23", abs(result.observables["p12p23"] - ref_pp), tol)
-        )
+        checks.append((f"L={L} p12p23", abs(result.v[4] - ref_pp), tol))
     checks.append(("L=9 runtime (s, limit 60)", l9_seconds, 60.0))
     failures = [
         f"{name} = {value:.3e}" for name, value, tol in checks if not (value < tol)

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3chain import ed as ed_mod
-from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _random_points, main
+from su3chain.cli import (
+    EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _random_points, _text_lines, main,
+)
 from su3chain.rmatrix import sample_parameters
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
-from test_ed import _raised_singlet_sector
+from test_ed import _raised_singlet_sector, _tilted_first_bond
 
 
 def run(capsys, argv):
@@ -127,6 +129,23 @@ def test_text_format(capsys):
     assert code == EXIT_OK
     assert "[results]" in out
     assert "omega33" in out
+
+
+def test_report_table1_text_spells_out_nested_values(capsys):
+    code, out, _ = run(capsys, ["report-table1"])
+    code2, text, _ = run(capsys, ["report-table1", "--format", "text"])
+    assert code == code2 == EXIT_OK
+    rows = json.loads(out)["results"]["rows"]
+    assert "{" not in text
+    cells = [line.split(" = ", 1) for line in text.splitlines() if line.startswith("rows.")]
+    assert len(cells) == 4 * 7
+    for key, value in cells:
+        _, index, column = key.split(".")
+        assert value == str(rows[int(index)][column])
+    assert "\nthree_site_diagnostics.tail_bound = " in text
+    # list entries by index, past the tenth too; a list of numbers stays inline
+    lines = _text_lines({"rows": [{"a": i} for i in range(11)], "x": [0.5, 1]})
+    assert lines == [f"rows.{i}.a = {i}" for i in range(11)] + ["x = [0.5, 1]"]
 
 
 def test_config_file_preloads_options(tmp_path, capsys):
@@ -250,7 +269,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("su3chain.
     [
         (["ed", "--L", "3"], {"basis", "rmatrix", "threesite", "twosite", "specfun"}),
         (["verify-algebra", "--samples", "2"], {"basis", "threesite", "twosite"}),
-        (["two-site"], {"basis", "rmatrix", "threesite"}),
+        (["two-site"], {"basis", "rmatrix", "threesite", "tensors"}),
     ],
 )
 def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
@@ -490,7 +509,7 @@ def _moved_table1_cell(shift):
         def ground_state(spec):
             result = real_ground_state(spec)
             if spec.L == 9:
-                result.observables["p12p23"] += shift
+                result.v[4] += shift
             return result
 
         monkeypatch.setattr(ed_mod, "ground_state", ground_state)
@@ -542,6 +561,23 @@ def test_ed_singlet_sector_above_the_global_minimum_fails_closed(monkeypatch, ca
     assert code == EXIT_VERIFY
     assert out == ""
     assert "singlet sector misses the global minimum" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "L, name, stand_in, reason",
+    [
+        (9, "Hamiltonian", _tilted_first_bond, "translation invariance violated: "),
+        (12, "_LANCZOS_MAX_ITER", 3, "Lanczos did not converge in 3 iterations "),
+    ],
+    ids=["translation-invariance", "lanczos-not-converged"],
+)
+def test_ed_library_gate_fails_closed(monkeypatch, capsys, L, name, stand_in, reason):
+    monkeypatch.setattr(ed_mod, name, stand_in)
+    code, out, err = run(capsys, ["ed", "--L", str(L)])
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err.startswith(f"error: {reason}")
     assert "Traceback" not in err
 
 

@@ -296,13 +296,12 @@ def test_color_count_conservation():
 
 def test_l3_ground_state(ed_results):
     result = ed_results[3]
-    assert result.method == "lanczos"
     assert result.singlet_dimension == 1
     assert result.singlet_gap == np.inf
     assert abs(result.energy_per_bond + 1) < 1e-13
-    assert abs(result.observables["p12p23"] - 1) < 1e-12
+    assert abs(result.v[4] - 1) < 1e-12
     # the totally antisymmetric singlet: <s> is the sign of s
-    assert result.observables["v"].tolist() == [1, -1, -1, -1, 1, 1]
+    assert result.v.tolist() == [1, -1, -1, -1, 1, 1]
 
 
 def test_l3_singlet_is_antisymmetric():
@@ -322,7 +321,7 @@ def test_l6_dense_matches_reference(ed_results):
     result = ed_results[6]
     ref = ed.REFERENCE_TABLE1[6]
     assert abs(result.energy_per_bond - ref[0]) < 1e-10
-    assert abs(result.observables["p12p23"] - ref[1]) < 1e-10
+    assert abs(result.v[4] - ref[1]) < 1e-10
     # the singlet minimum is the minimum of the dense 729-dim full space
     full = np.linalg.eigvalsh(full_hamiltonian(6))[0]
     assert abs(result.ground_energy - full) < 1e-12
@@ -352,13 +351,38 @@ def test_singlet_sector_above_the_global_minimum_trips_the_gate(monkeypatch):
         ed.ground_state(ed.ChainSpec(6))
 
 
+def _tilted_first_bond(L):
+    """The singlet sector whose ``s_1`` is scaled by 1.01 where the six
+    numbers read it, not in H: ``<P12>`` leaves ``E0/L``."""
+    ham = _HAMILTONIAN(L)
+    return SimpleNamespace(
+        dim=ham.dim,
+        matvec=ham.matvec,
+        _swap=lambda v, j: (1.01 if j == 0 else 1) * ham._swap(v, j),
+    )
+
+
+def test_broken_translation_invariance_trips_the_gate(monkeypatch):
+    monkeypatch.setattr(ed, "Hamiltonian", _tilted_first_bond)
+    with pytest.raises(
+        RuntimeError,
+        match=r"translation invariance violated: <P12> = -0\.73835\d*, E0/L = -0\.73104",
+    ):
+        ed.ground_state(ed.ChainSpec(9))
+
+
+def test_unconverged_lanczos_raises(monkeypatch):
+    monkeypatch.setattr(ed, "_LANCZOS_MAX_ITER", 3)
+    with pytest.raises(RuntimeError, match="Lanczos did not converge in 3 iterations"):
+        ed.ground_state(ed.ChainSpec(12))
+
+
 def test_l9_dense(ed_results, l9_full_space_energy):
     result = ed_results[9]
-    assert result.method == "lanczos"
     assert result.singlet_dimension == 42
     assert result.residual_norm < 1e-10
     # the published p12p23 entry is reproduced far inside tolerance
-    assert abs(result.observables["p12p23"] - ed.REFERENCE_TABLE1[9][1]) < 1e-8
+    assert abs(result.v[4] - ed.REFERENCE_TABLE1[9][1]) < 1e-8
     # the energy is pinned against a full-space solve that shares no code with
     # ed (the published energy per bond is unattainable, see criterion 3)
     assert abs(result.ground_energy - l9_full_space_energy) < 1e-10
@@ -384,7 +408,8 @@ def test_l12_balanced_sector_energy_independent():
 
 @pytest.mark.parametrize("L", [9, 12])
 def test_ground_vector_is_translation_invariant(L):
-    ham, e0, x, *_ = ed._ground_space(ed.ChainSpec(L))
+    ham = ed.Hamiltonian(L)
+    e0, x, *_ = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(x @ x - 1) < 1e-12
     # <s_j> on the L - 1 open bonds, and on the wrap as what matvec adds to them
     bonds = [x @ ham._swap(x, j) for j in range(L - 1)]
@@ -395,9 +420,9 @@ def test_ground_vector_is_translation_invariant(L):
 
 def test_translation_invariance_and_rdm_properties(ed_results):
     for L, result in ed_results.items():
-        assert abs(result.observables["p12"] - result.energy_per_bond) < 1e-12
-        rdm2 = result.observables["rdm2"]
-        rdm3 = from_expectations(result.observables["v"])
+        assert abs(result.v[1] - result.energy_per_bond) < 1e-12
+        rdm2 = from_expectations(result.v[:2])
+        rdm3 = from_expectations(result.v)
         assert abs(np.trace(rdm2) - 1) < 1e-12
         assert abs(np.trace(rdm3) - 1) < 1e-12
         assert np.linalg.eigvalsh((rdm2 + rdm2.T) / 2).min() > -1e-12
@@ -421,7 +446,7 @@ def test_six_expectations_match_the_kron_readout(L):
         moved = digits.copy()
         moved[:, :3] = digits[:, list(p)]
         expected.append(x @ x[np.searchsorted(states, moved @ pw)])
-    v = ed.ground_state(ed.ChainSpec(L)).observables["v"]
+    v = ed.ground_state(ed.ChainSpec(L)).v
     assert np.abs(v - expected).max() <= 1e-12
     # the two 3-cycles, each the other's transpose, agree for a real vector
     assert v[4] == v[5]
@@ -429,7 +454,7 @@ def test_six_expectations_match_the_kron_readout(L):
 
 def test_finite_size_monotonicity(ed_results):
     values_w = [ed_results[L].energy_per_bond for L in (3, 6, 9)]
-    values_pp = [ed_results[L].observables["p12p23"] for L in (3, 6, 9)]
+    values_pp = [ed_results[L].v[4] for L in (3, 6, 9)]
     assert values_w[0] < values_w[1] < values_w[2]
     assert values_pp[0] > values_pp[1] > values_pp[2]
     # approach toward the thermodynamic values from the functional equations
@@ -443,7 +468,7 @@ def test_lanczos_agrees_with_dense_on_l9_block():
     e0, x, residual, iters = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(e0 - evals[0]) < 1e-12
     assert residual < 1e-12
-    gap = ed._ground_space(ed.ChainSpec(9))[-1]
+    gap = ed.ground_state(ed.ChainSpec(9)).singlet_gap
     assert abs(gap - (evals[1] - evals[0])) < 1e-8
 
 
@@ -467,7 +492,7 @@ def test_lanczos_agrees_with_dense_on_l6():
     e0, x, residual, iters = ed._lanczos_ground(ham.matvec, ham.dim)
     assert abs(e0 - evals[0]) < 1e-12
     assert residual < 1e-12
-    gap = ed._ground_space(ed.ChainSpec(6))[-1]
+    gap = ed.ground_state(ed.ChainSpec(6)).singlet_gap
     assert abs(gap - (evals[1] - evals[0])) < 1e-12
 
 
@@ -479,4 +504,4 @@ def test_degenerate_ground_level_trips_the_gate(monkeypatch):
     sector = SimpleNamespace(dim=len(levels), matvec=lambda v: levels * v)
     monkeypatch.setattr(ed, "Hamiltonian", lambda L: sector)
     with pytest.raises(RuntimeError, match="degenerate singlet ground level"):
-        ed._ground_space(ed.ChainSpec(9))
+        ed.ground_state(ed.ChainSpec(9))
