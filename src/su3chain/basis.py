@@ -40,7 +40,7 @@ from functools import cache
 
 import numpy as np
 
-from .tensors import exact_inverse, levi_civita, pie, site_permutations
+from .tensors import exact_inverse, from_expectations, levi_civita, pie
 
 N = 3
 
@@ -392,37 +392,26 @@ def a3_printed_zero_pattern() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: the coefficient of each site permutation (rows: I, P12 and I, P12, P23,
-#: P13, P12 P23, P23 P12) in the image of each singlet amplitude (columns)
-_TO_PERMUTATIONS = {
-    2: np.array([[2, 0, 1], [0, 2, -1]]),
-    3: np.array([
-        [2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0],
-        [0, 2, 0, 0, 0, 0, -1, 0, 0, 0, 0],
-        [0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 1],
-        [0, 0, 0, 2, 0, 0, 0, 1, -1, 0, 0],
-        [0, 0, 0, 0, 2, 0, 0, -1, 0, -1, 0],
-        [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, -1],
-    ]),
-}
+#: the Gram rows that are the site-permutation expectations (I, P12 and I,
+#: P12, P23, P13, P12 P23, P23 P12) of the singlet amplitudes' images
+_EXPECTATION_ROWS = {2: [0, 1], 3: [0, 1, 2, 3, 5, 4]}
 
 
 def reduce_to_physical(m: int, rho) -> np.ndarray:
-    """Physical density operator on (C^3)^m from the singlet coefficients:
-    ``sum_s (_TO_PERMUTATIONS[m] @ rho)_s s`` over the site permutations ``s``.
+    """Physical density operator on (C^3)^m from the singlet coefficients
+    ``rho``: the invariant operator whose expectations ``tr(D s)`` are
+    ``GRAM_m[_EXPECTATION_ROWS[m]] @ rho``.
 
-    The coefficients are obtained by contracting the wing legs with the
-    Levi-Civita tensor (the same partial anti-symmetrization that defines the
-    m = 2 map): site 1 is formed from the three wing legs via
-    ``D[(a, r...), (b, s...)] = eps(b, c, d) v[c, d, a, r..., s...]``, under
-    which every basis element lands in the span of the six site-permutation
-    operators.  With these signs the trace functional ``tr(B_j)`` coincides
-    with row 1 of the Gram matrix, so ``tr D_m = f_1`` identically.
+    Element ``j`` reaches physical space by closing its wing legs with the
+    Levi-Civita tensor, ``D[(a, r...), (b, s...)] = eps(b, c, d) v[c, d, a,
+    r..., s...]``, and the expectations of that image are exactly column
+    ``j`` of those Gram rows.  Row 0 is the normalization row, so
+    ``tr D_m = (GRAM_m @ rho)[0] = f_1`` identically.
     """
-    if m not in _TO_PERMUTATIONS:
+    if m not in _EXPECTATION_ROWS:
         raise ValueError(f"m must be 2 or 3, got {m}")
     rho = np.asarray(rho, dtype=complex)
-    table = _TO_PERMUTATIONS[m]
-    if rho.shape != (table.shape[1],):
-        raise ValueError(f"m = {m} requires {table.shape[1]} coefficients")
-    return np.tensordot(table @ rho, site_permutations(m), 1)
+    rows = _GRAM[m][_EXPECTATION_ROWS[m]]
+    if rho.shape != (rows.shape[1],):
+        raise ValueError(f"m = {m} requires {rows.shape[1]} coefficients")
+    return from_expectations(rows @ rho)

@@ -176,7 +176,7 @@ def digamma_trigamma_array(z) -> tuple[np.ndarray, np.ndarray]:
 def hurwitz_zeta_array(s: int, a) -> np.ndarray:
     """Hurwitz zeta ``sum_k (k + a)^(-s)`` for integer ``s >= 2``, as
     ``(-1)^s psi^(s-1)(a) / (s-1)!`` (DLMF 25.11.12)."""
-    if int(s) != s or s < 2:
+    if not math.isfinite(s) or int(s) != s or s < 2:
         raise ValueError(f"hurwitz_zeta requires integer s >= 2, got {s}")
     n = int(s) - 1
     return _polygamma(a, (n,), reflect=False)[0] / ((-1) ** (n + 1) * math.factorial(n))

@@ -72,6 +72,8 @@ the density operator below.
 Physical outputs:  ``<P12 P23> = c2 / 2`` where ``c2`` is the ``lam^2``
 Taylor coefficient of ``G1`` at 0, and the boundary values ``F1 = 4 c2``,
 ``F2 = 4 G1(1)``, ``F3 = G1(2)`` feed the three-site density operator.
+``G1(1)`` is a removable point, so ``F2`` is four times the mean of ``G1``
+over the Laurent circle around 1, sampled in the same call as ``G1(2)``.
 
 An independent construction of the same solution is the convolution
 transform ``solve_g``: the decoupled components ``g_l`` are obtained by
@@ -126,6 +128,7 @@ from .specfun import (
     hurwitz_zeta_array,
     real_pi,
 )
+from .tensors import from_expectations
 from .twosite import (
     OMEGA33_HOMOGENEOUS,
     digamma_parts,
@@ -477,10 +480,10 @@ class G1Solver:
         x = self.periodic_coefficients
         return complex(self._k_coef[0, i] + self._b_coef[:, 0, i] @ x)
 
-    def _comb(self, z, start: int):
-        """``sum_{j>=start} phi_c(z + 3j)`` and ``tau(z)`` at long-double ``z``.
+    def _comb(self, z):
+        """``sum_{j>=0} phi_c(z + 3j)`` and ``tau(z)`` at long-double ``z``.
 
-        The terms ``j = start..J`` are one broadcast in long double; the tail
+        The terms ``j = 0..J`` are one broadcast in long double; the tail
         beyond ``J`` is added in complex128.  The terms' ``psi`` and ``psi'``
         come from one kernel call at the far ends ``base + J + 1`` of the
         ladders ``base + j``, ``base`` being ``z/3``, ``(z - 1)/3`` and
@@ -491,7 +494,7 @@ class G1Solver:
         """
         terms = self._terms
         t, tp = _tau_and_slope(z)
-        j = np.arange(start, terms + 1)
+        j = np.arange(terms + 1)
         base = np.stack((z / 3, (z - 1) / 3, (z + 4) / 3))
         psi_end, psi1_end = digamma_trigamma_array(base + (terms + 1))
         # down the ladders: psi(x) = psi(x + 1) - 1/x, psi'(x) = psi'(x + 1) + 1/x^2
@@ -510,7 +513,7 @@ class G1Solver:
         - (z/3) tau(z)``, formed in long double and rounded to complex128 once.
         """
         z = _complex(z).astype(np.clongdouble)
-        comb, t = self._comb(z, 0)
+        comb, t = self._comb(z)
         return (comb - z / 3 * t).astype(complex)
 
     def value(self, z):
@@ -518,10 +521,6 @@ class G1Solver:
         basis = _cot_basis(_complex(z))
         periodic = sum(c * b for c, b in zip(self.periodic_coefficients, basis))
         return _like(z, self.k_function(z) + periodic)
-
-    def circle_average(self, center: complex) -> complex:
-        """Value at a removable point as the mean over the Laurent circle around it."""
-        return complex(self.value(center + self._circle).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +544,8 @@ def three_site_correlator() -> ThreeSiteSolution:
     """
     solver = G1Solver()
     c2 = solver.taylor_coefficient(2)
+    # G1(1) is a removable point: F2 is the mean over the circle around it
+    g = solver.value(np.append(1 + solver._circle, 2.0))
     diag = {
         "comb_terms": solver._terms,
         "lstsq_residuals": [solver.consistency_residual],
@@ -554,8 +555,8 @@ def three_site_correlator() -> ThreeSiteSolution:
     return ThreeSiteSolution(
         p12p23=float(c2.real) / 2,
         f1=float((4 * c2).real),
-        f2=float((4 * solver.circle_average(1.0)).real),
-        f3=float(solver.value(2.0).real),
+        f2=float((4 * g[:-1].mean()).real),
+        f3=float(g[-1].real),
         diagnostics=diag,
     )
 
@@ -567,12 +568,11 @@ def three_site_correlator() -> ThreeSiteSolution:
 def density_matrix_two_site(lam: complex = 0.0) -> np.ndarray:
     """Two-site reduced density operator D2(lam, 0) as a 9 x 9 matrix.
 
-    Built from the two-site singlet amplitudes
-    ``(1, omega33(lam), omega_bar33(lam - 1))``.
+    Its expectations ``tr(D2 s)`` over ``I`` and ``P12`` are the first two
+    singlet amplitudes, ``(1, omega33(lam))``; the reduction of the singlet
+    amplitudes gives the third, ``omega_bar33(lam - 1)``, weight zero.
     """
-    f = np.array([1.0, omega33(lam), omega_bar33(lam - 1)], dtype=complex)
-    rho = gram_inverse(2) @ f
-    d2 = reduce_to_physical(2, rho)
+    d2 = from_expectations([1, omega33(lam)])
     return d2.real if abs(complex(lam).imag) < 1e-14 else d2
 
 

@@ -11,6 +11,7 @@ from su3chain.basis import (
     GRAM_3,
     SingularParameterError,
     _BASIS_SPEC,
+    _EXPECTATION_ROWS,
     _chain_polynomial,
     a2_closed_form,
     a3_closed_form,
@@ -20,7 +21,7 @@ from su3chain.basis import (
     gram_inverse,
     reduce_to_physical,
 )
-from su3chain.tensors import levi_civita
+from su3chain.tensors import expectations, levi_civita
 
 EPS = levi_civita(3)
 
@@ -195,10 +196,13 @@ def test_reduction_matches_wing_contraction():
     Site 1 of the reduced operator is produced by contracting the two wing
     legs of each basis element against the Levi-Civita tensor:
     D[(a, r...), (b, s...)] = eps(b, c, d) v[c, d, a, r..., s...].  This
-    pins every coefficient of reduce_to_physical independently.
+    pins every coefficient of reduce_to_physical independently, and the
+    image's expectations are exactly the element's column of the Gram rows
+    that reduce_to_physical reads.
     """
     for j, element in enumerate(build_basis(2)):
         wing = np.einsum("bcd,cdars->arbs", EPS, element).reshape(9, 9)
+        assert np.array_equal(expectations(wing), GRAM_2[_EXPECTATION_ROWS[2], j])
         unit = np.zeros(3)
         unit[j] = 1
         assert np.abs(wing - reduce_to_physical(2, unit)).max() < 1e-13
@@ -206,6 +210,7 @@ def test_reduction_matches_wing_contraction():
         wing = np.einsum(
             "bcd,cdarxsy->arxbsy", EPS, element
         ).reshape(27, 27)
+        assert np.array_equal(expectations(wing), GRAM_3[_EXPECTATION_ROWS[3], j])
         unit = np.zeros(11)
         unit[j] = 1
         assert np.abs(wing - reduce_to_physical(3, unit)).max() < 1e-13

@@ -236,3 +236,6 @@ def test_hurwitz_zeta_rejects_bad_s():
         hurwitz_zeta_array(1, 2.0)
     with pytest.raises(ValueError):
         hurwitz_zeta_array(2.5, 2.0)
+    for s in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"integer s >= 2, got {s}"):
+            hurwitz_zeta_array(s, 2.0)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su3chain.basis import GRAM_3, a3_closed_form, gram_inverse
+from su3chain.basis import GRAM_3, a3_closed_form, build_basis, gram_inverse
 from su3chain import threesite, twosite
 from su3chain.specfun import digamma_trigamma_array
+from su3chain.tensors import levi_civita
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
     G1Solver,
@@ -330,8 +331,7 @@ def test_g1_normalization(g1_solver):
     # double zero at 0 and regularity at -2 (each measured at most 2.2e-15)
     for k in (-2, -1, 0, 1):
         assert abs(g1_solver.taylor_coefficient(k)) < 1e-13
-    circle = g1_solver.circle_average(-2.0)
-    assert np.isfinite(circle)
+    assert np.all(np.isfinite(g1_solver.value(-2 + g1_solver._circle)))
     assert g1_solver.consistency_residual < 1e-13
 
 
@@ -363,7 +363,7 @@ NSUM_COMB = {
 def _one_sided_comb(solver, z):
     """``sum_{j>=1} phi_c(z + 3j)`` through the solver's long-double comb."""
     z = np.atleast_1d(z).astype(np.clongdouble)
-    return solver._comb(z, 1)[0].astype(complex)
+    return (solver._comb(z)[0] - phi_c(z)).astype(complex)
 
 
 @pytest.mark.parametrize("z", NSUM_COMB)
@@ -429,7 +429,7 @@ LADDER_ORIGINS = {
 }
 
 
-def _ladder_and_kernel(monkeypatch, solver, z, start):
+def _ladder_and_kernel(monkeypatch, solver, z):
     """psi and psi' that ``_comb`` passes to ``phi_c``, and the kernel's values
     at the same head arguments, all in long double."""
     seen = {}
@@ -439,27 +439,24 @@ def _ladder_and_kernel(monkeypatch, solver, z, start):
         return phi_c(lam, **keywords)
 
     monkeypatch.setattr(threesite, "phi_c", spy)
-    solver._comb(z.astype(np.clongdouble), start)
+    solver._comb(z.astype(np.clongdouble))
     l = seen["lam"]
     kernel = digamma_trigamma_array(np.stack((l / 3, (l - 1) / 3, (l + 4) / 3)))
     return seen["polygamma"], kernel
 
 
-@pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize("origin", sorted(LADDER_ORIGINS))
-def test_comb_ladder_matches_kernel(monkeypatch, g1_solver, origin, start):
+def test_comb_ladder_matches_kernel(monkeypatch, g1_solver, origin):
     """The downward recurrence from the far ends gives the kernel's psi, psi'.
 
     Measured at 8e-17 relative, all of it the kernel's own truncation of the
     asymptotic series at |z| = 10 (the ladder is within 3e-18 of mpmath, see
     below).  The bound assumes the x86-64 80-bit extended long double.
     """
-    ladder, kernel = _ladder_and_kernel(
-        monkeypatch, g1_solver, LADDER_ORIGINS[origin], start
-    )
+    ladder, kernel = _ladder_and_kernel(monkeypatch, g1_solver, LADDER_ORIGINS[origin])
     for ours, ref in zip(ladder, kernel):
         assert ours.dtype == np.clongdouble
-        assert ours.shape == (3, len(LADDER_ORIGINS[origin]), 13 - start)
+        assert ours.shape == (3, len(LADDER_ORIGINS[origin]), 13)
         assert np.all(np.abs(ours - ref) <= 2e-16 * np.abs(ref))
 
 
@@ -473,7 +470,7 @@ def test_comb_ladder_against_mpmath(monkeypatch, g1_solver):
         return mp.mpc(*(mp.mpf(n) / d for n, d in ratios))
 
     z = LADDER_ORIGINS["circle-2"][::32].astype(np.clongdouble)
-    (psi, psi1), _ = _ladder_and_kernel(monkeypatch, g1_solver, z, 0)
+    (psi, psi1), _ = _ladder_and_kernel(monkeypatch, g1_solver, z)
     base = np.stack((z / 3, (z - 1) / 3, (z + 4) / 3))
     with mp.workdps(30):
         for idx in np.ndindex(psi.shape):
@@ -491,14 +488,13 @@ def test_phi_c_with_kernel_polygamma_is_phi_c(dtype):
     assert np.array_equal(phi_c(lam, polygamma=polygamma), phi_c(lam))
 
 
-@pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize("center", threesite._CENTERS)
-def test_float64_comb_matches_long_double(g1_solver, center, start):
+def test_float64_comb_matches_long_double(g1_solver, center):
     # the path of a platform whose long double is float64; measured 2.9e-15
     # to 1.6e-14 of the circle's largest value (1.3e-13 absolute around -2)
     z = _laurent_circle(center)
-    wide = g1_solver._comb(z.astype(np.clongdouble), start)[0].astype(complex)
-    narrow = g1_solver._comb(z, start)[0]
+    wide = g1_solver._comb(z.astype(np.clongdouble))[0].astype(complex)
+    narrow = g1_solver._comb(z)[0]
     assert narrow.dtype == complex
     assert np.abs(narrow - wide).max() <= 1e-13 * np.abs(wide).max()
 
@@ -577,10 +573,17 @@ def test_two_site_density_matrix_reproduces_omega_at_complex_argument():
     for a in range(3):
         for b in range(3):
             p[3 * b + a, 3 * a + b] = 1
-    for lam in (0.6 + 0.4j, -1.4 + 0.9j):
+    for lam in (0.0, 0.6 + 0.4j, -1.4 + 0.9j):
         d2 = density_matrix_two_site(lam)
         assert abs(np.trace(d2) - 1) < 1e-12
         assert abs(np.trace(d2 @ p) - complex(twosite.omega33(lam))) < 1e-11
+        # D2 is the wing-contraction image of all three singlet amplitudes,
+        # in which omega_bar33 has weight zero (measured at most 1.4e-17)
+        f = [1, twosite.omega33(lam), twosite.omega_bar33(lam - 1)]
+        wing = np.einsum(
+            "j,bcd,jcdars->arbs", gram_inverse(2) @ f, levi_civita(3), build_basis(2)
+        ).reshape(9, 9)
+        assert np.abs(d2 - wing).max() < 1e-14
 
 
 # The eleven printed equations for the singlet amplitudes f in two spectral
