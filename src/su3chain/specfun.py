@@ -3,11 +3,14 @@
 One kernel gives ``psi^(n)`` of any order ``n >= 0``, every order asked for
 from the same argument, shifted upwards (DLMF 5.15.5) until the asymptotic
 expansion of DLMF 5.11.2 and 5.15.8 applies: at ``|z| >= 10`` for orders
-0-2 and ``|z| >= 16`` above, right of ``Re z = 1/2``.  Digamma and its first
-two derivatives reflect arguments left of 1/2 to ``1 - z`` (DLMF 5.15.6),
-so that accuracy is uniform near the negative real axis.  Hurwitz zeta of
-integer order ``s >= 2`` is the kernel's order ``s - 1``,
-``(-1)^s psi^(s-1)(a) / (s-1)!`` (DLMF 25.11.12), summed from ``a`` itself.
+0-2 and ``|z| >= 16`` above, right of ``Re z = 1/2``.  Each order keeps its
+own radius, so its value does not depend on which other orders are asked
+for in the same call.  Digamma and its first two derivatives reflect
+arguments left of 1/2 to ``1 - z`` (DLMF 5.15.6), so that accuracy is
+uniform near the negative real axis.  Hurwitz zeta of integer order
+``s >= 2`` is the kernel's order ``s - 1``, ``(-1)^s psi^(s-1)(a) / (s-1)!``
+(DLMF 25.11.12), summed from ``a`` itself; a tuple of orders takes one
+kernel pass.
 The arithmetic follows the input's precision: ``np.clongdouble`` (or
 ``np.longdouble``) arguments are evaluated in long double, anything else in
 complex128.
@@ -95,10 +98,13 @@ def _times(c: int, x):
 def _polygamma(z, orders: tuple[int, ...], *, reflect: bool = True) -> list[np.ndarray]:
     """``psi^(n)(z)`` for each order ``n >= 0`` in ``orders``.
 
-    The orders share the reflection mask, the upward shift loop, ``1/z`` and
-    the reflection's ``cot(pi z)``; each order takes one Horner pass in
-    ``1/z^2``.  An order not asked for adds nothing to the shift loop or the
-    Horner passes.  The reflection is written in powers of ``cot``, which
+    Each order keeps its own radius: orders 0-2 share one upward shift loop
+    to ``|z| >= 10``, higher orders another to ``|z| >= 16``, so ``psi^(n)``
+    is bit for bit the same whichever other orders are asked for with it.
+    The orders of one radius share the shift loop and ``1/z``, all of them
+    the reflection mask and ``cot(pi z)``; each order takes one Horner pass
+    in ``1/z^2``.  An order not asked for adds nothing to the shift loops or
+    the Horner passes.  The reflection is written in powers of ``cot``, which
     tends to ``-+i`` where ``sin(pi z)`` overflows (``|Im z| > ~113``), and
     is stated for orders 0-2 only.  Hurwitz zeta passes ``reflect=False``
     and sums from ``z`` itself: ``zeta(3, -3.3 + 0.7i)`` through the
@@ -107,38 +113,44 @@ def _polygamma(z, orders: tuple[int, ...], *, reflect: bool = True) -> list[np.n
     z = _complex(z)
     pi = real_pi(z.real.dtype)
     left = reflect & (z.real < 0.5)
-    # the asymptotic coefficients grow with the order
-    radius = _ASYMPTOTIC_RADIUS if max(orders) <= 2 else _HIGH_ORDER_RADIUS
-    zr = np.where(left, 1 - z, z)
-    psi = {n: np.zeros_like(zr) for n in orders}
+    psi = {n: np.zeros_like(z) for n in orders}
     # psi^(n)(z) = psi^(n)(z + 1) + (-1)^(n+1) n! / z^(n+1); signed[n] adds
     # with that sign, here and for the asymptotic series below
     signed = {n: np.add if n % 2 else np.subtract for n in orders}
-    while True:
-        small = np.abs(zr) < radius
-        if not reflect:  # a reflected argument already lies right of 1/2
-            small |= zr.real < 0.5
-        if not small.any():
-            break
-        inv = 1 / zr[small]
-        for n, acc in psi.items():
-            term = _times(math.factorial(n), _power(inv, n + 1))
-            acc[small] = signed[n](acc[small], term)
-        zr[small] += 1
-    inv = 1 / zr
-    inv2 = inv * inv
-    for n, acc in psi.items():
-        coeffs = _psi_horner(zr.real.dtype, n)
-        horner = np.full_like(zr, coeffs[0])
-        for c in coeffs[1:]:
-            horner = horner * inv2 + c
-        if n == 0:
-            acc += np.log(zr) - inv / 2 - inv2 * horner
+    # the asymptotic coefficients grow with the order
+    for radius, group in (
+        (_ASYMPTOTIC_RADIUS, [n for n in psi if n <= 2]),
+        (_HIGH_ORDER_RADIUS, [n for n in psi if n > 2]),
+    ):
+        if not group:
             continue
-        lead = _power(inv, n)
-        series = (_times(math.factorial(n - 1), lead) + lead * inv * (math.factorial(n) / 2)
-                  + lead * inv2 * horner)
-        signed[n](acc, series, out=acc)
+        zr = np.where(left, 1 - z, z)
+        while True:
+            small = np.abs(zr) < radius
+            if not reflect:  # a reflected argument already lies right of 1/2
+                small |= zr.real < 0.5
+            if not small.any():
+                break
+            inv = 1 / zr[small]
+            for n in group:
+                term = _times(math.factorial(n), _power(inv, n + 1))
+                psi[n][small] = signed[n](psi[n][small], term)
+            zr[small] += 1
+        inv = 1 / zr
+        inv2 = inv * inv
+        for n in group:
+            acc = psi[n]
+            coeffs = _psi_horner(zr.real.dtype, n)
+            horner = np.full_like(zr, coeffs[0])
+            for c in coeffs[1:]:
+                horner = horner * inv2 + c
+            if n == 0:
+                acc += np.log(zr) - inv / 2 - inv2 * horner
+                continue
+            lead = _power(inv, n)
+            series = (_times(math.factorial(n - 1), lead) + lead * inv * (math.factorial(n) / 2)
+                      + lead * inv2 * horner)
+            signed[n](acc, series, out=acc)
     # psi(z) = psi(1 - z) - pi cot(pi z), psi'(z) = -psi'(1 - z) + pi^2 (1 + cot^2)
     # and psi''(z) = psi''(1 - z) - 2 pi^3 cot (1 + cot^2)
     cot = 1 / np.tan(pi * z[left])
@@ -173,10 +185,18 @@ def digamma_trigamma_array(z) -> tuple[np.ndarray, np.ndarray]:
     return psi, psi1
 
 
-def hurwitz_zeta_array(s: int, a) -> np.ndarray:
+def hurwitz_zeta_array(s, a) -> np.ndarray:
     """Hurwitz zeta ``sum_k (k + a)^(-s)`` for integer ``s >= 2``, as
-    ``(-1)^s psi^(s-1)(a) / (s-1)!`` (DLMF 25.11.12)."""
-    if not math.isfinite(s) or int(s) != s or s < 2:
+    ``(-1)^s psi^(s-1)(a) / (s-1)!`` (DLMF 25.11.12).
+
+    ``s`` may be a tuple of orders, evaluated in one kernel pass and
+    returned stacked along a new first axis; each equals its single-order
+    value bit for bit.
+    """
+    orders = s if isinstance(s, tuple) else (s,)
+    if not orders or not all(math.isfinite(v) and int(v) == v and v >= 2 for v in orders):
         raise ValueError(f"hurwitz_zeta requires integer s >= 2, got {s}")
-    n = int(s) - 1
-    return _polygamma(a, (n,), reflect=False)[0] / ((-1) ** (n + 1) * math.factorial(n))
+    ns = tuple(int(v) - 1 for v in orders)
+    values = _polygamma(a, ns, reflect=False)
+    zeta = np.stack([v / ((-1) ** (n + 1) * math.factorial(n)) for n, v in zip(ns, values)])
+    return zeta if isinstance(s, tuple) else zeta[0]

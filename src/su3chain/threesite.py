@@ -41,8 +41,11 @@ samples, so the kernel neither shifts nor reflects there), and the recurrence
 ``tau'`` are 3-periodic, so the comb computes them once per point, not once
 per term.
 
-The comb is a head of ``J = _COMB_TERMS`` terms, evaluated in one broadcast,
-plus its tail beyond ``J`` in closed form.  Write
+The comb is a head of ``J = _COMB_TERMS`` terms plus its tail beyond ``J``
+in closed form, evaluated in blocks of ``_COMB_BLOCK`` points, so its
+working set does not grow with the number of points (the tracemalloc peak
+of ``three_site_correlator()`` is about 1 MiB, and of ``G1Solver.value`` on
+4000 points 1.4 MiB).  Write
 ``phi_c = A + tau B + tau' C`` with the rational ``B(l) = l/(3(l^2-1)^2)``
 and ``C(l) = 1/(6(l^2-1))``; ``A`` is ``phi_c`` with ``tau = tau' = 0``, a
 pure power series ``sum_k a_k l^-k``, which is ``_PHI_SERIES`` (``tau`` and
@@ -53,8 +56,9 @@ pure power series ``sum_k a_k l^-k``, which is ``_PHI_SERIES`` (``tau`` and
     sum_{j>J} C(z+3j) = [psi(x + 1/3) - psi(x - 1/3)] / 36,
     sum_{j>J} A(z+3j) = sum_k a_k 3^-k zeta(k, x)        (DLMF 25.11),
 
-the last truncated at ``k = 16``; its last term, largest over the sample
-points, is reported as ``tail_bound`` (3e-17 at ``J = 12``).
+the last truncated at ``k = 16`` and its fifteen zetas taken from one
+kernel pass; its last term, largest over the sample points, is reported as
+``tail_bound`` (3e-17 at ``J = 12``).
 ``J``, the Laurent circles, the step and offset of the convolution
 transform below and the Cauchy circle of the density solve are module
 constants; the tests that prove the tail converged patch ``_COMB_TERMS``.
@@ -403,6 +407,10 @@ def solve_g_recursion_residual(l: int, lam: complex) -> float:
 
 #: head length J of the comb; the tail beyond it is summed in closed form
 _COMB_TERMS = 12
+#: points per comb call: the head's temporaries hold 3 x 13 long-double values
+#: per point each.  three-site's peak RSS is the same at blocks of 32, 64 and
+#: 128 points and 1.1 MB higher at 256 or with no blocks
+_COMB_BLOCK = 128
 #: Laurent orders kept on the circles around the fit centers
 _KS = np.arange(-4, 7)
 _CENTERS = (0.0, -2.0)
@@ -421,21 +429,25 @@ def _cot_basis(z):
     return np.stack((np.ones_like(z), ca, cb, ca**2, cb**2))
 
 
-def _series_term(k: int, x):
-    """``a_k 3^-k zeta(k, x)``: with ``x = z/3 + J + 1``, term k of the
-    series of ``sum_{j>J} A(z + 3j)``."""
-    return _PHI_SERIES[k] / 3.0**k * hurwitz_zeta_array(k, x)
+def _series_terms(ks: tuple[int, ...], x) -> list:
+    """``a_k 3^-k zeta(k, x)`` for each ``k`` in ``ks``, from one Hurwitz zeta
+    pass: with ``x = z/3 + J + 1``, terms k of the series of
+    ``sum_{j>J} A(z + 3j)``."""
+    zeta = hurwitz_zeta_array(ks, x)
+    return [_PHI_SERIES[k] / 3.0**k * v for k, v in zip(ks, zeta)]
 
 
 def _comb_tail(z, t, tp, terms: int):
     """``sum_{j > terms} phi_c(z + 3j)`` in complex128, from the closed forms.
 
     ``t`` and ``tp`` are ``tau(z)`` and ``tau'(z)``; see the module docstring.
+    Two kernel passes serve it: ``psi`` and ``psi'`` at ``x -+ 1/3``, and
+    the zetas of orders 2-16 at ``x``.
     """
     z, t, tp = (np.asarray(v, dtype=complex) for v in (z, t, tp))
     x = z / 3 + (terms + 1)
     psi, psi1 = digamma_trigamma_array(np.stack((x - 1 / 3, x + 1 / 3)))
-    series = sum(_series_term(k, x) for k in range(2, len(_PHI_SERIES)))
+    series = sum(_series_terms(tuple(range(2, len(_PHI_SERIES))), x))
     return series + t * (psi1[0] - psi1[1]) / 108 + tp * (psi[1] - psi[0]) / 36
 
 
@@ -470,7 +482,7 @@ class G1Solver:
         self.consistency_residual = float(np.abs(mat @ x - rhs).max())
         tail_x = z / 3 + (self._terms + 1)
         last = len(_PHI_SERIES) - 1
-        self.tail_bound = float(np.abs(_series_term(last, tail_x)).max())
+        self.tail_bound = float(np.abs(_series_terms((last,), tail_x)[0]).max())
 
     def taylor_coefficient(self, k: int) -> complex:
         """Laurent/Taylor coefficient of G1 around 0 (k in -4..6)."""
@@ -497,10 +509,15 @@ class G1Solver:
         j = np.arange(terms + 1)
         base = np.stack((z / 3, (z - 1) / 3, (z + 4) / 3))
         psi_end, psi1_end = digamma_trigamma_array(base + (terms + 1))
-        # down the ladders: psi(x) = psi(x + 1) - 1/x, psi'(x) = psi'(x + 1) + 1/x^2
+        # down the ladders: psi(x) = psi(x + 1) - 1/x, psi'(x) = psi'(x + 1) + 1/x^2;
+        # built in place, and inv dropped before phi_c, to keep the block's
+        # working set to the arrays phi_c needs
         inv = 1 / (base[..., None] + j[::-1])
-        psi = psi_end[..., None] - np.cumsum(inv, axis=-1)[..., ::-1]
-        psi1 = psi1_end[..., None] + np.cumsum(inv * inv, axis=-1)[..., ::-1]
+        psi = np.cumsum(inv, axis=-1)[..., ::-1]
+        np.subtract(psi_end[..., None], psi, out=psi)
+        psi1 = np.cumsum(np.multiply(inv, inv, out=inv), axis=-1)[..., ::-1]
+        del inv
+        np.add(psi1_end[..., None], psi1, out=psi1)
         head = phi_c(
             z[..., None] + 3 * j,
             periodic=(t[..., None], tp[..., None]),
@@ -511,10 +528,18 @@ class G1Solver:
     def k_function(self, z):
         """Particular solution of the step-3 recursion, ``sum_{j>=0} phi_c(z + 3j)
         - (z/3) tau(z)``, formed in long double and rounded to complex128 once.
+
+        The comb runs on ``_COMB_BLOCK`` points at a time; every step is
+        elementwise across points, so the values do not depend on the block.
         """
         z = _complex(z).astype(np.clongdouble)
-        comb, t = self._comb(z)
-        return (comb - z / 3 * t).astype(complex)
+        flat = z.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        for start in range(0, flat.size, _COMB_BLOCK):
+            block = flat[start : start + _COMB_BLOCK]
+            comb, t = self._comb(block)
+            out[start : start + _COMB_BLOCK] = comb - block / 3 * t
+        return out.reshape(z.shape)
 
     def value(self, z):
         """G1 at arbitrary points (vectorized)."""

@@ -1,11 +1,14 @@
 """Special functions against mpmath and their defining recurrences."""
 
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3chain.specfun import (
+    _polygamma,
     digamma_array,
     digamma_trigamma_array,
     hurwitz_zeta_array,
@@ -196,6 +199,33 @@ def test_hurwitz_zeta_relative_on_comb_tail(s):
     assert np.all(np.abs(ours - ref) <= 2e-13 * np.abs(ref))
 
 
+#: arguments near the origin, on both sides of Re z = 1/2, where the kernel
+#: shifts (and with ``reflect`` reflects) before its asymptotic series
+NEAR_ORIGIN_ARGUMENTS = [0.3 + 0.2j, -2.7 + 0.01j, -0.5 + 3j, 0.49, 0.51, 1.5 - 0.4j, 7 + 6j]
+
+
+@pytest.mark.parametrize("reflect", [True, False])
+@pytest.mark.parametrize(
+    "orders", [(0, 3), (1, 2, 15), tuple(range(1, 16))], ids=["0-3", "1-2-15", "1-to-15"]
+)
+def test_polygamma_orders_do_not_interact(orders, reflect):
+    # orders 0-2 and the higher ones each keep their own radius, so an order
+    # asked for together with others is its single-order value bit for bit
+    z = np.array(COMB_TAIL_ARGUMENTS + NEAR_ORIGIN_ARGUMENTS)
+    together = _polygamma(z, orders, reflect=reflect)
+    for n, value in zip(orders, together):
+        assert np.array_equal(value, _polygamma(z, (n,), reflect=reflect)[0]), n
+
+
+def test_hurwitz_zeta_orders_in_one_pass():
+    a = np.array(COMB_TAIL_ARGUMENTS + NEAR_ORIGIN_ARGUMENTS)
+    orders = tuple(range(2, 17))
+    zeta = hurwitz_zeta_array(orders, a)
+    assert zeta.shape == (len(orders), len(a))
+    for k, s in enumerate(orders):
+        assert np.array_equal(zeta[k], hurwitz_zeta_array(s, a))
+
+
 @pytest.mark.parametrize("s", [3, 7, 11])
 @pytest.mark.parametrize("a", [0.25 + 0.5j, -3.3 + 0.7j])
 def test_hurwitz_zeta_left_of_one_half(s, a):
@@ -238,4 +268,7 @@ def test_hurwitz_zeta_rejects_bad_s():
         hurwitz_zeta_array(2.5, 2.0)
     for s in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match=f"integer s >= 2, got {s}"):
+            hurwitz_zeta_array(s, 2.0)
+    for s in ((2, 1), (3, 2.5), (2, float("nan")), ()):
+        with pytest.raises(ValueError, match=re.escape(f"integer s >= 2, got {s}")):
             hurwitz_zeta_array(s, 2.0)
