@@ -25,15 +25,18 @@ invocations and seeds) with the top-level layout
 supports ``--format csv``.  A plain ``key = value`` config file can preload
 any option; explicit flags win, options of other subcommands are ignored,
 and a key that no subcommand has, or two lines that set one option, is a
-usage error naming the key.  The merged options are checked before any work:
-``--samples`` and ``--points`` lie in 1..100000 and ``--seed`` is
-non-negative; a violation is a usage error naming the option.  No option sets
-a numerical parameter: ``three-site`` and ``report-table1`` run the
-library's defaults.
+usage error naming the key.  Each option's parser checks its value, from a
+flag or the config file alike, before any work: ``--samples`` and
+``--points`` lie in 1..100000, ``--seed`` is non-negative, ``--lambda``
+finite, ``--L`` a length ``ed.ChainSpec`` accepts, and ``--format`` one its
+subcommand writes.  A violation is a usage error naming the option, worded
+the same for both sources.  No option sets a numerical parameter:
+``three-site`` and ``report-table1`` run the library's defaults.
 
 Each handler returns ``(inputs, results, diagnostics, checks)``, a check
-being ``(passed, reason)`` written so that NaN fails (``value <= tol``), and
-raises ``_UsageError`` for an input it finds outside its domain.  ``main``
+being ``(passed, reason)`` written so that NaN fails (``value <= tol``).
+``two-site`` raises ``_UsageError`` for a ``--lambda`` whose check point
+lies on a pole, which only its computation finds.  ``main``
 alone turns that into output and an exit code: it names the first failed
 check on stderr as ``verification failed: <reason>`` before it emits the
 payload, and exits 1, NaN included (strict JSON then refuses the payload, so
@@ -99,7 +102,7 @@ def _emit(payload: dict, fmt: str) -> None:
                 value = payload[section]
                 for line in _text_lines(value) if isinstance(value, dict) else [value]:
                     print(line)
-        else:  # csv, which _check_options allows for report-table1 only
+        else:  # csv, which only report-table1's --format accepts
             rows = payload["results"]["rows"]
             print(",".join(rows[0].keys()))
             for row in rows:
@@ -111,32 +114,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 class _UsageError(ValueError):
-    """A usage error found after parsing, by the option checks or a handler: exit 2."""
-
-
-_MAX_POINTS = 100_000
-_FORMATS = ("json", "text", "csv")
-
-
-def _check_options(args) -> None:
-    """Raise a usage error naming the first invalid merged option, before any work.
-
-    Argparse casts config values with each option's type but does not check
-    them against its choices, so every rule is applied here, after the merge.
-    """
-    for name in ("samples", "points"):
-        value = getattr(args, name, None)
-        if value is not None and not 1 <= value <= _MAX_POINTS:
-            raise _UsageError(f"--{name} must be in 1..{_MAX_POINTS}, got {value}")
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {seed}")
-    if args.format not in _FORMATS:
-        raise _UsageError(
-            f"--format must be one of {', '.join(_FORMATS)}, got {args.format!r}"
-        )
-    if args.format == "csv" and args.command != "report-table1":
-        raise _UsageError("--format csv is only available for report-table1")
+    """A usage error found by a handler, after parsing: exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +192,7 @@ def _cmd_two_site(args):
     from . import twosite
     from .specfun import PoleError
 
-    lam = complex(args.lam)
-    if not np.isfinite(lam):
-        raise _UsageError(f"--lambda must be finite, got {args.lam}")
+    lam = args.lam
     # the residuals are checked at lam itself, except at the physical points
     # 0, +-1, where the check formulas are singular
     check_point = lam if min(abs(lam), abs(lam - 1), abs(lam + 1)) > 1e-3 else 0.4 + 0.3j
@@ -271,11 +247,7 @@ def _cmd_three_site(args):
 def _cmd_ed(args):
     from .tensors import from_expectations
 
-    try:
-        spec = ed_mod.ChainSpec(args.L)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    result = ed_mod.ground_state(spec)
+    result = ed_mod.ground_state(ed_mod.ChainSpec(args.L))
     p12, p12p23 = float(result.v[1]), float(result.v[4])
     rdm2 = from_expectations(result.v[:2])
     trace_defect = float(abs(np.trace(rdm2) - 1))
@@ -381,6 +353,32 @@ def _cmd_report_table1(args):
 # argument handling
 # ---------------------------------------------------------------------------
 
+def _checked(parse, check):
+    """An argparse ``type``, which argparse runs on a flag and a string default
+    (a config value) alike: ``parse`` the text, then ``check`` the value, whose
+    ``ValueError`` is the usage error.  Named after ``parse``, it keeps
+    argparse's ``invalid int value: 'x'`` for unparsable text."""
+    def convert(text):
+        value = parse(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+def _rule(holds, words: str):
+    """A check that raises ``ValueError`` in ``words`` unless ``holds(value)``."""
+    def check(value):
+        if not holds(value):
+            raise ValueError(f"{words}, got {value!r}")
+
+    return check
+
+
 def _load_config(path: str) -> list[tuple[str, str]]:
     """The file's ``(key, value)`` pairs in order, a repeated key kept twice."""
     values = []
@@ -447,25 +445,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="correlation functions of the integrable SU(3) spin chain",
     )
     parser.add_argument("--config", help="key = value file preloading any option")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=_FORMATS, default="json")
+    def common(p, formats=("json", "text")):
+        rule = _rule(formats.__contains__, f"must be one of {', '.join(formats)}")
+        p.add_argument("--format", type=_checked(str, rule), default="json",
+                       metavar=f"{{{','.join(formats)}}}")
 
+    seed = _checked(int, _rule(lambda n: n >= 0, "must be >= 0"))
+    count = _checked(int, _rule(lambda n: 1 <= n <= 100_000, "must be in 1..100000"))
+    finite = _checked(complex, _rule(np.isfinite, "must be finite"))
     p = sub.add_parser("verify-algebra", help="run the R-matrix identity suite")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=seed, default=7)
+    p.add_argument("--samples", type=count, default=50)
     common(p)
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("verify-matrices", help="check Gram and difference matrices")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--seed", type=seed, default=7)
+    p.add_argument("--points", type=count, default=20)
     common(p)
     p.set_defaults(func=_cmd_verify_matrices)
 
     p = sub.add_parser("two-site", help="closed-form two-site functions")
-    p.add_argument("--lambda", dest="lam", type=complex, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=finite, default=0j)
     common(p)
     p.set_defaults(func=_cmd_two_site)
 
@@ -474,12 +477,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_three_site)
 
     p = sub.add_parser("ed", help="exact diagonalization of a finite chain")
-    p.add_argument("--L", type=int, default=6)
+    p.add_argument("--L", type=_checked(int, ed_mod.ChainSpec), default=6)
     common(p)
     p.set_defaults(func=_cmd_ed)
 
     p = sub.add_parser("report-table1", help="finite-size comparison table")
-    common(p)
+    common(p, ("json", "text", "csv"))
     p.set_defaults(func=_cmd_report_table1)
     return parser
 
@@ -488,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is not None and args.config is not None:
+        if args.config is not None:
             error = _preload_config(parser, args.config)
             if error:
                 print(f"config error: {error}", file=sys.stderr)
@@ -496,11 +499,7 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)  # with the file's values as defaults
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
-        _check_options(args)
         inputs, results, diagnostics, checks = args.func(args)
         failed = [reason for passed, reason in checks if not passed]
         if failed:

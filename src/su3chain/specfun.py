@@ -7,7 +7,8 @@ expansion of DLMF 5.11.2 and 5.15.8 applies: at ``|z| >= 10`` for orders
 own radius, so its value does not depend on which other orders are asked
 for in the same call.  Digamma and its first two derivatives reflect
 arguments left of 1/2 to ``1 - z`` (DLMF 5.15.6), so that accuracy is
-uniform near the negative real axis.  Hurwitz zeta of integer order
+uniform near the negative real axis; higher orders have no reflection
+formula and are summed from ``z`` itself.  Hurwitz zeta of integer order
 ``s >= 2`` is the kernel's order ``s - 1``, ``(-1)^s psi^(s-1)(a) / (s-1)!``
 (DLMF 25.11.12), summed from ``a`` itself; a tuple of orders takes one
 kernel pass.
@@ -101,14 +102,16 @@ def _polygamma(z, orders: tuple[int, ...], *, reflect: bool = True) -> list[np.n
     Each order keeps its own radius: orders 0-2 share one upward shift loop
     to ``|z| >= 10``, higher orders another to ``|z| >= 16``, so ``psi^(n)``
     is bit for bit the same whichever other orders are asked for with it.
-    The orders of one radius share the shift loop and ``1/z``, all of them
+    The orders of one radius share the shift loop and ``1/z``, orders 0-2
     the reflection mask and ``cot(pi z)``; each order takes one Horner pass
     in ``1/z^2``.  An order not asked for adds nothing to the shift loops or
     the Horner passes.  The reflection is written in powers of ``cot``, which
     tends to ``-+i`` where ``sin(pi z)`` overflows (``|Im z| > ~113``), and
-    is stated for orders 0-2 only.  Hurwitz zeta passes ``reflect=False``
-    and sums from ``z`` itself: ``zeta(3, -3.3 + 0.7i)`` through the
-    reflected order 2 is 8.4e-15 off, summed directly 7e-17.
+    is stated for orders 0-2 only: higher orders are summed from ``z``
+    itself, shifted right of 1/2, whatever ``reflect`` says.  Hurwitz zeta
+    passes ``reflect=False`` and sums orders 0-2 from ``z`` too:
+    ``zeta(3, -3.3 + 0.7i)`` through the reflected order 2 is 8.4e-15 off,
+    summed directly 7e-17.
     """
     z = _complex(z)
     pi = real_pi(z.real.dtype)
@@ -117,17 +120,18 @@ def _polygamma(z, orders: tuple[int, ...], *, reflect: bool = True) -> list[np.n
     # psi^(n)(z) = psi^(n)(z + 1) + (-1)^(n+1) n! / z^(n+1); signed[n] adds
     # with that sign, here and for the asymptotic series below
     signed = {n: np.add if n % 2 else np.subtract for n in orders}
-    # the asymptotic coefficients grow with the order
-    for radius, group in (
-        (_ASYMPTOTIC_RADIUS, [n for n in psi if n <= 2]),
-        (_HIGH_ORDER_RADIUS, [n for n in psi if n > 2]),
+    # the asymptotic coefficients grow with the order; only orders 0-2 have
+    # a reflection formula, so higher orders are always summed from z
+    for radius, group, mirror in (
+        (_ASYMPTOTIC_RADIUS, [n for n in psi if n <= 2], reflect),
+        (_HIGH_ORDER_RADIUS, [n for n in psi if n > 2], False),
     ):
         if not group:
             continue
-        zr = np.where(left, 1 - z, z)
+        zr = np.where(left, 1 - z, z) if mirror else z.copy()
         while True:
             small = np.abs(zr) < radius
-            if not reflect:  # a reflected argument already lies right of 1/2
+            if not mirror:  # a reflected argument already lies right of 1/2
                 small |= zr.real < 0.5
             if not small.any():
                 break

@@ -57,8 +57,8 @@ pure power series ``sum_k a_k l^-k``, which is ``_PHI_SERIES`` (``tau`` and
     sum_{j>J} A(z+3j) = sum_k a_k 3^-k zeta(k, x)        (DLMF 25.11),
 
 the last truncated at ``k = 16`` and its fifteen zetas taken from one
-kernel pass; its last term, largest over the sample points, is reported as
-``tail_bound`` (3e-17 at ``J = 12``).
+kernel pass; its last term, from that pass and largest over the Laurent
+samples, is reported as ``tail_bound`` (3e-17 at ``J = 12``).
 ``J``, the Laurent circles, the step and offset of the convolution
 transform below and the Cauchy circle of the density solve are module
 constants; the tests that prove the tail converged patch ``_COMB_TERMS``.
@@ -123,7 +123,6 @@ from math import comb
 
 import numpy as np
 
-from .basis import a3_closed_form, gram_inverse, reduce_to_physical
 from .specfun import (
     BERNOULLI_EVEN,
     _complex,
@@ -132,7 +131,6 @@ from .specfun import (
     hurwitz_zeta_array,
     real_pi,
 )
-from .tensors import from_expectations
 from .twosite import (
     OMEGA33_HOMOGENEOUS,
     digamma_parts,
@@ -429,26 +427,21 @@ def _cot_basis(z):
     return np.stack((np.ones_like(z), ca, cb, ca**2, cb**2))
 
 
-def _series_terms(ks: tuple[int, ...], x) -> list:
-    """``a_k 3^-k zeta(k, x)`` for each ``k`` in ``ks``, from one Hurwitz zeta
-    pass: with ``x = z/3 + J + 1``, terms k of the series of
-    ``sum_{j>J} A(z + 3j)``."""
-    zeta = hurwitz_zeta_array(ks, x)
-    return [_PHI_SERIES[k] / 3.0**k * v for k, v in zip(ks, zeta)]
-
-
 def _comb_tail(z, t, tp, terms: int):
-    """``sum_{j > terms} phi_c(z + 3j)`` in complex128, from the closed forms.
+    """``sum_{j > terms} phi_c(z + 3j)`` in complex128, from the closed forms,
+    and the last term kept in the series of ``sum_{j>J} A(z + 3j)``.
 
     ``t`` and ``tp`` are ``tau(z)`` and ``tau'(z)``; see the module docstring.
     Two kernel passes serve it: ``psi`` and ``psi'`` at ``x -+ 1/3``, and
-    the zetas of orders 2-16 at ``x``.
+    the zetas of orders 2-16 at ``x``, each times its ``a_k 3^-k``.
     """
     z, t, tp = (np.asarray(v, dtype=complex) for v in (z, t, tp))
     x = z / 3 + (terms + 1)
     psi, psi1 = digamma_trigamma_array(np.stack((x - 1 / 3, x + 1 / 3)))
-    series = sum(_series_terms(tuple(range(2, len(_PHI_SERIES))), x))
-    return series + t * (psi1[0] - psi1[1]) / 108 + tp * (psi[1] - psi[0]) / 36
+    ks = tuple(range(2, len(_PHI_SERIES)))
+    series = [_PHI_SERIES[k] / 3.0**k * v for k, v in zip(ks, hurwitz_zeta_array(ks, x))]
+    tail = sum(series) + t * (psi1[0] - psi1[1]) / 108 + tp * (psi[1] - psi[0]) / 36
+    return tail, series[-1]
 
 
 class G1Solver:
@@ -466,6 +459,7 @@ class G1Solver:
 
     def __init__(self):
         self._terms = _COMB_TERMS
+        self._tail_max = 0.0
         n, r = _LAURENT_POINTS, _LAURENT_RADIUS
         th = 2 * np.pi * np.arange(n) / n
         self._circle = r * np.exp(1j * th)
@@ -473,6 +467,7 @@ class G1Solver:
         dft = np.exp(-1j * np.outer(th, _KS)) / (n * r**_KS)
         # Laurent coefficients (center, k) of the particular solution
         self._k_coef = self.k_function(z) @ dft
+        self.tail_bound = self._tail_max  # over the Laurent samples alone
         self._b_coef = _cot_basis(z) @ dft
         # least-squares cotangent coefficients cancelling the forbidden data
         mat = self._b_coef[:, _VANISHING].T
@@ -480,9 +475,6 @@ class G1Solver:
         x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         self.periodic_coefficients = x
         self.consistency_residual = float(np.abs(mat @ x - rhs).max())
-        tail_x = z / 3 + (self._terms + 1)
-        last = len(_PHI_SERIES) - 1
-        self.tail_bound = float(np.abs(_series_terms((last,), tail_x)[0]).max())
 
     def taylor_coefficient(self, k: int) -> complex:
         """Laurent/Taylor coefficient of G1 around 0 (k in -4..6)."""
@@ -523,7 +515,10 @@ class G1Solver:
             periodic=(t[..., None], tp[..., None]),
             polygamma=(psi, psi1),
         )
-        return head.sum(axis=-1) + _comb_tail(z, t, tp, terms), t
+        tail, last = _comb_tail(z, t, tp, terms)
+        # the largest last series term so far, which __init__ reads as tail_bound
+        self._tail_max = float(np.abs(last).max(initial=self._tail_max))
+        return head.sum(axis=-1) + tail, t
 
     def k_function(self, z):
         """Particular solution of the step-3 recursion, ``sum_{j>=0} phi_c(z + 3j)
@@ -597,6 +592,8 @@ def density_matrix_two_site(lam: complex = 0.0) -> np.ndarray:
     singlet amplitudes, ``(1, omega33(lam))``; the reduction of the singlet
     amplitudes gives the third, ``omega_bar33(lam - 1)``, weight zero.
     """
+    from .tensors import from_expectations
+
     d2 = from_expectations([1, omega33(lam)])
     return d2.real if abs(complex(lam).imag) < 1e-14 else d2
 
@@ -684,6 +681,8 @@ def three_site_density_coefficients(solver: G1Solver):
     ``|A x - b| / (|A| |x|)`` of the row-scaled systems (2-norms, Frobenius
     for ``A``) as quality measures.
     """
+    from .basis import a3_closed_form, gram_inverse
+
     n, radius = _CIRCLE_POINTS, _CIRCLE_RADIUS
     angles = 2 * np.pi * (np.arange(n) + 0.5) / n
     lams = radius * np.exp(1j * angles)
@@ -721,6 +720,8 @@ def three_site_density_coefficients(solver: G1Solver):
 
 def density_matrix_three_site(solver: G1Solver | None = None) -> np.ndarray:
     """Homogeneous three-site reduced density operator (27 x 27)."""
+    from .basis import reduce_to_physical
+
     solver = solver or G1Solver()
     rho, _ = three_site_density_coefficients(solver)
     return reduce_to_physical(3, rho).real

@@ -270,6 +270,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("su3chain.
         (["ed", "--L", "3"], {"basis", "rmatrix", "threesite", "twosite", "specfun"}),
         (["verify-algebra", "--samples", "2"], {"basis", "threesite", "twosite"}),
         (["two-site"], {"basis", "rmatrix", "threesite", "tensors"}),
+        (["three-site"], {"basis", "rmatrix", "tensors"}),
     ],
 )
 def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
@@ -720,6 +721,34 @@ def test_out_of_range_options_fail_closed(tmp_path, capsys, argv, config, option
     assert out == ""
     assert option in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("verify-algebra", "samples", "0"),
+        ("verify-matrices", "seed", "-1"),
+        ("verify-algebra", "format", "xml"),
+        ("ed", "format", "csv"),
+        ("two-site", "lambda", "inf"),
+        ("ed", "L", "5"),
+    ],
+)
+def test_a_bad_value_gives_one_reason_from_either_source(
+    tmp_path, capsys, command, key, value
+):
+    # the option's parser checks a flag and a config line alike, so both
+    # sources fail the same way, word for word
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    flag = run(capsys, [command, f"--{key}", value])
+    config = run(capsys, ["--config", str(cfg), command])
+    for code, out, err in (flag, config):
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--{key}" in err
+        assert "Traceback" not in err
+    assert flag[2] == config[2]
 
 
 def _strict(name):
