@@ -23,21 +23,20 @@ callers that must fail closed at a pole raise :class:`PoleError` themselves.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
-#: Bernoulli numbers B_2, B_4, ..., B_16, exact
+#: Bernoulli numbers B_2, B_4, ..., B_16, exact, as (numerator, denominator)
 BERNOULLI_EVEN = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
 )
 
 _ASYMPTOTIC_RADIUS = 10.0
@@ -77,9 +76,12 @@ def _psi_horner(real, n: int) -> list:
     ``real`` from its exact fraction.
     """
     one = np.dtype(real).type(1)
-    coeffs = [b * Fraction(math.factorial(2 * k + n - 1), math.factorial(2 * k))
-              for k, b in enumerate(BERNOULLI_EVEN, start=1)]
-    return [one * c.numerator / c.denominator for c in coeffs][::-1]
+    coeffs = []
+    for k, (p, q) in enumerate(BERNOULLI_EVEN, start=1):
+        num, den = p * math.factorial(2 * k + n - 1), q * math.factorial(2 * k)
+        g = math.gcd(num, den)
+        coeffs.append(one * (num // g) / (den // g))
+    return coeffs[::-1]
 
 
 def _power(x, m: int):

@@ -85,15 +85,18 @@ integrating ``phi`` against the closed-form kernels ``h_l`` along a vertical
 line half a unit to the left of the evaluation point (the kernels pair a
 shift by +1 with multiplication by ``w^l e^k`` only under this rotated
 contour; on horizontal lines the integral does not even converge because
-``phi`` keeps an O(1) oscillating part there).  The trapezoid nodes are
-uniform in a sum of two ``asinh`` coordinates: dense near the real axis,
-where ``phi`` has its poles, and near the evaluation point, where the
-kernels have theirs, and sparse far up and down the line.  The kernels decay exponentially
-away from the evaluation point (``h_0`` only downwards), so the rule visits
-only the nodes where the kernel is above rounding.  ``h_0`` tends to a
-constant upwards; there the ``l = 0`` integral stops at ``nu = 50`` and the
-rest is summed exactly from the asymptotic series of ``phi`` in ``1/mu``,
-whose coefficients follow from the Bernoulli polynomials.
+``phi`` keeps an O(1) oscillating part there).  The trapezoid nodes lie
+on one lattice, uniform in a sum of two ``asinh`` coordinates: dense near
+the real axis, where ``phi`` has its poles, and near the evaluation point,
+where the kernels have theirs, and sparse far up and down the line.  The
+kernels decay exponentially away from the evaluation point (``h_0`` only
+downwards), so each kernel sums only its window of nodes where it is above
+rounding; the windows of ``l = 0, +-1`` are slices of one line, and ``phi``
+is evaluated on that line once for all three.  ``h_0`` tends to a constant
+upwards; there the ``l = 0`` integral stops at ``nu = 50`` and the rest is
+summed exactly from the asymptotic series of ``phi`` in ``1/mu`` (its
+coefficients follow from the Bernoulli polynomials), together with the
+trapezoid rule's end terms through the fourth power of the step.
 The transform fixes the additive constant of the ``l = 0`` zero mode
 differently from the normalization ``G1 -> 2`` at imaginary infinity; the
 constant offset between the two constructions is itself a strong
@@ -117,14 +120,14 @@ end-to-end validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb
+from functools import lru_cache
 
 import numpy as np
 
 from .specfun import (
-    BERNOULLI_EVEN,
+    PoleError,
     _complex,
     _like,
     digamma_trigamma_array,
@@ -149,14 +152,25 @@ def _cot(z):
 # ---------------------------------------------------------------------------
 
 def phi(lam):
-    """Inhomogeneity of the step-3 recursion for G1 (poles at 0, +-1)."""
+    """Inhomogeneity of the step-3 recursion for G1 (poles at 0, +-1, +-3, +-4, ...).
+
+    Where ``|Im lam| >= _SERIES_HEIGHT`` it is summed from its asymptotic
+    series ``_PHI_SERIES`` instead: there the closed form's four digammas,
+    each near ``log |lam|``, cancel to ``phi ~ 4/lam^2`` and leave about 5e-15
+    of rounding, while the series' first omitted term is about 1e-15.
+    """
     l = _complex(lam)
+    out = np.empty_like(l)
+    far = np.abs(l.imag) >= _SERIES_HEIGHT
+    if far.any():
+        out[far] = np.polyval(_PHI_SERIES[::-1], 1 / l[far])
+    l = l[~far]
     part, part_prime = digamma_parts(l)
     s = part - 1 / (l**2 - 1)
     sp = part_prime + 2 * l / (l**2 - 1) ** 2
     om = (l**2 - 1) * s
     omp = 2 * l * s + (l**2 - 1) * sp
-    out = (
+    out[~far] = (
         -12 / (l**2 - 1) * om
         - 2 / (l**2 - 1) ** 2 * omp
         + 4 * l / (l**2 - 1) ** 2 * OMEGA33_HOMOGENEOUS
@@ -245,65 +259,25 @@ def h_kernel(l: int, z):
 # ---------------------------------------------------------------------------
 
 #: solve_g: trapezoid step in its asinh coordinate u along the vertical
-#: contour, which runs _CONV_OFFSET to the left of the evaluation point
-_CONV_STEP = 0.004
+#: contour, which runs _CONV_OFFSET to the left of the evaluation point.  The
+#: l = +-1 windows converge geometrically in it and the l = 0 window as its
+#: sixth power (see solve_g)
+_CONV_STEP = 0.01
 _CONV_OFFSET = 0.5
 
+#: phi's asymptotic series ``sum_k a_k mu^-k`` off the real axis, a_0..a_16
+#: (tests/test_threesite.py rederives them from the Bernoulli polynomials);
+#: a_16 50^-16 = 1.5e-19 at |mu| = 50
+_PHI_SERIES = np.array([
+    0.0, 0.0, 4.0, 9.18715169301527, -6.0, 6.374303386030541,
+    40.666666666666664, 8.894788412379144, -318.0, -17.029171005716695,
+    5382.0, 319.7135362428541, -134496.66666666666, -6938.210423175241,
+    4782990.0, 218941.64339518445, -228970542.0,
+])
 
-def _phi_series() -> np.ndarray:
-    """Coefficients ``a_0..a_16`` of ``phi(mu) ~ sum_k a_k mu^-k`` off the real axis.
-
-    With ``psi(z + a) ~ ln z + sum_n (-1)^(n+1) B_n(a) / (n z^n)`` the
-    logarithms of ``psi(1 +- mu/3) - psi(4/3 +- mu/3)`` cancel and so do the
-    odd orders, leaving the digamma part of sigma as
-    ``-(2/3) sum_{even n} 3^n (B_n(1) - B_n(4/3)) / (n mu^n)``.  The rest of
-    ``phi`` is rational in ``mu``; everything is expanded in ``x = 1/mu`` in
-    exact fractions, the ``OMEGA33_HOMOGENEOUS`` term apart.  The order, 16,
-    is that of the last Bernoulli number specfun holds.
-    """
-    order = 2 * len(BERNOULLI_EVEN)
-    n = order + 1
-
-    def mul(p, q):
-        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(n)]
-
-    def shift(p, m):
-        return ([0] * m + list(p) + [0] * n)[:n]
-
-    def lin(*terms):
-        return [sum(c * p[k] for c, p in terms) for k in range(n)]
-
-    bern = [Fraction(1), Fraction(-1, 2)] + [0] * (order - 1)
-    bern[2::2] = BERNOULLI_EVEN
-
-    def bernoulli_poly(m, t):
-        return sum(comb(m, j) * bern[j] * t ** (m - j) for j in range(m + 1))
-
-    digamma_part = [0] * n
-    digamma_prime = [0] * (n + 1)
-    for m in range(2, n, 2):
-        c = -Fraction(2, 3) * 3**m * (bern[m] - bernoulli_poly(m, Fraction(4, 3))) / m
-        digamma_part[m] = c
-        digamma_prime[m + 1] = -m * c
-    geo = [1 - k % 2 for k in range(n)]  # 1 / (1 - x^2)
-    geo2 = mul(geo, geo)
-    inv = shift(geo, 2)  # 1 / (mu^2 - 1)
-    mu_inv2 = shift(geo2, 3)  # mu / (mu^2 - 1)^2
-    s = lin((1, digamma_part), (-1, inv))
-    sp = lin((1, digamma_prime), (2, mu_inv2))
-    rational = lin(
-        (-12, s),
-        (-4, mul(mu_inv2, s)),
-        (-2, mul(inv, sp)),
-        (2, mul(shift((4, 6, -1, -6, -1), 2), geo2)),
-    )
-    return np.array(rational, dtype=float) + 4 * OMEGA33_HOMOGENEOUS * np.array(
-        mu_inv2, dtype=float
-    )
-
-
-#: phi's asymptotic series through mu^-16; a_16 50^-16 = 1.5e-19 at |mu| = 50
-_PHI_SERIES = _phi_series()
+#: phi sums its series at |Im lam| >= 25, where the first omitted term,
+#: a_18 mu^-18, is about 9e-16
+_SERIES_HEIGHT = 25.0
 
 #: solve_g skips the nodes where |h_l| has decayed below e^(-_KERNEL_CUTOFF)
 #: of its peak.  e^-50 = 2e-22: even summed over the whole window, the
@@ -314,14 +288,69 @@ _KERNEL_CUTOFF = 50.0
 _TAIL_START = 50.0
 
 
-def _series_tail(m: complex):
-    """``phi(m)``, ``phi'(m)`` and ``int_m^(m + i inf) phi`` from ``_PHI_SERIES``."""
+def _window(l: int, s: float, step: float) -> tuple[int, int]:
+    """First and last lattice index ``k`` of ``h_l``'s window, for ``Im lam = s``."""
+    a = _kernel_rate(l)
+    lo = s - _KERNEL_CUTOFF / (2 * np.pi - a)
+    hi = s + _KERNEL_CUTOFF / a if a else max(_TAIL_START, s + _KERNEL_CUTOFF / (2 * np.pi))
+    bottom, top = ((math.asinh(x) + math.asinh(x - s)) / (2 * step) for x in (lo, hi))
+    return math.floor(bottom), math.ceil(top)
+
+
+@lru_cache(maxsize=4)
+def _contour_line(c: float, s: float, step: float):
+    """``solve_g``'s nodes on the line ``Re mu = c`` for ``Im lam = s``, with phi.
+
+    The nodes are ``u = k step`` for every integer ``k`` in the windows of
+    all three kernels, from ``first`` up.  Returns ``first``, ``mu`` and
+    ``phi(mu) (dnu/du) / 2 pi``, the arrays read-only: a window of any ``l``
+    is a slice of this one line, so ``phi`` is evaluated once per line.
+    """
+    firsts, lasts = zip(*(_window(l, s, step) for l in (0, 1, -1)))
+    first = min(firsts)
+    u = step * np.arange(first, max(lasts) + 1)
+    nu = np.sinh(u + np.arcsinh(s / (2 * np.cosh(u))))
+    dudnu = (1 / np.hypot(1, nu) + 1 / np.hypot(1, nu - s)) / 2
+    mu = c + 1j * nu
+    weighted = phi(mu) / dudnu / (2 * np.pi)
+    mu.flags.writeable = weighted.flags.writeable = False
+    return first, mu, weighted
+
+
+def _asinh_derivatives(x: float) -> tuple[float, float, float, float]:
+    """The first four derivatives of ``asinh`` at ``x``."""
+    r = 1 / (1 + x * x)
+    q = math.sqrt(r)
+    return q, -x * q * r, (2 * x * x - 1) * q * r * r, (9 - 6 * x * x) * x * q * r**3
+
+
+def _top_end(m: complex, s: float, step: float) -> complex:
+    """The ``l = 0`` integral above its window's top node ``mu = m``, plus
+    the trapezoid rule's Euler-Maclaurin terms at that end.
+
+    Above ``m`` the integrand in ``u`` is ``F = phi(mu) dmu/du`` to rounding.
+    Its integral up the line is summed from ``_PHI_SERIES``, and so are
+    ``phi``'s derivatives ``p_j`` at ``m``, which with those of the node map
+    give ``F' = (Phi o mu)''`` and ``F''' = (Phi o mu)''''`` (Faa di Bruno,
+    ``Phi' = phi``).  What is left is ``-(step^6 / 30240) F^(5)``.
+    """
     k = np.arange(2, len(_PHI_SERIES))
-    a = _PHI_SERIES[2:]
-    value = np.sum(a * m ** (-k))
-    slope = np.sum(-k * a * m ** (-k - 1.0))
-    integral = np.sum(a * m ** (1.0 - k) / (k - 1))
-    return complex(value), complex(slope), complex(integral)
+    # int_m^(m + i inf) phi, then p_0..p_3
+    integral, p0, p1, p2, p3 = np.array([
+        m / (k - 1), np.ones(len(k)), -k / m, k * (k + 1) / m**2, -k * (k + 1) * (k + 2) / m**3
+    ]) @ (_PHI_SERIES[2:] * m ** -k)
+    # derivatives of u = (asinh nu + asinh(nu - s))/2 in nu, then of nu in u
+    u1, u2, u3, u4 = (
+        (a + b) / 2 for a, b in zip(_asinh_derivatives(m.imag), _asinh_derivatives(m.imag - s))
+    )
+    n1 = 1 / u1
+    n2 = -u2 * n1**3
+    n3 = (3 * u2**2 - u1 * u3) * n1**5
+    n4 = (10 * u1 * u2 * u3 - 15 * u2**3 - u1**2 * u4) * n1**7
+    m1, m2, m3, m4 = 1j * n1, 1j * n2, 1j * n3, 1j * n4
+    f1 = p1 * m1**2 + p0 * m2
+    f3 = p0 * m4 + p1 * (4 * m1 * m3 + 3 * m2**2) + 6 * p2 * m1**2 * m2 + p3 * m1**4
+    return complex(integral - step**2 / 12 * f1 + step**4 / 720 * f3)
 
 
 def solve_g(l: int, lam: complex) -> complex:
@@ -334,60 +363,59 @@ def solve_g(l: int, lam: complex) -> complex:
 
         g_l(lam) - w^l g_l(lam + 1) = phi(lam)
 
-    wherever no pole of ``phi`` (the real points 0, +-1, 3, 4, ...) lies
-    between the two contours - e.g. throughout ``Re lam in (1.5, 2.5)``.
+    wherever no pole of ``phi`` (the real points 0, +-1, +-3, +-4, ...) lies
+    between the two contours - e.g. throughout ``Re lam in (1.5, 2.5)``.  A
+    non-finite ``lam``, or one whose line runs within 1e-6 of a pole, raises
+    a ``ValueError`` (``PoleError`` for the pole) that names both.
 
-    The trapezoid nodes are uniform in ``u = (asinh(nu) + asinh(nu - s))/2``
-    with ``s = Im lam``, ``_CONV_STEP`` apart, with weight ``dnu/du``; the map
-    inverts in closed form, ``nu = sinh(u + asinh(s / (2 cosh u)))``, and is
-    ``nu = sinh u`` for real ``lam``.  The integrand's singularities sit
-    near two points of the line: the poles of ``phi`` on the imaginary
-    ``nu`` axis, at distance ``|p - c|`` for each real pole ``p``, and those
-    of the kernel at ``nu = s - i(k + 1/2)``.  The map keeps a node spacing
-    of at most ``2 _CONV_STEP`` next to both and widens it as ``|nu|`` and
-    ``|nu - s|`` grow, so few nodes serve any ``Im lam``.
+    The trapezoid nodes lie on the lattice ``u = k _CONV_STEP``, integer
+    ``k``, of ``u = (asinh(nu) + asinh(nu - s))/2`` with ``s = Im lam``, with
+    weight ``dnu/du``; the map inverts in closed form,
+    ``nu = sinh(u + asinh(s / (2 cosh u)))``, and is ``nu = sinh u`` for real
+    ``lam``.  The integrand's singularities sit near two points of the line:
+    the poles of ``phi`` on the imaginary ``nu`` axis, at distance ``|p - c|``
+    for each real pole ``p``, and those of the kernel at
+    ``nu = s - i(k + 1/2)``.  The map keeps a node spacing of at most
+    ``2 _CONV_STEP`` next to both and widens it as ``|nu|`` and ``|nu - s|``
+    grow, so few nodes serve any ``Im lam``.
 
     Only the kernel window is integrated: with ``t = s - nu`` the kernel
     falls as ``e^(-(2 pi - a) t)`` below ``s`` and as ``e^(a t)`` above it
-    (``a`` as in ``h_kernel``), and the window ends where that decay reaches
-    ``e^(-_KERNEL_CUTOFF)``.  For ``l = 0`` the kernel tends to ``2 pi i`` up
-    the contour instead, so the window stops at ``nu = _TAIL_START`` (or
-    where the kernel is that constant to rounding, if higher) and the rest,
-    ``i int phi d nu``, is summed exactly from ``phi``'s asymptotic series,
-    together with the trapezoid rule's Euler-Maclaurin term at that end,
-    ``-(_CONV_STEP^2 / 12) dF/du`` for the integrand ``F`` in ``u``.
-    So the ``l = +-1`` windows converge geometrically in the step, but at
-    ``l = 0`` that one end term leaves an error of order ``_CONV_STEP^4``
-    (4.7e-14 at 2.3 + 0.45i, growing 10 to 29 times per doubling).
+    (``a`` as in ``h_kernel``), and the window ends at the first lattice node
+    past where that decay reaches ``e^(-_KERNEL_CUTOFF)``.  For ``l = 0`` the
+    kernel tends to ``2 pi i`` up the contour instead, so the window stops at
+    ``nu = _TAIL_START`` (or where the kernel is that constant to rounding,
+    if higher) and the rest is summed exactly from ``phi``'s asymptotic
+    series, with the trapezoid rule's Euler-Maclaurin terms in ``step^2`` and
+    ``step^4`` at that end (``_top_end``).  The windows of l = 0, +-1 are
+    slices of one line, on which ``_contour_line`` evaluates ``phi`` once and
+    keeps the last four lines; each ``g_l`` depends only on its own slice, so
+    it is the same whatever that memo holds.  At ``_CONV_STEP = 0.01``,
+    against the 30-digit quadrature at 1.6 + 0.1i and 2.3 + 0.45i, ``l = 0``
+    is 9.4e-15 and 2.5e-14 off and ``l = +-1`` at most 3.6e-15; halving the
+    step moves no ``l`` by more than 6e-15 there.
 
     The transform normalizes the ``l = 0`` zero mode by decay at infinity
     rather than by ``G1 -> 2``, so ``(g_0 + g_1 + g_-1)/3`` differs from the
     comb-constructed ``G1`` by the constant -2 (a useful cross-check).
     """
     lam = complex(lam)
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ValueError(f"solve_g: lam = {lam} is not finite")
     c = lam.real - _CONV_OFFSET
+    pole = round(c)
+    if abs(c - pole) < 1e-6 and abs(pole) % 3 != 2:
+        raise PoleError(
+            f"solve_g: the contour of lam = {lam} runs within 1e-6 of the pole of phi at {pole}"
+        )
     step = _CONV_STEP
-    s = lam.imag
-    a = _kernel_rate(l)
-    lo = s - _KERNEL_CUTOFF / (2 * np.pi - a)
-    if a > 0:
-        hi = s + _KERNEL_CUTOFF / a
-    else:
-        hi = max(_TAIL_START, s + _KERNEL_CUTOFF / (2 * np.pi))
-    top, bottom = ((np.arcsinh(x) + np.arcsinh(x - s)) / 2 for x in (hi, lo))
-    u = top - step * np.arange(int(np.ceil((top - bottom) / step)) + 1)
-    nu = np.sinh(u + np.arcsinh(s / (2 * np.cosh(u))))
-    dudnu = (1 / np.hypot(1, nu) + 1 / np.hypot(1, nu - s)) / 2
-    mu = c + 1j * nu
-    f = h_kernel(l, -1j * (lam - mu)) * phi(mu) / dudnu / (2 * np.pi)
+    first, mu, weighted = _contour_line(c, lam.imag, step)
+    lo, hi = _window(l, lam.imag, step)
+    window = slice(lo - first, hi - first + 1)
+    f = h_kernel(l, -1j * (lam - mu[window])) * weighted[window]
     out = step * (f.sum() - (f[0] + f[-1]) / 2)
-    if a == 0:
-        # above the top node F(u) = i phi(mu) dnu/du to rounding
-        m, dnu = nu[0], 1 / dudnu[0]
-        d2nu = (m / np.hypot(1, m) ** 3 + (m - s) / np.hypot(1, m - s) ** 3) / 2 * dnu**3
-        value, slope, integral = _series_tail(mu[0])
-        dfdu = 1j * (1j * dnu**2 * slope + d2nu * value)
-        out += integral - step**2 / 12 * dfdu
+    if _kernel_rate(l) == 0:
+        out += _top_end(mu[hi - first], lam.imag, step)
     return complex(out)
 
 

@@ -1,6 +1,11 @@
 """Special functions against mpmath and their defining recurrences."""
 
+import math
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3chain.specfun import (
+    BERNOULLI_EVEN,
     _polygamma,
+    _psi_horner,
     digamma_array,
     digamma_trigamma_array,
     hurwitz_zeta_array,
@@ -283,3 +290,30 @@ def test_hurwitz_zeta_rejects_bad_s():
     for s in ((2, 1), (3, 2.5), (2, float("nan")), ()):
         with pytest.raises(ValueError, match=re.escape(f"integer s >= 2, got {s}")):
             hurwitz_zeta_array(s, 2.0)
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 15])
+def test_psi_horner_is_the_exact_coefficient_rounded(real, n):
+    one = np.dtype(real).type(1)
+    exact = [
+        Fraction(*b) * Fraction(math.factorial(2 * k + n - 1), math.factorial(2 * k))
+        for k, b in enumerate(BERNOULLI_EVEN, start=1)
+    ]
+    held = _psi_horner(real, n)
+    assert [np.dtype(type(c)) for c in held] == [np.dtype(real)] * len(exact)
+    assert held == [one * c.numerator / c.denominator for c in exact][::-1]
+
+
+def test_the_kernels_import_without_fractions():
+    # fractions loads decimal's C extension; the float kernels need neither
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import su3chain.threesite; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["[]"]

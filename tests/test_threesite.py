@@ -3,7 +3,9 @@
 import inspect
 import tracemalloc
 from decimal import ROUND_HALF_EVEN, Decimal
+from fractions import Fraction
 from functools import partial
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from su3chain.basis import GRAM_3, a3_closed_form, build_basis, gram_inverse
 from su3chain import threesite, twosite
-from su3chain.specfun import digamma_trigamma_array
+from su3chain.specfun import BERNOULLI_EVEN, digamma_trigamma_array
 from su3chain.tensors import levi_civita
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from su3chain.threesite import (
@@ -235,10 +237,10 @@ def test_solve_g_recursion_residuals(l):
 
 def test_solve_g_grid_self_convergence(monkeypatch):
     lam = 1.9 + 0.1j
-    fine = solve_g(0, lam)
-    monkeypatch.setattr(threesite, "_CONV_STEP", 0.008)
-    coarse = solve_g(0, lam)
-    assert abs(coarse - fine) < 5e-12
+    coarse = [solve_g(l, lam) for l in (0, 1, -1)]
+    monkeypatch.setattr(threesite, "_CONV_STEP", threesite._CONV_STEP / 2)
+    fine = [solve_g(l, lam) for l in (0, 1, -1)]
+    assert max(abs(a - b) for a, b in zip(coarse, fine)) < 5e-12
 
 
 #: g_l over the whole vertical line by 30-digit mpmath quadrature, printed by
@@ -263,6 +265,8 @@ def test_solve_g_window_matches_full_grid(l, lam):
 
 @pytest.mark.parametrize("l", [0, 1, -1])
 def test_solve_g_evaluates_phi_once_per_window_node(monkeypatch, l):
+    # the three kernels' windows are slices of one line: asked in any order,
+    # they evaluate phi on that line once
     seen = []
 
     def counting_phi(lam):
@@ -270,17 +274,65 @@ def test_solve_g_evaluates_phi_once_per_window_node(monkeypatch, l):
         return phi(lam)
 
     monkeypatch.setattr(threesite, "phi", counting_phi)
-    solve_g(l, 1.9 + 0.2j)
-    points = np.concatenate(seen)
-    assert len(points) == len(np.unique(points)) <= 2_500
+    threesite._contour_line.cache_clear()
+    for k in (l, *{0, 1, -1} - {l}):
+        solve_g(k, 1.9 + 0.2j)
+    assert len(seen) == 1
+    points = seen[0]
+    assert len(points) == len(np.unique(points)) <= 850
+    assert np.all(points.real == 1.9 - threesite._CONV_OFFSET)
+
+
+def test_solve_g_is_the_same_whatever_the_memo_holds():
+    lams = (1.9 + 0.2j, 2.9 + 0.2j, 1.7 + 0.45j)
+    threesite._contour_line.cache_clear()
+    first = {(l, lam): solve_g(l, lam) for lam in lams for l in (0, 1, -1)}
+    # the other order, from an empty memo and from one that holds other lines
+    for fill in ((), (2.2 + 0.3j, 2.4, 1.6 + 5j, 3.1 - 0.2j)):
+        threesite._contour_line.cache_clear()
+        for lam in fill:
+            solve_g(1, lam)
+        again = {(l, lam): solve_g(l, lam) for l in (-1, 1, 0) for lam in reversed(lams)}
+        assert all(again[key] == value for key, value in first.items())
+
+
+#: the contour workload's points at seed 1 (perfbench/contour_pass.py)
+_CONTOUR_SEED_1 = (
+    2.0094572997602054 + 0.4768922512117597j,
+    2.360370957060748 + 0.19032415340471848j,
+    1.715327690175707 + 0.24049690203765905j,
+)
 
 
 @pytest.mark.parametrize("l", [0, 1, -1])
 def test_solve_g_recursion_residuals_at_rounding(l):
-    # criterion 6's points; the exact l = 0 tail leaves only rounding
-    pts = 1.6 + 0.08 * np.arange(10) + 0.1j
+    # criterion 6's points and the contour workload's; the exact l = 0 tail
+    # and its end terms leave only rounding
+    pts = [*(1.6 + 0.08 * np.arange(10) + 0.1j), *_CONTOUR_SEED_1]
     worst = max(solve_g_recursion_residual(l, p) for p in pts)
     assert worst <= 1e-12, f"l = {l}: residual {worst}"
+
+
+@pytest.mark.parametrize(
+    "lam, reason",
+    [
+        (complex(np.nan), r"lam = \(?nan\+0j\)? is not finite"),
+        (complex(2, np.inf), r"lam = \(2\+infj\) is not finite"),
+        (1.5, r"lam = \(1\.5\+0j\) runs within 1e-6 of the pole of phi at 1$"),
+        (-3.5 + 0.2j, r"lam = \(-3\.5\+0\.2j\) runs within 1e-6 of the pole of phi at -4$"),
+        (3.5 + 4e-7 + 2j, r"the pole of phi at 3$"),
+    ],
+    ids=["nan", "inf", "pole-at-1", "pole-at-minus-4", "near-pole-at-3"],
+)
+def test_solve_g_rejects_a_line_it_cannot_integrate(lam, reason):
+    with pytest.raises(ValueError, match=reason):
+        solve_g(0, lam)
+
+
+@pytest.mark.parametrize("lam", [2.5, -1.5 + 0.3j, 1.5 + 2e-6])
+def test_solve_g_integrates_lines_off_the_poles(lam):
+    # 2 and -2 are no poles of phi, and 2e-6 off a pole is off it
+    assert np.isfinite(solve_g(0, lam))
 
 
 @pytest.mark.parametrize("lam", [1.9 + 60j, 1.9 - 60j, 2.1 + 300j, 2.1 - 300j])
@@ -288,6 +340,63 @@ def test_solve_g_recursion_far_from_real_axis(lam):
     # the kernel's poles at nu = Im lam and phi's near nu = 0 are both resolved
     worst = max(solve_g_recursion_residual(l, lam) for l in (0, 1, -1))
     assert worst <= 1e-12
+
+
+def _phi_series() -> np.ndarray:
+    """Coefficients ``a_0..a_16`` of ``phi(mu) ~ sum_k a_k mu^-k`` off the real axis.
+
+    With ``psi(z + a) ~ ln z + sum_n (-1)^(n+1) B_n(a) / (n z^n)`` the
+    logarithms of ``psi(1 +- mu/3) - psi(4/3 +- mu/3)`` cancel and so do the
+    odd orders, leaving the digamma part of sigma as
+    ``-(2/3) sum_{even n} 3^n (B_n(1) - B_n(4/3)) / (n mu^n)``.  The rest of
+    ``phi`` is rational in ``mu``; everything is expanded in ``x = 1/mu`` in
+    exact fractions, the ``OMEGA33_HOMOGENEOUS`` term apart.  The order, 16,
+    is that of the last Bernoulli number specfun holds.
+    """
+    order = 2 * len(BERNOULLI_EVEN)
+    n = order + 1
+
+    def mul(p, q):
+        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(n)]
+
+    def shift(p, m):
+        return ([0] * m + list(p) + [0] * n)[:n]
+
+    def lin(*terms):
+        return [sum(c * p[k] for c, p in terms) for k in range(n)]
+
+    bern = [Fraction(1), Fraction(-1, 2)] + [0] * (order - 1)
+    bern[2::2] = [Fraction(*b) for b in BERNOULLI_EVEN]
+
+    def bernoulli_poly(m, t):
+        return sum(comb(m, j) * bern[j] * t ** (m - j) for j in range(m + 1))
+
+    digamma_part = [0] * n
+    digamma_prime = [0] * (n + 1)
+    for m in range(2, n, 2):
+        c = -Fraction(2, 3) * 3**m * (bern[m] - bernoulli_poly(m, Fraction(4, 3))) / m
+        digamma_part[m] = c
+        digamma_prime[m + 1] = -m * c
+    geo = [1 - k % 2 for k in range(n)]  # 1 / (1 - x^2)
+    geo2 = mul(geo, geo)
+    inv = shift(geo, 2)  # 1 / (mu^2 - 1)
+    mu_inv2 = shift(geo2, 3)  # mu / (mu^2 - 1)^2
+    s = lin((1, digamma_part), (-1, inv))
+    sp = lin((1, digamma_prime), (2, mu_inv2))
+    rational = lin(
+        (-12, s),
+        (-4, mul(mu_inv2, s)),
+        (-2, mul(inv, sp)),
+        (2, mul(shift((4, 6, -1, -6, -1), 2), geo2)),
+    )
+    return np.array(rational, dtype=float) + 4 * OMEGA33_HOMOGENEOUS * np.array(
+        mu_inv2, dtype=float
+    )
+
+
+def test_phi_series_is_its_exact_expansion():
+    # the module holds the 17 values; they are the exact expansion, rounded
+    assert threesite._PHI_SERIES.tobytes() == _phi_series().tobytes()
 
 
 def test_phi_series_coefficients():
@@ -312,6 +421,16 @@ def test_phi_series_against_mpmath():
         mu = 1.1 + 1j * nu
         series = np.sum(a * mu ** -np.arange(len(a)))
         assert abs(series - complex(phi_mp(mu))) < tol
+
+
+def test_phi_far_from_the_real_axis_against_mpmath():
+    from solve_g_reference import phi_mp
+
+    # from |Im mu| = 25 phi is its series: the closed form's digammas cancel
+    # there, and it was 2.6e-15, 1.9e-15 and 3.6e-15 off at |Im mu| = 25, 30, 60
+    pts = np.array([1.3 + 25j, 2.1 - 30j, -0.4 + 40j, 3.5 - 60j])
+    worst = max(abs(v - complex(phi_mp(m))) for m, v in zip(pts, phi(pts)))
+    assert worst < 1.5e-15
 
 
 def test_convolution_agrees_with_comb_up_to_zero_mode(g1_solver):
