@@ -30,23 +30,29 @@ Its row 0 is exactly the scalar gauge (``lam(lam+3)`` for m=2 and
 so that row is a left eigenvector of ``A`` with eigenvalue 1.
 :func:`a_matrix` takes the printed closed forms' own arguments,
 ``a_matrix(lam)`` and ``a_matrix(x, y)``, and broadcasts over arrays as
-they do.
+they do.  The R-matrices of ``T`` come from the table of (constant, linear)
+parts in :mod:`su3chain.rmatrix`.
+
+:func:`matrix_suite` is ``verify-matrices``, as
+:func:`su3chain.rmatrix.identity_suite` is ``verify-algebra``: it checks the
+Gram matrices, draws its points from the same seeded stream,
+:func:`su3chain.rmatrix.uniform_square`, clear of the poles ``_POLES`` that
+:func:`a_matrix` rejects, and meets the closed forms one block of points at
+a time.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from functools import cache
 
 import numpy as np
 
-from .tensors import exact_inverse, from_expectations, levi_civita, pie
-
-N = 3
+from .rmatrix import R_PARTS, uniform_square
+from .tensors import N, exact_inverse, from_expectations, levi_civita
 
 _EYE = np.eye(N)
-_P4, _I4, _E4 = pie(N)
-_EPS = levi_civita(N)
 
 GRAM_2 = np.array([[18, 6, 6], [6, 18, -6], [6, -6, 18]], dtype=np.int64)
 
@@ -96,7 +102,7 @@ def _element(m: int, eps_slots: tuple[int, int, int], pairing: int) -> np.ndarra
     deltas = [leg + up for leg, up in zip(rest, upper[::-1] if pairing else upper)]
     eps = "".join(lower[k] for k in eps_slots)
     spec = ",".join([eps, *deltas]) + "->" + lower + upper
-    return np.einsum(spec, _EPS, *[_EYE] * (m - 1))
+    return np.einsum(spec, levi_civita(), *[_EYE] * (m - 1))
 
 
 _CACHE: dict[int, np.ndarray] = {}
@@ -135,8 +141,13 @@ class SingularParameterError(ValueError):
     """Raised when the difference-equation matrix is requested at a pole."""
 
 
+#: the poles of the A matrices in each chain parameter, where the gauge
+#: lam (lam + 3), or x (3 + x) y (3 + y), vanishes
+_POLES = (0.0, -3.0)
+
+
 def _reject_singular(name: str, values: np.ndarray):
-    for bad in (0.0, -3.0):
+    for bad in _POLES:
         hit = np.abs(values - bad) < 1e-10
         if hit.any():
             raise SingularParameterError(
@@ -149,14 +160,16 @@ def _chain_polynomial(m: int) -> np.ndarray:
     """Integer coefficients ``C`` of ``W_jk = <P_j, T P_k>`` in the chain parameters.
 
     ``W = sum_d C[d] lam^d`` for m = 2 and ``W = sum_pq C[p, q] x^p y^q`` for
-    m = 3.  Each R-matrix of ``T`` is linear in its parameter ``t`` and is
-    split into its (constant, linear) parts, ``I + tP -> (I, P)`` and
-    ``(t + 3)P - E -> (3P - E, P)``: one contraction per basis element gives
-    every product of parts, and the products are summed by degree.
+    m = 3.  Each R-matrix of ``T`` is linear in its parameter ``t``, so it is
+    its (constant, linear) parts of ``rmatrix.R_PARTS``: those of FF as they
+    stand, and those of the mixed R taken at the shift ``t + N``.  One
+    contraction per basis element gives every product of parts, and the
+    products are summed by degree.
     """
     elements = build_basis(m)
-    ff = np.stack([_I4, _P4])  # I + t P
-    mx = np.stack([3 * _P4 - _E4, _P4])  # (t + 3) P - E
+    ff = np.stack(R_PARTS["FF"])
+    constant, linear = R_PARTS["FA"]
+    mx = np.stack([constant + N * linear, linear])
     # deg[d, a, b] = 1 where a + b = d: sums the parts' powers by degree
     deg = np.array([np.add.outer([0, 1], [0, 1]) == d for d in range(3)], float)
     gauge = np.array([0, 3, 1])  # t (t + 3) by ascending powers of t
@@ -385,6 +398,54 @@ def a3_printed_zero_pattern() -> np.ndarray:
     """Boolean mask of the entries that are identically zero in A3."""
     probe = a3_closed_form(0.731, 0.244)
     return probe == 0
+
+
+def _random_points(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` points of :func:`su3chain.rmatrix.uniform_square` more than
+    0.2 from every pole; the draws are those of a loop that redraws each
+    rejected point."""
+    pts = np.empty(0, dtype=complex)
+    while len(pts) < count:
+        # one (re, im) draw per missing point: none lies past the last point kept
+        z = uniform_square(rng, count - len(pts))
+        clear = np.min([abs(z - pole) for pole in _POLES], axis=0) > 0.2
+        pts = np.concatenate([pts, z[clear]])
+    return pts
+
+
+#: points per array call: the matrices of one block, not of all points, are held
+_MATRIX_BLOCK = 256
+
+
+def matrix_suite(seed: int, points: int) -> dict[str, float]:
+    """Check the singlet bases and both A matrices, and return the deviations
+    by name.
+
+    :func:`build_basis` raises unless both Gram matrices come out exactly.
+    Then ``lam``, ``x`` and ``y`` are ``points`` draws each of
+    ``random.Random(seed)``, clear of the poles, and :func:`a_matrix` meets
+    :func:`a2_closed_form` and :func:`a3_closed_form` at them, and the
+    printed zeros of A3, one block of ``_MATRIX_BLOCK`` points at a time, so
+    the memory does not grow with ``points``.
+    """
+    for m in _GRAM:
+        build_basis(m)
+    rng = random.Random(seed)
+    lam, x, y = (_random_points(rng, points) for _ in range(3))
+    zero_pattern = a3_printed_zero_pattern()
+    res = dict.fromkeys(("a2_max_deviation", "a3_max_deviation", "a3_zero_entries_max"), 0.0)
+    for start in range(0, points, _MATRIX_BLOCK):
+        block = slice(start, start + _MATRIX_BLOCK)
+        a2, a3 = a_matrix(lam[block]), a_matrix(x[block], y[block])
+        deviations = (
+            a2 - a2_closed_form(lam[block]),
+            a3 - a3_closed_form(x[block], y[block]),
+            a3[:, zero_pattern],
+        )
+        for name, dev in zip(res, deviations):
+            # np.maximum keeps a NaN, which then fails its check
+            res[name] = float(np.maximum(res[name], np.abs(dev).max()))
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,12 @@ the same for both sources.  No option sets a numerical parameter:
 Each handler returns ``(inputs, results, diagnostics, checks)``, a check
 being ``(passed, reason)`` written so that NaN fails (``value <= tol``).
 ``two-site`` raises ``_UsageError`` for a ``--lambda`` whose check point
-lies on a pole, which only its computation finds.  ``main``
-alone turns that into output and an exit code: it names the first failed
-check on stderr as ``verification failed: <reason>`` before it emits the
-payload, and exits 1, NaN included (strict JSON then refuses the payload, so
-stdout stays empty and ``error: ...`` follows).
+lies on a pole, which only its computation finds, and names ``--lambda`` in
+an ``OverflowError``.  ``main`` alone turns that into output and an exit
+code: it names the first failed check on stderr as ``verification failed:
+<reason>`` before it emits the payload, and exits 1, NaN included (strict
+JSON then refuses the payload, so stdout stays empty and ``error: ...``
+follows).
 
 Exit codes: 0 success, 1 verification failure (the failing check is named),
 2 usage error.
@@ -51,7 +52,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 import numpy as np
@@ -136,47 +136,10 @@ def _cmd_verify_algebra(args):
     )
 
 
-def _random_points(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` complex points, uniform in the square [-3, 3)^2 and clear of
-    the singular set {0, -3}; the draws are those of a loop that redraws each
-    rejected point."""
-    from .rmatrix import _uniform_square
-
-    pts = np.empty(0, dtype=complex)
-    while len(pts) < count:
-        # one (re, im) draw per missing point: none lies past the last point kept
-        z = _uniform_square(rng, count - len(pts))
-        pts = np.concatenate([pts, z[np.minimum(abs(z), abs(z + 3)) > 0.2]])
-    return pts
-
-
-#: points per array call: the matrices of one block, not of all points, are held
-_MATRIX_BLOCK = 256
-
-
 def _cmd_verify_matrices(args):
-    from . import basis as basis_mod
+    from . import basis
 
-    rng = random.Random(args.seed)
-    # Gram matrices: build_basis raises if contraction != printed integers
-    for m in (2, 3):
-        basis_mod.build_basis(m)
-    lam, x, y = (_random_points(rng, args.points) for _ in range(3))
-    zero_pattern = basis_mod.a3_printed_zero_pattern()
-    dev2, dev3, zero_dev = [], [], []
-    for start in range(0, args.points, _MATRIX_BLOCK):
-        block = slice(start, start + _MATRIX_BLOCK)
-        a2 = basis_mod.a_matrix(lam[block])
-        dev2.append(np.abs(a2 - basis_mod.a2_closed_form(lam[block])).max())
-        a3 = basis_mod.a_matrix(x[block], y[block])
-        dev3.append(np.abs(a3 - basis_mod.a3_closed_form(x[block], y[block])).max())
-        zero_dev.append(np.abs(a3[:, zero_pattern]).max())
-    # np.max keeps a NaN deviation, which then fails its check
-    deviations = {
-        "a2_max_deviation": float(np.max(dev2)),
-        "a3_max_deviation": float(np.max(dev3)),
-        "a3_zero_entries_max": float(np.max(zero_dev)),
-    }
+    deviations = basis.matrix_suite(seed=args.seed, points=args.points)
     return (
         {"seed": args.seed, "points": args.points, "tolerance": _MATRIX_TOL},
         {"gram_2_exact": True, "gram_3_exact": True, **deviations},
@@ -199,9 +162,11 @@ def _cmd_two_site(args):
     try:
         res1, res2 = twosite.check_difference_equations(check_point)
         three_term = twosite.check_three_term(check_point)
+        values = {"omega33": twosite.omega33(lam), "alpha33": twosite.alpha33(lam)}
     except PoleError as exc:
         raise _UsageError(f"--lambda: {exc}") from exc
-    values = {"omega33": twosite.omega33(lam), "alpha33": twosite.alpha33(lam)}
+    except OverflowError as exc:  # a finite --lambda too large to compute with
+        raise OverflowError(f"--lambda {lam}: {exc}") from exc
     if lam.imag == 0:
         results = {k: v.real for k, v in values.items()}
     else:

@@ -2,25 +2,26 @@
 
 Each line of the graphical notation carries the fundamental (``"F"``) or the
 anti-fundamental (``"A"``) representation.  The R-matrix of two lines is
-named by their two types, ``"FF"``, ``"FA"``, ``"AF"`` or ``"AA"``:
-
-    FF / AA :  R(lam) = I + lam * P
-    FA / AF :  R(lam) = lam * P - E
-
-with the structural tensors of :mod:`su3chain.tensors` in slot order
-``(i, k, j, l)``.  The mixed operator is fixed by requiring that *all* of the
-identities below hold simultaneously (special unitarity with its stated scalar
-factors, the shifted Yang-Baxter relation, the fusion relations and the
-singlet-basis difference-equation matrices); the commonly written ``E + lam*P``
-differs from it by the sign convention implicit in the arrow-reversed line of
-the graphical notation and satisfies none of them with these component
+named by their two types, ``"FF"``, ``"FA"``, ``"AF"`` or ``"AA"``, and
+:data:`R_PARTS` states each kind once, as its four-leg (constant, linear)
+parts in the structural tensors of :mod:`su3chain.tensors`, slot order
+``(i, k, j, l)``.  :func:`r_operator`, :func:`check_fusion` and the chain of
+:mod:`su3chain.basis` all build their R-matrices from that table.  The mixed
+operator is fixed by requiring that *all* of the identities below hold
+simultaneously (special unitarity with its stated scalar factors, the shifted
+Yang-Baxter relation, the fusion relations and the singlet-basis
+difference-equation matrices); the commonly written ``E + lam*P`` differs
+from it by the sign convention implicit in the arrow-reversed line of the
+graphical notation and satisfies none of them with these component
 conventions.
 
 A Yang-Baxter case is named by its three line types, one of
 :data:`LINE_TRIPLES`.  All checks return residuals instead of booleans, so
 degenerate parameter points remain reportable.  They take scalar or array
 parameters: an array is one batch of stacked operators, and the residual is
-the maximum over its points.
+the maximum over its points.  :func:`identity_suite` runs them all on seeded
+points from :func:`uniform_square`, the one stream that
+:func:`su3chain.basis.matrix_suite` draws from too.
 """
 
 from __future__ import annotations
@@ -29,29 +30,32 @@ import random
 
 import numpy as np
 
-from .tensors import as_operator, levi_civita, pie
+from .tensors import N, as_operator, levi_civita, pie
 
-N = 3
+_P, _I, _E = pie()
+
+#: each R-matrix kind as its four-leg (constant, linear) parts, R(lam) =
+#: constant + lam * linear:
+#:
+#:     FF / AA :  R(lam) = I + lam * P
+#:     FA / AF :  R(lam) = lam * P - E
+R_PARTS = {"FF": (_I, _P), "FA": (-_E, _P), "AF": (-_E, _P), "AA": (_I, _P)}
 
 #: every triple of line types; the last two, where line 3 carries the type of
 #: line 1 and line 2 the opposite one, need the +N shift
 LINE_TRIPLES = ("FFF", "FFA", "FAA", "AAA", "AAF", "AFF", "FAF", "AFA")
 
-_KINDS = ("FF", "FA", "AF", "AA")
-
 
 def r_operator(kind: str, lam) -> np.ndarray:
     """R-matrix as a ``9 x 9`` operator: row index ``(j, l)``, column ``(i, k)``.
 
-    ``kind`` is one of ``"FF"``, ``"FA"``, ``"AF"``, ``"AA"``: FF/AA give
-    ``I + lam*P``; FA/AF give ``lam*P - E``.  An array ``lam`` gives the
+    ``kind`` is a key of :data:`R_PARTS`.  An array ``lam`` gives the
     stacked operators, of shape ``lam.shape + (9, 9)``.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown R-matrix kind {kind!r}: expected one of {_KINDS}")
-    P, I, E = map(as_operator, pie(N))
-    lam = np.asarray(lam)[..., None, None]
-    return lam * P - E if kind[0] != kind[1] else I + lam * P
+    if kind not in R_PARTS:
+        raise ValueError(f"unknown R-matrix kind {kind!r}: expected one of {tuple(R_PARTS)}")
+    constant, linear = map(as_operator, R_PARTS[kind])
+    return constant + np.asarray(lam)[..., None, None] * linear
 
 
 def _on_12(m: np.ndarray) -> np.ndarray:
@@ -137,25 +141,25 @@ def check_fusion(lam, mu, direction: str) -> float:
     ``lam + 2 - mu`` is contracted against the Levi-Civita tensor; the result
     is the Levi-Civita tensor on the free ends times a scalar:
 
-    ``up``   : mixed R content, scalar (lam + 2 - mu)(1 - (lam - mu)^2)
-    ``down`` : FF content,      scalar (mu - lam)(1 - (lam + 2 - mu)^2)
+    ``up``   : FA content, scalar (lam + 2 - mu)(1 - (lam - mu)^2)
+    ``down`` : FF content, scalar (mu - lam)(1 - (lam + 2 - mu)^2)
 
     The parameters may be arrays, as in :func:`check_unitarity`.
     """
-    P, I, E = pie(N)
-    eps = levi_civita(N)
+    eps = levi_civita()
     lam, mu = np.asarray(lam), np.asarray(mu)
-    args = [(lam + k - mu)[..., None, None, None, None] for k in range(3)]
     if direction == "up":
-        rs = [a * P - E for a in args]
+        kind = "FA"
         scalar = (lam + 2 - mu) * (1 - (lam - mu) ** 2)
         rhs_eps = eps
     elif direction == "down":
-        rs = [I + a * P for a in args]
+        kind = "FF"
         scalar = (mu - lam) * (1 - (lam + 2 - mu) ** 2)
         rhs_eps = eps.transpose(0, 2, 1)
     else:
         raise ValueError(f"unknown fusion direction {direction!r}")
+    constant, linear = R_PARTS[kind]
+    rs = [constant + (lam + k - mu)[..., None, None, None, None] * linear for k in range(3)]
     left = np.einsum(
         "...fwxa,...gvwb,...huvc,cba->...fghux", *rs, eps, optimize=True
     )
@@ -171,8 +175,9 @@ EDGE_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
 _BLOCK = 64
 
 
-def _uniform_square(rng: random.Random, count: int) -> np.ndarray:
-    """The next ``count`` complex points of ``rng``, uniform in [-3, 3)^2.
+def uniform_square(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` complex points of ``rng``, uniform in [-3, 3)^2: the
+    seeded stream of both verify suites.
 
     Each coordinate is 8 bytes of ``rng.randbytes``, read as a little-endian
     integer whose top 53 bits make a double in [0, 1), so the points do not
@@ -182,28 +187,23 @@ def _uniform_square(rng: random.Random, count: int) -> np.ndarray:
     return (-3 + 6 * (bits * 2.0**-53)).view(complex)
 
 
-def sample_parameters(count: int, seed: int = 7) -> np.ndarray:
-    """Deterministic complex sample points for identity checks, uniform in
-    the square [-3, 3)^2: the first ``count`` of ``random.Random(seed)``."""
-    return _uniform_square(random.Random(seed), count)
-
-
 def _ybe_name(lines: str) -> str:
     """``ybe_`` (``ybe_special_`` if shifted) and the kinds of the three R-matrices."""
     a, b, c = lines
     return ("ybe_special_" if _shifted(lines) else "ybe_") + a + b + a + c + b + c
 
 
-def identity_suite(seed: int = 7, samples: int = 50) -> dict[str, float]:
+def identity_suite(seed: int, samples: int) -> dict[str, float]:
     """Run every SU(3) identity check and return max residuals by name.
 
     Covers the eight Yang-Baxter line triples (the two shifted ones named
     ``ybe_special_...``), standard and special unitarity, both fusion
     directions, and the epsilon / delta contraction identities, over
-    ``samples`` fixed-seed complex points plus the deterministic edge points
-    0, +-1, +-2, +-3.  Each check runs once per block of ``_BLOCK`` points.
+    ``samples`` points of :func:`uniform_square` at ``seed`` plus the
+    deterministic edge points 0, +-1, +-2, +-3.  Each check runs once per
+    block of ``_BLOCK`` points.
     """
-    pts = sample_parameters(3 * samples, seed=seed)
+    pts = uniform_square(random.Random(seed), 3 * samples)
     edges = np.array(EDGE_POINTS, dtype=complex)
     # Yang-Baxter triples (lam, mu, nu) and unitarity/fusion pairs (lam2, mu2)
     lam = np.concatenate([pts[0::3], edges])
@@ -228,8 +228,8 @@ def identity_suite(seed: int = 7, samples: int = 50) -> dict[str, float]:
         for direction in ("up", "down"):
             record("fusion_" + direction, check_fusion(*pair, direction))
 
-    eps = levi_civita(3)
-    eye = np.eye(3)
+    eps = levi_civita()
+    eye = np.eye(N)
     record("eps_eps_full", abs(np.einsum("ijk,ijk->", eps, eps) - 6))
     record("delta_trace", abs(np.trace(eye) - 3))
     record(

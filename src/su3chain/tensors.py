@@ -1,15 +1,18 @@
-"""The structural tensors of the SU(n) graphical calculus, as plain arrays.
+"""The structural tensors of the SU(3) graphical calculus, as plain arrays.
 
-The four-leg tensors have slots ordered ``(i, k, j, l)`` (``i, k`` incoming,
-``j, l`` outgoing):
+The local dimension ``N``, 3, is assigned here once, and the R-matrix and
+basis modules import it.  The four-leg tensors have slots ordered
+``(i, k, j, l)`` (``i, k`` incoming, ``j, l`` outgoing):
 
     P[i, k, j, l] = delta(i, l) * delta(j, k)     (permutation)
     I[i, k, j, l] = delta(i, j) * delta(k, l)     (identity)
     E[i, k, j, l] = delta(i, k) * delta(j, l)     (Temperley-Lieb)
 
-As an ``n^2 x n^2`` operator with row index ``(j, l)`` and column ``(i, k)``
+As an ``N^2 x N^2`` operator with row index ``(j, l)`` and column ``(i, k)``
 (:func:`as_operator`), ``P`` is the swap of the two tensor factors.  The
-Levi-Civita tensor is normalized by ``eps[0, 1, ..., n-1] = +1``.
+Levi-Civita tensor is normalized by ``eps[0, 1, 2] = +1``.  Each is built on
+its first use and then shared, read-only; :mod:`su3chain.rmatrix` states the
+R-matrices in terms of them.
 
 An SU(3)-invariant operator ``D`` on 2 or 3 sites of the chain is a sum
 ``sum_s c_s s`` over the site permutations ``s``, so it is fixed by the 2 or 6
@@ -23,17 +26,17 @@ from functools import cache
 
 import numpy as np
 
+#: the local dimension of the chain
+N = 3
+
 
 @cache
-def pie(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The four-leg tensors ``(P, I, E)`` for local dimension ``n``.
+def pie() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four-leg tensors ``(P, I, E)``.
 
-    Built once per ``n``; every caller shares the arrays, so they are
-    read-only.
+    Built once; every caller shares the arrays, so they are read-only.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be >= 2, got {n}")
-    eye = np.eye(n)
+    eye = np.eye(N)
     tensors = (
         np.einsum("il,jk->ikjl", eye, eye),
         np.einsum("ij,kl->ikjl", eye, eye),
@@ -45,10 +48,9 @@ def pie(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def as_operator(t: np.ndarray) -> np.ndarray:
-    """The four-leg tensor ``t`` as an ``n^2 x n^2`` operator: row ``(j, l)``,
+    """The four-leg tensor ``t`` as an ``N^2 x N^2`` operator: row ``(j, l)``,
     column ``(i, k)``."""
-    n = t.shape[0]
-    return t.transpose(2, 3, 0, 1).reshape(n * n, n * n)
+    return t.transpose(2, 3, 0, 1).reshape(N * N, N * N)
 
 
 def exact_inverse(gram: np.ndarray, denominator: int) -> np.ndarray:
@@ -104,11 +106,14 @@ def from_expectations(v) -> np.ndarray:
     return np.tensordot(_permutation_gram(m)[1] @ v, site_permutations(m), 1)
 
 
-def levi_civita(n: int) -> np.ndarray:
-    """Fully antisymmetric tensor with ``eps[0, 1, ..., n-1] = +1``."""
-    eps = np.zeros((n,) * n)
-    for perm in itertools.permutations(range(n)):
+@cache
+def levi_civita() -> np.ndarray:
+    """Fully antisymmetric tensor with ``eps[0, 1, 2] = +1``, built once and
+    shared, so read-only."""
+    eps = np.zeros((N,) * N)
+    for perm in itertools.permutations(range(N)):
         # the sign of perm: the determinant of its permutation matrix, which
         # LU factorization finds by row exchanges alone, so exactly +-1
-        eps[perm] = np.linalg.det(np.eye(n)[list(perm)])
+        eps[perm] = np.linalg.det(np.eye(N)[list(perm)])
+    eps.flags.writeable = False
     return eps

@@ -1,11 +1,13 @@
 """Singlet bases, Gram matrices, difference-equation matrices, reduction."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from su3chain import basis, rmatrix
 from su3chain.basis import (
     GRAM_2,
     GRAM_3,
@@ -21,9 +23,10 @@ from su3chain.basis import (
     gram_inverse,
     reduce_to_physical,
 )
+from su3chain.rmatrix import uniform_square
 from su3chain.tensors import expectations, levi_civita
 
-EPS = levi_civita(3)
+EPS = levi_civita()
 
 
 def _random_points(rng, count):
@@ -178,6 +181,38 @@ def test_normalization_row_left_eigenvector():
     row3 = GRAM_3[0].astype(float)
     assert np.abs(row2 @ a2_closed_form(0.9 - 0.3j) - row2).max() < 1e-12
     assert np.abs(row3 @ a3_closed_form(1.3 + 0.2j, -0.8 + 0.6j) - row3).max() < 1e-11
+
+
+def test_random_points_are_the_kept_prefix_of_one_stream():
+    assert basis._random_points(random.Random(3), 3).tolist() == [
+        complex(0.5558454649121929, -2.217463226694294),
+        complex(2.49566887324204, -0.1556787659359351),
+        complex(0.4851125445576199, 0.6335972208513807),
+    ]
+    for seed in range(3):
+        pts = basis._random_points(random.Random(seed), 2000)
+        coords = pts.view(float)
+        assert ((-3 <= coords) & (coords < 3)).all()
+        assert (np.minimum(abs(pts), abs(pts + 3)) > 0.2).all()
+        # a rejected point is redrawn from the same stream, one (re, im) draw
+        # per missing point, so the points are the clear prefix of one stream
+        stream = uniform_square(random.Random(seed), 2200)
+        clear = np.minimum(abs(stream), abs(stream + 3)) > 0.2
+        assert not clear[:2000].all()  # the redraw loop ran
+        assert np.array_equal(pts, stream[clear][:2000])
+
+
+def _bits(values: dict) -> dict:
+    return {name: float(value).hex() for name, value in values.items()}
+
+
+def test_suites_do_not_depend_on_their_blocks(monkeypatch):
+    # the blocks bound the memory only: 7-point blocks give the same bits
+    expected = _bits(basis.matrix_suite(3, 300)), _bits(rmatrix.identity_suite(3, 100))
+    monkeypatch.setattr(basis, "_MATRIX_BLOCK", 7)
+    monkeypatch.setattr(rmatrix, "_BLOCK", 7)
+    blocked = _bits(basis.matrix_suite(3, 300)), _bits(rmatrix.identity_suite(3, 100))
+    assert blocked == expected
 
 
 def test_singular_parameters_rejected():

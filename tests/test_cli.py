@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,10 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su3chain import ed as ed_mod
-from su3chain.cli import (
-    EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _random_points, _text_lines, main,
-)
-from su3chain.rmatrix import sample_parameters
+from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _text_lines, main
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
 from test_ed import _raised_singlet_sector, _tilted_first_bond
 
@@ -271,6 +267,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("su3chain.
         (["verify-algebra", "--samples", "2"], {"basis", "threesite", "twosite"}),
         (["two-site"], {"basis", "rmatrix", "threesite", "tensors"}),
         (["three-site"], {"basis", "rmatrix", "tensors"}),
+        (["verify-matrices", "--points", "2"], {"threesite", "twosite", "specfun"}),
     ],
 )
 def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
@@ -310,25 +307,6 @@ def test_ci_gates_do_not_load_numpy_random():
     codes, loaded = json.loads(child.stdout)
     assert codes == [EXIT_OK] * 3
     assert loaded == []
-
-
-def test_random_points_are_the_kept_prefix_of_one_stream():
-    assert _random_points(random.Random(3), 3).tolist() == [
-        complex(0.5558454649121929, -2.217463226694294),
-        complex(2.49566887324204, -0.1556787659359351),
-        complex(0.4851125445576199, 0.6335972208513807),
-    ]
-    for seed in range(3):
-        pts = _random_points(random.Random(seed), 2000)
-        coords = pts.view(float)
-        assert ((-3 <= coords) & (coords < 3)).all()
-        assert (np.minimum(abs(pts), abs(pts + 3)) > 0.2).all()
-        # a rejected point is redrawn from the same stream, one (re, im) draw
-        # per missing point, so the points are the clear prefix of one stream
-        stream = sample_parameters(2200, seed=seed)
-        clear = np.minimum(abs(stream), abs(stream + 3)) > 0.2
-        assert not clear[:2000].all()  # the redraw loop ran
-        assert np.array_equal(pts, stream[clear][:2000])
 
 
 def test_closed_stdout_is_no_error():
@@ -376,12 +354,15 @@ def test_two_site_fails_closed_at_poles(capsys, lam):
 
 
 def test_two_site_overflow_fails_without_traceback(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, ["two-site", "--lambda", "1e300j"])
-    assert code == EXIT_VERIFY
-    assert out == ""
-    assert err.startswith("error: ")
+    for lam in ("1e300j", "0.5+1e300j", "1e160+0.5j"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["two-site", "--lambda", lam])
+        assert code == EXIT_VERIFY
+        assert out == ""
+        # one line naming the option and its value
+        assert err.startswith(f"error: --lambda {complex(lam)}: ")
+        assert err.count("\n") == 1
 
 
 def test_three_site_runs_the_library_comb(capsys, three_site_pair):

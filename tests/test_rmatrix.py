@@ -1,5 +1,6 @@
 """R-matrix identities: Yang-Baxter, unitarity, fusion, contraction rules."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from su3chain.rmatrix import (
     check_yang_baxter,
     identity_suite,
     r_operator,
-    sample_parameters,
+    uniform_square,
 )
 
 TOL = 1e-12
@@ -155,14 +156,14 @@ def test_identity_suite_memory_is_blocked():
     assert peak < 8 * 2**20
 
 
-def test_sample_parameters_stream_is_pinned():
+def test_uniform_square_stream_is_pinned():
     # random.Random(seed)'s bytes, 53 bits per coordinate: --seed promises
     # these exact doubles on every platform and Python version
-    assert sample_parameters(4, seed=7).tolist() == [
+    assert uniform_square(random.Random(7), 4).tolist() == [
         complex(2.68719216295122, -0.6310590307914898),
         complex(-2.7102814382161933, 1.9276457336811852),
         complex(-2.4352197402121285, 0.4967280738507709),
         complex(2.4582243841951694, -1.7118108991895309),
     ]
-    coords = sample_parameters(5000, seed=0).view(float)
+    coords = uniform_square(random.Random(0), 5000).view(float)
     assert ((-3 <= coords) & (coords < 3)).all()

@@ -32,7 +32,7 @@ def partial_trace_first_site(d3: np.ndarray) -> np.ndarray:
 def kron_site_permutations(m: int) -> list[np.ndarray]:
     """``I, P12`` (m = 2) and ``I, P12, P23, P13, P12 P23, P23 P12`` (m = 3),
     built from Kronecker products of the two-site swap."""
-    p = as_operator(pie(3)[0])
+    p = as_operator(pie()[0])
     if m == 2:
         return [np.eye(9), p]
     eye = np.eye(3)
@@ -54,14 +54,15 @@ def _cycles(perm) -> int:
 
 
 def test_permutation_entries():
-    p = pie(3)[0]
+    p = pie()[0]
     assert p[0, 1, 1, 0] == 1
     assert p[0, 1, 0, 1] == 0
     for i, k, j, l in itertools.product(range(3), repeat=4):
         assert p[i, k, j, l] == (1 if i == l and j == k else 0)
-    # as an operator, row (j, l) and column (i, k), P swaps the two factors
-    swap = as_operator(pie(2)[0])
-    assert np.array_equal(swap, np.eye(4)[[0, 2, 1, 3]])
+    # as an operator, row (j, l) and column (i, k), P swaps the two factors:
+    # it sends |a b> to |b a>
+    swap = as_operator(p)
+    assert np.array_equal(swap, np.eye(9)[[3 * b + a for a in range(3) for b in range(3)]])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -73,14 +74,14 @@ def test_partial_traces_of_products(n):
 
 
 def test_identity_and_temperley_lieb_entries():
-    _, ident, e = pie(3)
+    _, ident, e = pie()
     for i, k, j, l in itertools.product(range(3), repeat=4):
         assert ident[i, k, j, l] == (1 if i == j and k == l else 0)
         assert e[i, k, j, l] == (1 if i == k and j == l else 0)
 
 
 def test_epsilon_values():
-    eps = levi_civita(3)
+    eps = levi_civita()
     assert eps[0, 1, 2] == 1
     assert eps[1, 0, 2] == -1
     assert eps[0, 0, 1] == 0
@@ -88,7 +89,7 @@ def test_epsilon_values():
 
 @given(st.permutations(range(3)))
 def test_levi_civita_antisymmetry(perm):
-    eps = levi_civita(3)
+    eps = levi_civita()
     base = eps[0, 1, 2]
     # swapping any two indices flips the sign
     i, j, k = perm
@@ -97,16 +98,14 @@ def test_levi_civita_antisymmetry(perm):
     assert base == 1
 
 
-def test_small_n_rejected():
-    with pytest.raises(ValueError):
-        pie(1)
-
-
 def test_entries_are_immutable():
-    for t in pie(3):
+    for t in pie():
         with pytest.raises(ValueError):
             t[0, 0, 0, 0] = 5
-    assert pie(3)[0] is pie(3)[0]  # built once, shared by every caller
+    assert pie()[0] is pie()[0]  # built once, shared by every caller
+    with pytest.raises(ValueError):
+        levi_civita()[0, 1, 2] = 5
+    assert levi_civita() is levi_civita()
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -756,7 +756,7 @@ def test_two_site_density_matrix_reproduces_omega_at_complex_argument():
         # in which omega_bar33 has weight zero (measured at most 1.4e-17)
         f = [1, twosite.omega33(lam), twosite.omega_bar33(lam - 1)]
         wing = np.einsum(
-            "j,bcd,jcdars->arbs", gram_inverse(2) @ f, levi_civita(3), build_basis(2)
+            "j,bcd,jcdars->arbs", gram_inverse(2) @ f, levi_civita(), build_basis(2)
         ).reshape(9, 9)
         assert np.abs(d2 - wing).max() < 1e-14
 
