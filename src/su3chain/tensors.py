@@ -59,7 +59,7 @@ def exact_inverse(gram: np.ndarray, denominator: int) -> np.ndarray:
     gram^-1`` must give ``gram S = denominator I`` exactly in integers."""
     scaled = np.rint(np.linalg.inv(gram) * denominator).astype(np.int64)
     if not np.array_equal(gram @ scaled, denominator * np.eye(len(gram), dtype=np.int64)):
-        raise AssertionError(f"the inverse is not an integer matrix over {denominator}")
+        raise RuntimeError(f"the inverse is not an integer matrix over {denominator}")
     out = scaled / denominator
     out.flags.writeable = False
     return out

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +41,7 @@ def test_two_site_lambda_zero(capsys):
     code, out, _ = run(capsys, ["two-site", "--lambda", "0"])
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert set(payload) == {
-        "command", "inputs", "results", "diagnostics", "paper_reference_values",
-    }
+    assert set(payload) == {"command", "inputs", "results", "diagnostics"}
     assert payload["results"]["omega33"] == pytest.approx(
         -0.703212076746182, abs=1e-12
     )
@@ -74,6 +73,24 @@ def test_verify_matrices(capsys):
     assert results["a2_max_deviation"] < 1e-10
     assert results["a3_max_deviation"] < 1e-10
     assert results["a3_zero_entries_max"] < 1e-10
+
+
+def test_verify_matrices_gram_mismatch_fails_closed(monkeypatch, capsys):
+    # a bumped Gram matrix with fresh caches, so that nothing built from the
+    # true one is reused; monkeypatch restores the shared ones afterwards
+    from su3chain import basis
+
+    gram = basis.GRAM_2.copy()
+    gram[0, 0] += 1
+    monkeypatch.setitem(basis._GRAM, 2, gram)
+    monkeypatch.setattr(basis, "_CACHE", {})
+    for name in ("_chain_polynomial", "gram_inverse"):
+        monkeypatch.setattr(basis, name, cache(getattr(basis, name).__wrapped__))
+    code, out, err = run(capsys, ["verify-matrices"])
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "error: singlet-basis Gram matrix mismatch\n"
+    assert "Traceback" not in err
 
 
 def test_verify_matrices_memory_is_flat_in_points(capsys):
@@ -254,20 +271,28 @@ _LOADED = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from su3chain.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[2:])
+code = None  # a bare import runs nothing
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[2:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("su3chain."))]))
 """
+
+#: every module of the package but cli
+_LAYERS = {
+    path.stem for path in (Path(__file__).resolve().parents[1] / "src" / "su3chain").glob("*.py")
+} - {"__init__", "cli"}
 
 
 @pytest.mark.parametrize(
     "argv, not_loaded",
     [
         (["ed", "--L", "3"], {"basis", "rmatrix", "threesite", "twosite", "specfun"}),
-        (["verify-algebra", "--samples", "2"], {"basis", "threesite", "twosite"}),
-        (["two-site"], {"basis", "rmatrix", "threesite", "tensors"}),
-        (["three-site"], {"basis", "rmatrix", "tensors"}),
-        (["verify-matrices", "--points", "2"], {"threesite", "twosite", "specfun"}),
+        (["verify-algebra", "--samples", "2"], {"basis", "threesite", "twosite", "ed"}),
+        (["two-site"], {"basis", "rmatrix", "threesite", "tensors", "ed"}),
+        (["three-site"], {"basis", "rmatrix", "tensors", "ed"}),
+        (["verify-matrices", "--points", "2"], {"threesite", "twosite", "specfun", "ed"}),
+        ([], _LAYERS),
     ],
 )
 def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
@@ -279,7 +304,7 @@ def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
     )
     assert child.returncode == 0, child.stderr
     code, loaded = json.loads(child.stdout)
-    assert code == EXIT_OK
+    assert code == (EXIT_OK if argv else None)
     assert not not_loaded & {name.split(".", 1)[1] for name in loaded}
 
 
@@ -511,6 +536,7 @@ def _moved_table1_cell(shift):
         (["two-site"], _nan_difference_residual, "difference-equation residuals"),
         (["three-site"], _nan_p12p23, "p12p23 off reference"),
         (["ed", "--L", "3"], _nan_eigenresidual, "eigenresidual"),
+        (["ed", "--L", "9"], _moved_table1_cell(float("nan")), "p12p23 off reference"),
         (["report-table1"], _moved_table1_cell(float("nan")), "L=9 p12p23"),
     ],
     ids=[
@@ -521,6 +547,7 @@ def _moved_table1_cell(shift):
         "two-site",
         "three-site",
         "ed",
+        "ed-table1-cell",
         "report-table1",
     ],
 )
@@ -588,6 +615,22 @@ def _off_difference_residual(monkeypatch):
     monkeypatch.setattr(twosite, "check_difference_equations", lambda lam: (0.0, 1e-9))
 
 
+def _off_omega33(monkeypatch):
+    # at lambda = 0 only: the difference equations, checked at 0.4+0.3j, hold
+    from su3chain import twosite
+
+    real_omega33 = twosite.omega33
+    monkeypatch.setattr(
+        twosite, "omega33", lambda lam: real_omega33(lam) + (1e-9 if lam == 0 else 0)
+    )
+
+
+def _off_omega33_constant(monkeypatch):
+    from su3chain import twosite
+
+    monkeypatch.setattr(twosite, "OMEGA33_HOMOGENEOUS", twosite.OMEGA33_HOMOGENEOUS + 1e-9)
+
+
 def _off_p12p23(monkeypatch):
     # what a one-term comb head gave: the tail series outside its range
     from su3chain import threesite
@@ -630,18 +673,26 @@ def _off_eigenresidual(L):
          "a3_max_deviation = 1.000e-06"),
         (["two-site"], _off_difference_residual, {"lambda": [0.0, 0.0]},
          "difference-equation residuals 0.000e+00, 1.000e-09"),
+        (["two-site"], _off_omega33, {"lambda": [0.0, 0.0]},
+         "omega33 off reference by 1.000e-09"),
         (["three-site"], _off_p12p23, {}, "p12p23 off reference by 1.700e-04"),
         (["ed", "--L", "3"], _off_eigenresidual(3), {"L": 3}, "eigenresidual 1.000e-08"),
         # the gate is 1e-8 and the cell's own delta -1.4e-12
+        (["ed", "--L", "9"], _moved_table1_cell(1e-7), {"L": 9},
+         "p12p23 off reference by 1.000e-07"),
+        # report-table1 runs ed's and three-site's own checks, named by row
         (["report-table1"], _moved_table1_cell(1e-7), {},
          "L=9 p12p23 off reference by 1.000e-07"),
-        # report-table1 runs ed's and three-site's own checks, named by row
         (["report-table1"], _off_eigenresidual(9), {}, "L=9 eigenresidual 1.000e-08"),
         (["report-table1"], _off_p12p23, {},
          "thermodynamic p12p23 off reference by 1.700e-04"),
+        # the one cell report-table1 computes itself
+        (["report-table1"], _off_omega33_constant, {},
+         "thermodynamic omega33 off reference by 1.000e-09"),
     ],
-    ids=["verify-algebra", "verify-matrices", "two-site", "three-site", "ed",
-         "report-table1", "report-table1-ed-check", "report-table1-three-site-check"],
+    ids=["verify-algebra", "verify-matrices", "two-site", "two-site-reference",
+         "three-site", "ed", "ed-table1-cell", "report-table1", "report-table1-ed-check",
+         "report-table1-three-site-check", "report-table1-omega33"],
 )
 def test_finite_gate_failure_still_emits_payload(
     monkeypatch, capsys, argv, make_off, inputs, reason
