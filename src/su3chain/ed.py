@@ -21,13 +21,18 @@ excitation may lie outside it (at L = 12 the singlet gap is 1.13, the
 balanced sector's 0.70).
 
 A tableau is the Yamanouchi word of the rows its entries stand in, packed in
-base 3 like a basis state (site 0 the most significant digit), and the words
-are generated site by site by the ballot rule, in ascending order, without
-enumerating the balanced color sector (L/3 sites of each color): 462 words
-at L = 12, where that sector has 34,650 states.  A bond swap changes a
-word by ``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its two digits ``d_j``,
-``d_k``, and the swapped word is ranked by binary search in the ascending
-word list.  Every three-site observable is one of the six numbers ``v`` that
+base 3 like a basis state (site 0 the most significant digit).  Both sectors
+come from one generator, ``_words``, that grows every admissible prefix a
+site at a time, in ascending order, under a rule for which digits a prefix
+may take next: the ballot rule for the tableaux, fewer than L/3 of each color
+for the balanced sector.  So the tableaux are built without enumerating the
+balanced sector: 462 words at L = 12, where that sector has 34,650 states.
+The generator also returns each word's digits and its contents, which it
+reads off the prefix's digit counts.  A bond swap changes a word by
+``(d_k - d_j)(3^(L-1-j) - 3^(L-1-k))`` for its two digits ``d_j``, ``d_k``,
+and ``_swap_rank`` ranks the swapped word by binary search in the ascending
+word list, for the tableaux' bonds and for the balanced sector's.  Every
+three-site observable is one of the six numbers ``v`` that
 ``ground_state`` returns, ``<I>, <P12>, <P23>, <P13>, <P12 P23>, <P23 P12>``
 of sites 0, 1, 2, read off the ground vector ``x`` as ``x.x``, ``<s_1>``,
 ``<s_2>``, ``<s_1 s_2 s_1>``, ``<s_1 s_2>`` and ``<s_2 s_1>``; the three
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -105,47 +109,60 @@ class SpectrumResult:
 # state bookkeeping
 # ---------------------------------------------------------------------------
 
+def _words(L: int, admits):
+    """The words of L base-3 digits that ``admits`` lets grow site by site,
+    ascending, with their ``(L, dim)`` digits and contents.
+
+    ``admits(counts, k)`` takes each prefix's counts of the digits 0, 1, 2
+    and k = L/3, and returns which digits it may take next.  Every prefix is
+    extended at once through ``np.nonzero`` of that (prefix, digit) mask,
+    which lists prefixes in order and each one's digits ascending, so the
+    words stay ascending.  A site's content is the number of earlier sites
+    with its digit, minus the digit (for a tableau word, the column of the
+    entry minus its row), so it comes from the prefix's counts.  Each site's
+    digits and contents are kept per prefix and gathered once at the end.
+    """
+    words = np.zeros(1, dtype=np.int64)
+    counts = np.zeros((1, 3), dtype=np.int64)
+    steps = []
+    for _ in range(L):
+        prefix, digit = np.nonzero(admits(counts, L // 3))
+        counts = counts[prefix]
+        steps.append((prefix, digit, counts[np.arange(len(digit)), digit] - digit))
+        words = 3 * words[prefix] + digit
+        counts += np.eye(3, dtype=np.int64)[digit]
+    # each word's digit and content at every site, read back along its prefixes
+    digits, contents = np.empty((2, L, len(words)), dtype=np.int64)
+    node = np.arange(len(words))
+    for site in reversed(range(L)):
+        prefix, digit, content = steps.pop()
+        digits[site], contents[site] = digit[node], content[node]
+        node = prefix[node]
+    return words, digits, contents
+
+
+def _ballot(counts, k):
+    """Row 0 may take an entry while it is shorter than k, rows 1 and 2 while
+    shorter than the row above."""
+    n0, n1, n2 = counts.T
+    return np.column_stack([n0 < k, n1 < n0, n2 < n1])
+
+
+def _swap_rank(words, digits, j, k):
+    """The words with the digits of sites j and k exchanged, and the rank of
+    each in the ascending ``words`` by binary search (clipped to the last)."""
+    L = len(digits)
+    swapped = words + (digits[k] - digits[j]) * (3 ** (L - 1 - j) - 3 ** (L - 1 - k))
+    return swapped, np.minimum(np.searchsorted(words, swapped), len(words) - 1)
+
+
 def balanced_sector(L: int) -> np.ndarray:
     """All states with exactly L/3 sites of each color, ascending.
 
-    Built from the sites of each color, never from the 3^L states: the
-    positions of color 0 run over ``combinations(range(L), L/3)``, those of
-    color 1 over the same number of the remaining sites, and every other
-    site holds color 2, so the state is ``2 sum(pw) - 2 sum(pw[c0]) -
-    sum(pw[c1])`` for the place values ``pw``.
+    Built site by site, never from the 3^L states: a color may take the
+    next site while it holds fewer than L/3, and no prefix is a dead end.
     """
-    k = L // 3
-    pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    c0 = np.array(list(combinations(range(L), k)))
-    free = np.ones((len(c0), L), dtype=bool)
-    free[np.arange(len(c0))[:, None], c0] = False
-    rest = np.nonzero(free)[1].reshape(len(c0), L - k)
-    c1 = np.array(list(combinations(range(L - k), k)))
-    zero = pw[c0].sum(axis=1)
-    one = pw[rest[:, c1]].sum(axis=2)
-    states = 2 * pw.sum() - 2 * zero[:, None] - one
-    return np.sort(states.ravel())
-
-
-def _tableau_words(L: int) -> np.ndarray:
-    """The Yamanouchi words of shape (k, k, k), k = L/3, ascending in base 3.
-
-    Built site by site: a prefix with ``n0, n1, n2`` digits 0, 1, 2 may take
-    0 if ``n0 < k``, 1 if ``n1 < n0`` and 2 if ``n2 < n1``.  Every prefix is
-    extended at once through ``np.nonzero`` of the (prefix, digit) mask,
-    which lists prefixes in order and each one's digits ascending, so the
-    words stay ascending.  No prefix is a dead end, and every word has k of
-    each digit.
-    """
-    k = L // 3
-    words = np.zeros(1, dtype=np.int64)
-    counts = np.zeros((1, 3), dtype=np.int64)
-    for _ in range(L):
-        n0, n1, n2 = counts.T
-        prefix, digit = np.nonzero(np.column_stack([n0 < k, n1 < n0, n2 < n1]))
-        words = 3 * words[prefix] + digit
-        counts = counts[prefix] + np.eye(3, dtype=np.int64)[digit]
-    return words
+    return _words(L, lambda counts, k: counts < k)[0]
 
 
 class Hamiltonian:
@@ -153,29 +170,24 @@ class Hamiltonian:
 
     The basis is the ``dim`` Yamanouchi words of shape (k, k, k), k = L/3,
     ascending, as ``words``: read from site 0, no prefix has more 1s than 0s
-    or more 2s than 1s, and the word has k of each.  Word ``w`` is the
-    standard tableau with entry i in row ``w_i``, and the words are the
-    orthonormal basis.  A swap whose ``T'`` is standard (|r| >= 2) must find
-    it among the words; a list that lacks one raises.  Each swap is a
-    diagonal and one gather, and ``matvec`` sums ``3L - 4`` of them.
+    or more 2s than 1s, and the word has k of each (``_ballot``; no prefix
+    is a dead end).  Word ``w`` is the standard tableau with entry i in row
+    ``w_i``, and the words are the orthonormal basis.  A swap whose ``T'``
+    is standard (|r| >= 2) must find it among the words; a list that lacks
+    one raises.  Each swap is a diagonal and one gather, and ``matvec`` sums
+    ``3L - 4`` of them.
     """
 
     def __init__(self, L: int):
         self.L = L
-        pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-        self.words = _tableau_words(L)
+        self.words, digits, contents = _words(L, _ballot)
         self.dim = len(self.words)
         if not self.dim:
             raise RuntimeError("no standard tableau in the word list (sector broken)")
-        digits = self.words // pw[:, None] % 3
-        # content of each site: its column (earlier sites in its row) minus its row
-        seen = np.cumsum(digits[:, :, None] == np.arange(3), axis=0)
-        contents = np.take_along_axis(seen, digits[:, :, None], 2)[:, :, 0] - 1 - digits
         self._bonds = []
         for j in range(L - 1):
             r = contents[j + 1] - contents[j]  # never 0: i and i+1 share no diagonal
-            swapped = self.words + (digits[j + 1] - digits[j]) * (pw[j] - pw[j + 1])
-            rank = np.minimum(np.searchsorted(self.words, swapped), self.dim - 1)
+            swapped, rank = _swap_rank(self.words, digits, j, j + 1)
             # |r| = 1: i+1 beside or below i, s_i T = +-T, and T' has weight 0
             if (self.words[rank] != swapped)[abs(r) > 1].any():
                 raise RuntimeError("bond swap left the tableau list (sector broken)")
@@ -197,14 +209,10 @@ def _balanced_minimum(L: int) -> float:
     """Lowest level of H on the whole balanced sector, by dense ``eigvalsh``;
     each bond sends a state to the one with its two digits swapped."""
     states = balanced_sector(L)
-    pw = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    digits = states[:, None] // pw % 3
-    rows = np.arange(len(states))
+    digits = states // 3 ** np.arange(L - 1, -1, -1)[:, None] % 3
     h = np.zeros((len(states), len(states)))
     for j in range(L):
-        k = (j + 1) % L
-        swapped = states + (digits[:, k] - digits[:, j]) * (pw[j] - pw[k])
-        h[rows, np.searchsorted(states, swapped)] += 1.0
+        h[np.arange(len(states)), _swap_rank(states, digits, j, (j + 1) % L)[1]] += 1.0
     return float(np.linalg.eigvalsh(h)[0])
 
 
@@ -290,7 +298,7 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
         raise RuntimeError(f"degenerate singlet ground level; gap {gap}")
     if spec.L <= _DENSE_LIMIT:
         global_min = _balanced_minimum(spec.L)
-        if abs(global_min - e0) > 1e-10:
+        if not abs(global_min - e0) <= 1e-10:
             raise RuntimeError(
                 f"singlet sector misses the global minimum: {e0} vs {global_min}"
             )
@@ -299,7 +307,7 @@ def ground_state(spec: ChainSpec) -> SpectrumResult:
     s1, s2 = ham._swap(x, 0), ham._swap(x, 1)
     v = np.array([x @ x, x @ s1, x @ s2, s1 @ ham._swap(s1, 1), s1 @ s2, s2 @ s1])
     per_bond = e0 / spec.L
-    if abs(v[1] - per_bond) > 1e-12:
+    if not abs(v[1] - per_bond) <= 1e-12:
         raise RuntimeError(
             f"translation invariance violated: <P12> = {float(v[1])}, E0/L = {per_bond}"
         )

@@ -87,6 +87,38 @@ def test_every_library_layer_has_a_wrapped_name(installed):
     assert not bare, f"the tracer wraps no name of {bare}"
 
 
+_ED_CHILD = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:]
+import tracer
+traced = tracer.Tracer()
+tracer.install(traced)
+from su3chain import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["ed", "--L", "6"])
+print(json.dumps({"code": code, "opened": sorted(set(traced.names))}))
+"""
+
+
+def test_ed_run_opens_every_declared_ed_span(installed):
+    # a wrapped name that the library stops calling still reports, as 0 calls
+    # and 0 s, which reads as a speed-up; `ed --L 6` reaches every ed span,
+    # the balanced sector included (its minimum gates L <= 6)
+    child = subprocess.run(
+        [sys.executable, "-c", _ED_CHILD, str(ROOT / "src"), str(PERFBENCH)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    run = json.loads(child.stdout)
+    assert run["code"] == 0
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    spans = {span for metric, span in installed["span_metrics"].items()
+             if metric in declared and span.startswith("ed.")}
+    assert spans, "BENCHMARK.json declares no ed span"
+    unopened = sorted(spans - set(run["opened"]))
+    assert not unopened, f"ed --L 6 opens none of {unopened}"
+
+
 def test_contour_pass_runs_on_the_library(monkeypatch):
     # the contour workload calls the library in process; a signature it
     # relies on that changes fails here, not only in the benchmark's run

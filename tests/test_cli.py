@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from su3chain import ed as ed_mod
 from su3chain.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _text_lines, main
 from su3chain.twosite import OMEGA33_HOMOGENEOUS
-from test_ed import _raised_singlet_sector, _tilted_first_bond
+from test_ed import _nan_first_bond, _raised_singlet_sector, _tilted_first_bond
 
 
 def run(capsys, argv):
@@ -578,8 +578,11 @@ def test_ed_singlet_sector_above_the_global_minimum_fails_closed(monkeypatch, ca
     [
         (9, "Hamiltonian", _tilted_first_bond, "translation invariance violated: "),
         (12, "_LANCZOS_MAX_ITER", 3, "Lanczos did not converge in 3 iterations "),
+        # a NaN passes neither gate: each compares as not (deviation <= tolerance)
+        (6, "_balanced_minimum", lambda L: np.nan, "singlet sector misses the global minimum: "),
+        (9, "Hamiltonian", _nan_first_bond, "translation invariance violated: <P12> = nan"),
     ],
-    ids=["translation-invariance", "lanczos-not-converged"],
+    ids=["translation-invariance", "lanczos-not-converged", "nan-global-minimum", "nan-first-bond"],
 )
 def test_ed_library_gate_fails_closed(monkeypatch, capsys, L, name, stand_in, reason):
     monkeypatch.setattr(ed_mod, name, stand_in)

@@ -171,14 +171,28 @@ def test_singlet_dimensions_are_hook_lengths(L, sector_dim, singlet_dim):
 @pytest.mark.parametrize("L", [3, 6, 9, 12, 15, 18])
 def test_tableau_word_count_is_the_hook_length_formula(L):
     # past ChainSpec's L <= 12 only the generator runs: no sector, no bonds
-    assert len(ed._tableau_words(L)) == _hook_length_count(L)
+    assert len(ed._words(L, ed._ballot)[0]) == _hook_length_count(L)
 
 
 @pytest.mark.parametrize("L", [3, 6, 9, 12])
 def test_tableau_words_equal_the_balanced_sector_filter(L):
-    words = ed._tableau_words(L)
+    words = ed._words(L, ed._ballot)[0]
     assert words.dtype == np.int64
     assert np.array_equal(words, _ballot_filter(L))
+
+
+@pytest.mark.parametrize("L", [3, 6, 9, 12, 15, 18])
+def test_generated_digits_and_contents_equal_the_decoded_words(L):
+    # the oracle decodes each word's digits from its base-3 value, and takes a
+    # site's content from the cumulative count of its digit over the sites:
+    # the count up to and including the site, minus one, minus the digit
+    words, digits, contents = ed._words(L, ed._ballot)
+    decoded = words // 3 ** np.arange(L - 1, -1, -1)[:, None] % 3
+    seen = np.cumsum(decoded[:, :, None] == np.arange(3), axis=0)
+    expected = np.take_along_axis(seen, decoded[:, :, None], 2)[:, :, 0] - 1 - decoded
+    assert digits.shape == contents.shape == (L, len(words))
+    assert np.array_equal(digits, decoded)
+    assert np.array_equal(contents, expected)
 
 
 @pytest.mark.parametrize("L", [6, 9])
@@ -194,21 +208,25 @@ def test_tableau_operators_satisfy_coxeter_relations(L):
             assert np.abs(s[i] @ s[j] - s[j] @ s[i]).max() <= 1e-15
 
 
-def _words_standing_in(monkeypatch, words):
-    """``ed.Hamiltonian`` builds on ``words`` in place of the generated list."""
-    monkeypatch.setattr(ed, "_tableau_words", lambda L: np.array(words, dtype=np.int64))
+def _words_standing_in(monkeypatch, keep):
+    """``ed.Hamiltonian(6)`` builds on the generated words at positions
+    ``keep``, with their digits and contents, in place of the whole list."""
+    words, digits, contents = ed._words(6, ed._ballot)
+    stand_in = (words[keep], digits[:, keep], contents[:, keep])
+    monkeypatch.setattr(ed, "_words", lambda L, admits: stand_in)
 
 
 def test_hamiltonian_rejects_states_not_closed_under_swaps(monkeypatch):
     # the tableau 12/34/56 (word 001122) alone: s_2 reaches the word 010122
-    _words_standing_in(monkeypatch, [44])
+    assert ed._words(6, ed._ballot)[0][0] == 44
+    _words_standing_in(monkeypatch, [0])
     with pytest.raises(RuntimeError, match="bond swap left"):
         ed.Hamiltonian(6)
 
 
 def test_hamiltonian_rejects_broken_sector(monkeypatch):
     # the smallest word, the tableau 12/34/56, is cut from the list
-    _words_standing_in(monkeypatch, ed._tableau_words(6)[1:])
+    _words_standing_in(monkeypatch, slice(1, None))
     with pytest.raises(RuntimeError, match="sector broken"):
         ed.Hamiltonian(6)
 
@@ -231,15 +249,22 @@ def _build_peak(L):
 
 
 def test_build_hamiltonian_peak_memory_l12():
-    # 0.35 MiB measured; filtering the words out of the 34,650-state balanced
+    # 0.23 MiB measured; filtering the words out of the 34,650-state balanced
     # sector peaked at 2.2 MiB
     assert _build_peak(12) < 2**20
 
 
 def test_build_hamiltonian_peak_memory_l15():
-    # 5.6 MiB measured, nearly all of it the digit, content and bond tables
+    # 3.5 MiB measured, nearly all of it the digit, content and bond tables
     # of 6006 words; the balanced-sector filter peaked at 58 MiB
     assert _build_peak(15) < 16 * 2**20
+
+
+def test_build_hamiltonian_peak_memory_l18():
+    # 60.8 MiB measured: the 17 bonds' tables of 87,516 words hold 34 MiB and
+    # the digit and content tables 24 MiB; decoding the digits from the words
+    # and scanning an (L, dim, 3) table for the contents peaked at 96.9 MiB
+    assert _build_peak(18) < 80 * 2**20
 
 
 def test_ground_state_peak_memory_l12():
@@ -351,15 +376,25 @@ def test_singlet_sector_above_the_global_minimum_trips_the_gate(monkeypatch):
         ed.ground_state(ed.ChainSpec(6))
 
 
-def _tilted_first_bond(L):
-    """The singlet sector whose ``s_1`` is scaled by 1.01 where the six
-    numbers read it, not in H: ``<P12>`` leaves ``E0/L``."""
+def _first_bond_scaled(L, factor):
+    """The singlet sector whose ``s_1`` is scaled by ``factor`` where the six
+    numbers read it, not in H."""
     ham = _HAMILTONIAN(L)
     return SimpleNamespace(
         dim=ham.dim,
         matvec=ham.matvec,
-        _swap=lambda v, j: (1.01 if j == 0 else 1) * ham._swap(v, j),
+        _swap=lambda v, j: (factor if j == 0 else 1) * ham._swap(v, j),
     )
+
+
+def _tilted_first_bond(L):
+    """``s_1`` read 1% too large: ``<P12>`` leaves ``E0/L``."""
+    return _first_bond_scaled(L, 1.01)
+
+
+def _nan_first_bond(L):
+    """``s_1`` read as NaN: ``<P12>`` is NaN, which compares false with E0/L."""
+    return _first_bond_scaled(L, np.nan)
 
 
 def test_broken_translation_invariance_trips_the_gate(monkeypatch):
@@ -368,6 +403,19 @@ def test_broken_translation_invariance_trips_the_gate(monkeypatch):
         RuntimeError,
         match=r"translation invariance violated: <P12> = -0\.73835\d*, E0/L = -0\.73104",
     ):
+        ed.ground_state(ed.ChainSpec(9))
+
+
+def test_nan_global_minimum_trips_the_gate(monkeypatch):
+    # NaN compares false with every tolerance, so the gate must fail on it
+    monkeypatch.setattr(ed, "_balanced_minimum", lambda L: np.nan)
+    with pytest.raises(RuntimeError, match="singlet sector misses the global minimum: .* vs nan"):
+        ed.ground_state(ed.ChainSpec(6))
+
+
+def test_nan_first_bond_trips_the_translation_gate(monkeypatch):
+    monkeypatch.setattr(ed, "Hamiltonian", _nan_first_bond)
+    with pytest.raises(RuntimeError, match=r"translation invariance violated: <P12> = nan"):
         ed.ground_state(ed.ChainSpec(9))
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from su3chain.rmatrix import (
     LINE_TRIPLES,
+    R_PARTS,
     _ybe_name,
     check_fusion,
     check_unitarity,
@@ -44,6 +45,16 @@ def test_r_operator_rejects_unknown_kinds(kind):
 def test_yang_baxter_rejects_unknown_lines(lines):
     with pytest.raises(ValueError):
         check_yang_baxter(lines, 0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("kind", sorted(R_PARTS))
+def test_r_operator_is_exactly_affine_in_lambda(kind):
+    # each kind is constant + lambda * linear with integer parts, so at integer
+    # lambda every entry is a small integer and the identity holds bit for bit;
+    # an exact proof of the identities on an integer grid rests on this degree
+    r0, r1 = r_operator(kind, 0), r_operator(kind, 1)
+    for lam in range(-3, 4):
+        assert np.array_equal(r_operator(kind, lam) - r0, lam * (r1 - r0))
 
 
 def test_regularity_ff_at_zero_is_identity():
