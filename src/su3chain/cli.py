@@ -32,6 +32,10 @@ finite, ``--L`` a length ``ed.ChainSpec`` accepts, and ``--format`` one its
 subcommand writes.  A violation is a usage error naming the option, worded
 the same for both sources.  No option sets a numerical parameter:
 ``three-site`` and ``report-table1`` run the library's defaults.
+Importing this module loads neither numpy nor a library layer, so parsing,
+``--help``, ``--config`` and a usage error found while parsing run on the
+standard library alone; only ``--L`` loads ``ed``, whose ``ChainSpec`` holds
+the length rule.
 
 Each handler returns ``(inputs, results, diagnostics, checks)``, a check
 being ``(passed, reason)`` written so that NaN fails (``value <= tol``).
@@ -57,14 +61,14 @@ Exit codes: 0 success, 1 verification failure (the failing check is named),
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
-# Each handler imports the layers it runs, so a process compiles and loads
-# only its own command's modules, and importing cli loads none of them.
+# Each handler imports numpy and the layers it runs, so a process compiles and
+# loads only its own command's modules, and importing cli loads none of them.
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
 
@@ -139,8 +143,9 @@ def _cmd_verify_algebra(args):
     from . import rmatrix
 
     residuals = rmatrix.identity_suite(seed=args.seed, samples=args.samples)
-    # argmax picks the first NaN, where max(key=...) would skip it
-    worst = list(residuals)[int(np.argmax(list(residuals.values())))]
+    # the first NaN, which max() would skip, else the first largest
+    nans = [name for name, value in residuals.items() if math.isnan(value)]
+    worst = nans[0] if nans else max(residuals, key=residuals.get)
     res = float(residuals[worst])
     return (
         {"seed": args.seed, "samples": args.samples, "tolerance": _ALGEBRA_TOL},
@@ -166,43 +171,45 @@ def _cmd_verify_matrices(args):
     )
 
 
-# a non-finite value fails the residual gate or the strict JSON emit, with
-# the reason on stderr, so numpy's floating-point warnings would only add noise
-@np.errstate(all="ignore")
 def _cmd_two_site(args):
+    import numpy as np
+
     from . import twosite
     from .specfun import PoleError
 
-    lam = args.lam
-    # the residuals are checked at lam itself, except at the physical points
-    # 0, +-1, where the check formulas are singular
-    check_point = lam if min(abs(lam), abs(lam - 1), abs(lam + 1)) > 1e-3 else 0.4 + 0.3j
-    try:
-        res1, res2 = twosite.check_difference_equations(check_point)
-        three_term = twosite.check_three_term(check_point)
-        values = {"omega33": twosite.omega33(lam), "alpha33": twosite.alpha33(lam)}
-    except PoleError as exc:
-        raise _UsageError(f"--lambda: {exc}") from exc
-    except OverflowError as exc:  # a finite --lambda too large to compute with
-        raise OverflowError(f"--lambda {lam}: {exc}") from exc
-    if lam.imag == 0:
-        results = {k: v.real for k, v in values.items()}
-    else:
-        results = {k: [v.real, v.imag] for k, v in values.items()}
-    diagnostics = {
-        "difference_equation_residuals": [float(res1), float(res2)],
-        "three_term_residual": float(three_term),
-    }
-    checks = [(
-        res1 <= 1e-11 and res2 <= 1e-11,
-        f"difference-equation residuals {res1:.3e}, {res2:.3e}",
-    )]
-    if lam == 0:
-        for k in values:
-            delta = values[k].real - PAPER_REFERENCE_VALUES[f"{k}_homogeneous"]
-            diagnostics[f"{k}_delta_vs_reference"] = delta
-            checks.append(_reference_check(k, delta, _REFERENCE_TOL))
-    return {"lambda": [lam.real, lam.imag]}, results, diagnostics, checks
+    # a non-finite value fails the residual gate or the strict JSON emit, with
+    # the reason on stderr, so numpy's floating-point warnings would only add noise
+    with np.errstate(all="ignore"):
+        lam = args.lam
+        # the residuals are checked at lam itself, except at the physical points
+        # 0, +-1, where the check formulas are singular
+        check_point = lam if min(abs(lam), abs(lam - 1), abs(lam + 1)) > 1e-3 else 0.4 + 0.3j
+        try:
+            res1, res2 = twosite.check_difference_equations(check_point)
+            three_term = twosite.check_three_term(check_point)
+            values = {"omega33": twosite.omega33(lam), "alpha33": twosite.alpha33(lam)}
+        except PoleError as exc:
+            raise _UsageError(f"--lambda: {exc}") from exc
+        except OverflowError as exc:  # a finite --lambda too large to compute with
+            raise OverflowError(f"--lambda {lam}: {exc}") from exc
+        if lam.imag == 0:
+            results = {k: v.real for k, v in values.items()}
+        else:
+            results = {k: [v.real, v.imag] for k, v in values.items()}
+        diagnostics = {
+            "difference_equation_residuals": [float(res1), float(res2)],
+            "three_term_residual": float(three_term),
+        }
+        checks = [(
+            res1 <= 1e-11 and res2 <= 1e-11,
+            f"difference-equation residuals {res1:.3e}, {res2:.3e}",
+        )]
+        if lam == 0:
+            for k in values:
+                delta = values[k].real - PAPER_REFERENCE_VALUES[f"{k}_homogeneous"]
+                diagnostics[f"{k}_delta_vs_reference"] = delta
+                checks.append(_reference_check(k, delta, _REFERENCE_TOL))
+        return {"lambda": [lam.real, lam.imag]}, results, diagnostics, checks
 
 
 def _cmd_three_site(args):
@@ -224,6 +231,8 @@ def _cmd_three_site(args):
 
 
 def _cmd_ed(args):
+    import numpy as np
+
     from . import ed
     from .tensors import from_expectations
 
@@ -412,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     seed = _checked(int, _rule(lambda n: n >= 0, "must be >= 0"))
     count = _checked(int, _rule(lambda n: 1 <= n <= 100_000, "must be in 1..100000"))
-    finite = _checked(complex, _rule(np.isfinite, "must be finite"))
+    finite = _checked(complex, _rule(cmath.isfinite, "must be finite"))
     p = sub.add_parser("verify-algebra", help="run the R-matrix identity suite")
     p.add_argument("--seed", type=seed, default=7)
     p.add_argument("--samples", type=count, default=50)

@@ -275,7 +275,8 @@ code = None  # a bare import runs nothing
 if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(sys.argv[2:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("su3chain."))]))
+loaded = [m for m in sys.modules if m.startswith("su3chain.") or m == "numpy"]
+print(json.dumps([code, sorted(loaded)]))
 """
 
 #: every module of the package but cli
@@ -292,7 +293,7 @@ _LAYERS = {
         (["two-site"], {"basis", "rmatrix", "threesite", "tensors", "ed"}),
         (["three-site"], {"basis", "rmatrix", "tensors", "ed"}),
         (["verify-matrices", "--points", "2"], {"threesite", "twosite", "specfun", "ed"}),
-        ([], _LAYERS),
+        ([], _LAYERS | {"numpy"}),
     ],
 )
 def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
@@ -305,7 +306,41 @@ def test_subcommand_imports_only_its_own_layers(argv, not_loaded):
     assert child.returncode == 0, child.stderr
     code, loaded = json.loads(child.stdout)
     assert code == (EXIT_OK if argv else None)
-    assert not not_loaded & {name.split(".", 1)[1] for name in loaded}
+    assert not not_loaded & {name.removeprefix("su3chain.") for name in loaded}
+
+
+_FRONT_END = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from su3chain.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    runs.append([code, "numpy" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_front_end_runs_without_numpy(tmp_path):
+    # help and the usage errors that parsing finds need no handler, so no numpy
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no_such_option = 1\n")
+    argvs = [
+        ["--help"],
+        ["verify-algebra", "--samples", "0"],
+        ["two-site", "--lambda", "inf"],
+        ["--config", str(cfg), "two-site"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _FRONT_END, src, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [
+        [EXIT_OK, False], [EXIT_USAGE, False], [EXIT_USAGE, False], [EXIT_USAGE, False]
+    ]
 
 
 _GATES = """

@@ -1,4 +1,16 @@
-"""R-matrix identities: Yang-Baxter, unitarity, fusion, contraction rules."""
+"""R-matrix identities: Yang-Baxter, unitarity, fusion, contraction rules.
+
+The 13 R-matrix identities are also proved, not only sampled.  Each R-matrix
+is ``constant + lam * linear`` with integer parts, so it has degree 1 in its
+parameter.  Each Yang-Baxter side is a product of three of them, in which
+each of lam, mu and nu appears twice: degree <= 2 in each.  Each unitarity
+product and its scalar have degree <= 2 in lam - mu, and each fusion column
+and its scalar degree <= 3.  A polynomial of degree <= d in each variable
+that vanishes at d + 1 points per variable is zero, so exact zeros on
+{0, 1, 2}^3 for Yang-Baxter and at lam - mu in {0, 1, 2, 3} for unitarity
+and fusion prove all 13.  On that grid every entry is a small integer, so
+float64 arithmetic is exact and a residual is exactly 0.0 or an integer.
+"""
 
 import random
 import tracemalloc
@@ -110,6 +122,27 @@ def test_unitarity_holds_at_degenerate_scalar():
     assert check_unitarity("standard", 0.5, 0.5) < TOL
     assert check_unitarity("special-1", 0.5, 0.5) < TOL
     assert np.abs(r_operator("FA", 0.0) @ r_operator("AF", 3.0)).max() < TOL
+
+
+#: the degree grid of the module docstring: (lam, mu, nu) over {0, 1, 2}^3,
+#: and lam - mu over {0, 1, 2, 3} for unitarity and fusion, which take no nu
+YBE_GRID = np.meshgrid(*[np.arange(3)] * 3, indexing="ij")
+PAIR_GRID = (np.arange(4), 0, None)
+
+
+def test_identities_vanish_exactly_on_the_degree_grid():
+    residuals = {
+        name: check(*(YBE_GRID if name.startswith("ybe") else PAIR_GRID))
+        for name, check in _all_checks().items()
+    }
+    assert len(residuals) == 13
+    assert residuals == dict.fromkeys(residuals, 0.0)
+
+
+def test_degree_grid_catches_a_wrong_shift():
+    # the negative controls: a wrong shift leaves an integer residual
+    assert check_yang_baxter("FAF", *YBE_GRID, shift=0) == 3.0
+    assert check_yang_baxter("FAF", *YBE_GRID, shift=2) == 1.0
 
 
 def _all_checks():

