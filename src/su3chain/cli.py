@@ -28,14 +28,14 @@ and a key that no subcommand has, or two lines that set one option, is a
 usage error naming the key.  Each option's parser checks its value, from a
 flag or the config file alike, before any work: ``--samples`` and
 ``--points`` lie in 1..100000, ``--seed`` is non-negative, ``--lambda``
-finite, ``--L`` a length ``ed.ChainSpec`` accepts, and ``--format`` one its
-subcommand writes.  A violation is a usage error naming the option, worded
-the same for both sources.  No option sets a numerical parameter:
-``three-site`` and ``report-table1`` run the library's defaults.
-Importing this module loads neither numpy nor a library layer, so parsing,
-``--help``, ``--config`` and a usage error found while parsing run on the
-standard library alone; only ``--L`` loads ``ed``, whose ``ChainSpec`` holds
-the length rule.
+finite, ``--L`` a length ``ed.ChainSpec`` accepts (checked right after
+parsing), and ``--format`` one its subcommand writes.  A violation is a
+usage error naming the option, worded the same for both sources.  No option
+sets a numerical parameter: ``three-site`` and ``report-table1`` run the
+library's defaults.  Importing this module loads neither numpy nor a library
+layer, so parsing, ``--help``, ``--config`` and a usage error found while
+parsing run on the standard library alone; only ``ed``'s ``--L`` check
+loads ``ed``, whose ``ChainSpec`` holds the length rule.
 
 Each handler returns ``(inputs, results, diagnostics, checks)``, a check
 being ``(passed, reason)`` written so that NaN fails (``value <= tol``).
@@ -63,7 +63,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import os
 import sys
 
@@ -140,12 +139,13 @@ def _reference_check(name: str, delta: float, tol: float):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_algebra(args):
+    import numpy as np
+
     from . import rmatrix
 
     residuals = rmatrix.identity_suite(seed=args.seed, samples=args.samples)
-    # the first NaN, which max() would skip, else the first largest
-    nans = [name for name, value in residuals.items() if math.isnan(value)]
-    worst = nans[0] if nans else max(residuals, key=residuals.get)
+    # argmax picks the first NaN, where max(key=...) would skip it
+    worst = list(residuals)[int(np.argmax(list(residuals.values())))]
     res = float(residuals[worst])
     return (
         {"seed": args.seed, "samples": args.samples, "tolerance": _ALGEBRA_TOL},
@@ -443,13 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_three_site)
 
-    def chain_length(n):  # imports ed only when --L is parsed
-        from .ed import ChainSpec
-
-        ChainSpec(n)
-
     p = sub.add_parser("ed", help="exact diagonalization of a finite chain")
-    p.add_argument("--L", type=_checked(int, chain_length), default=6)
+    p.add_argument("--L", type=int, default=6)  # ed.ChainSpec's rule, in _parse
     common(p)
     p.set_defaults(func=_cmd_ed)
 
@@ -459,16 +454,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(parser: argparse.ArgumentParser, argv):
+    """``parser.parse_args(argv)``, then ``ed``'s ``--L`` checked by
+    ``ed.ChainSpec``, a violation being the usage error argparse gives a
+    failed ``type``.  The check is not ``--L``'s ``type`` because importing
+    ``ed`` loads numpy: run from argparse's frames, about 13 deeper than
+    here, numpy's import crosses an edge of CPython 3.11's frame-stack chunks
+    in its hot loops and takes about 15 ms more CPU."""
+    args = parser.parse_args(argv)
+    if args.command == "ed":
+        from .ed import ChainSpec
+
+        try:
+            ChainSpec(args.L)
+        except ValueError as exc:
+            (commands,) = (a for a in parser._actions if a.dest == "command")
+            commands.choices["ed"].error(f"argument --L: {exc}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         if args.config is not None:
             error = _preload_config(parser, args.config)
             if error:
                 print(f"config error: {error}", file=sys.stderr)
                 return EXIT_USAGE
-            args = parser.parse_args(argv)  # with the file's values as defaults
+            args = _parse(parser, argv)  # with the file's values as defaults
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -132,9 +132,13 @@ def test_ed_reports_the_singlet_sector(capsys, L, dimension, gap):
 
 
 def test_ed_invalid_length(capsys):
+    # checked after parsing, in the words argparse gives a failed --L type
     code, _, err = run(capsys, ["ed", "--L", "5"])
     assert code == EXIT_USAGE
-    assert "error" in err
+    assert err == (
+        "usage: su3chain ed [-h] [--L L] [--format {json,text}]\n"
+        "su3chain ed: error: argument --L: L must be divisible by 3 (balanced color sector)\n"
+    )
 
 
 def test_text_format(capsys):
